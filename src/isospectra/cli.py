@@ -30,6 +30,7 @@ from .errors import (
     RepeatedZeros,
 )
 from .families import Family, FamilySpec, make_spec
+from .numeric import ZeroSet
 
 log = logging.getLogger("isospectra")
 
@@ -91,16 +92,21 @@ def _parse_complex_list(text):
         return ()
     out = []
     for tok in str(text).split(","):
-        tok = tok.strip().replace("i", "j")
-        out.append(complex(tok))
+        try:
+            out.append(complex(tok.strip().replace("i", "j")))
+        except ValueError:
+            raise InvalidParameters(f"not a complex number: {tok.strip()!r}") from None
     return tuple(out)
 
 
 def _spec_from_args(args) -> FamilySpec:
     file_cfg = {}
     if getattr(args, "spec_file", None):
-        with open(args.spec_file, "r", encoding="utf-8") as fh:
-            file_cfg = json.load(fh)
+        try:
+            with open(args.spec_file, "r", encoding="utf-8") as fh:
+                file_cfg = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise InvalidParameters(f"cannot read spec file: {exc}") from None
     family = args.family or file_cfg.get("family")
     if family is None:
         raise InvalidParameters("no family given (flag --family or spec file)")
@@ -125,7 +131,10 @@ def _spec_from_args(args) -> FamilySpec:
         else from_pairs(file_cfg.get("betas", []))
     )
     if args.q is not None:
-        q = _parse_complex_list(args.q)[0]
+        qs = _parse_complex_list(args.q)
+        if len(qs) != 1:
+            raise InvalidParameters("--q takes exactly one complex value")
+        q = qs[0]
     else:
         raw = file_cfg.get("q")
         q = complex(raw[0], raw[1]) if raw else None
@@ -169,8 +178,8 @@ def cmd_zeros(args) -> int:
     return EXIT_PASS
 
 
-def _matrix_payload(spec: FamilySpec, tol_spectral: float) -> tuple[dict, bool]:
-    report = matrices.verify_matrix(spec, tol_spectral=tol_spectral)
+def _matrix_payload(spec: FamilySpec, zs: ZeroSet, tol_spectral: float) -> tuple[dict, bool]:
+    report = matrices.verify_matrix(spec, tol_spectral=tol_spectral, zeros=zs)
     payload = {
         "matrix": _cmatrix(report.L),
         "computed_spectrum": _carray(report.computed_spectrum.values),
@@ -187,7 +196,7 @@ def _matrix_payload(spec: FamilySpec, tol_spectral: float) -> tuple[dict, bool]:
 def cmd_matrix(args) -> int:
     spec = _spec_from_args(args)
     zs = families.compute_zeros(spec)
-    payload, ok = _matrix_payload(spec, args.tol_spectral)
+    payload, ok = _matrix_payload(spec, zs, args.tol_spectral)
     out = {"spec": _spec_echo(spec), "zeros": _carray(zs.zeros), "pass": ok}
     out.update(payload)
     _emit(out)
@@ -197,7 +206,7 @@ def cmd_matrix(args) -> int:
 def cmd_verify(args) -> int:
     spec = _spec_from_args(args)
     zs = families.compute_zeros(spec)
-    payload, mat_ok = _matrix_payload(spec, args.tol_spectral)
+    payload, mat_ok = _matrix_payload(spec, zs, args.tol_spectral)
     identity = float(np.max(np.abs(matrices.identity_residual(spec, zs))))
     equilibrium = dynamics.equilibrium_residual(spec, zs)
     defining = families.max_defining_residual(spec, count=10, seed=args.seed)
@@ -219,6 +228,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_evolve(args) -> int:
+    if args.steps < 1 or args.record_every < 1:
+        raise InvalidParameters("--steps and --record-every must be >= 1")
     spec = _spec_from_args(args)
     zs = families.compute_zeros(spec)
     start = dynamics.to_dynamics_variable(spec, zs.zeros)
@@ -243,12 +254,15 @@ def cmd_evolve(args) -> int:
     return EXIT_PASS if ok else EXIT_FAIL
 
 
-def draw_spec(construction: str, nmax: int, rng: np.random.Generator, nmin: int = 2) -> FamilySpec:
+def draw_spec(
+    construction: str, nmax: int, rng: np.random.Generator, nmin: int = 2
+) -> tuple[FamilySpec, ZeroSet]:
     """One safe-box draw for a named construction, redrawn until valid.
 
     The box itself can graze q-Pochhammer poles (e.g. alpha ~ 1/q for
     q-racah), so draws whose denominators come within DRAW_MARGIN of zero are
-    rejected and redrawn; the rng state makes this deterministic.
+    rejected and redrawn; the rng state makes this deterministic.  Returns
+    the spec with its zeros, which validating the draw already computed.
     """
     family, n_alpha, n_beta = CONSTRUCTIONS[construction]
     for _ in range(200):
@@ -261,10 +275,10 @@ def draw_spec(construction: str, nmax: int, rng: np.random.Generator, nmin: int 
             families.validate_spec(spec)
             if family in families.Q_FAMILIES and _near_q_pole(spec):
                 continue
-            families.compute_zeros(spec)
+            zs = families.compute_zeros(spec)
         except (InvalidParameters, RepeatedZeros, NonConvergence):
             continue
-        return spec
+        return spec, zs
     raise NonConvergence(f"no valid draw for {construction} after 200 tries")
 
 
@@ -293,6 +307,8 @@ def cmd_sweep(args) -> int:
     for name in names:
         if name not in CONSTRUCTIONS:
             raise InvalidParameters(f"unknown construction {name!r}")
+    if args.draws < 0:
+        raise InvalidParameters("--draws must be >= 0")
     results = []
     worst = {"spectral": 0.0, "trace": 0.0, "det": 0.0}
     n_pass = 0
@@ -300,8 +316,8 @@ def cmd_sweep(args) -> int:
     for name in names:
         for k in range(args.draws):
             rng = np.random.default_rng([args.seed, zlib.crc32(name.encode()), k])
-            spec = draw_spec(name, args.nmax, rng)
-            report = matrices.verify_matrix(spec, tol_spectral=args.tol_spectral)
+            spec, zs = draw_spec(name, args.nmax, rng)
+            report = matrices.verify_matrix(spec, tol_spectral=args.tol_spectral, zeros=zs)
             total += 1
             n_pass += bool(report.passed)
             worst["spectral"] = max(worst["spectral"], report.spectral_residual)
@@ -377,7 +393,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--nmax", type=int, default=8)
     p.add_argument("--tol-spectral", type=float, default=1e-6, dest="tol_spectral")
-    p.add_argument("--tol-identity", type=float, default=1e-8, dest="tol_identity")
     p.set_defaults(func=cmd_sweep)
     return ap
 
@@ -393,15 +408,15 @@ def main(argv=None) -> int:
             return EXIT_PASS
         return args.func(args)
     except InvalidParameters as exc:
-        log.error("invalid input: %s", exc)
+        log.info("invalid input: %s", exc)
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except (RepeatedZeros, Collision, BranchPoint, DegenerateInput) as exc:
-        log.error("degenerate zeros: %s", exc)
+        log.info("degenerate zeros: %s", exc)
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
     except NonConvergence as exc:
-        log.error("non-convergence: %s", exc)
+        log.info("non-convergence: %s", exc)
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGENCE
     except IsospectraError as exc:

@@ -376,8 +376,6 @@ def to_dynamics_variable(spec: fam.FamilySpec, zeros_natural: np.ndarray) -> np.
     z = np.asarray(zeros_natural, dtype=complex).ravel()
     if spec.family in fam.LIFTED_FAMILIES:
         return fam.lift_zero_variables(spec, ZeroSet(z, np.inf, 0.0)).zeros
-    if spec.family == fam.Family.JACOBI:
-        return z  # jacobi zeros are already in x
     return z
 
 

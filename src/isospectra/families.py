@@ -45,7 +45,9 @@ from .numeric import (
     ddc_div,
     ddc_mul,
     ddc_neg,
+    ddc_pochhammer,
     ddc_powi,
+    ddc_q_pochhammer,
     ddc_to_complex,
     dsqrt,
     pochhammer,
@@ -348,40 +350,26 @@ def _term_table(spec: FamilySpec):
     fam = spec.family
     one = ddc(1.0)
 
-    def poch_dd(a, m):
-        out = one
-        for i in range(m):
-            out = ddc_mul(out, ddc_add(a, ddc(i)))
-        return out
-
-    def qpoch_dd(g, qd, m):
-        out = one
-        gg = g
-        for _ in range(m):
-            out = ddc_mul(out, ddc_add(one, ddc_neg(gg)))
-            gg = ddc_mul(gg, qd)
-        return out
-
     table = []
     if fam == Family.GHYP:
         for m in range(N + 1):
-            num = poch_dd(ddc(-N), m)
+            num = ddc_pochhammer(ddc(-N), m)
             for al in spec.alphas:
-                num = ddc_mul(num, poch_dd(ddc(al), m))
+                num = ddc_mul(num, ddc_pochhammer(ddc(al), m))
             den = ddc(float(math.factorial(m)))
             for be in spec.betas:
-                den = ddc_mul(den, poch_dd(ddc(be), m))
+                den = ddc_mul(den, ddc_pochhammer(ddc(be), m))
             table.append((ddc_div(num, den), ((ddc(0.0), one),) * (N - m)))
     elif fam == Family.GBASIC:
         qd = ddc(spec.q)
         r, s = len(spec.alphas), len(spec.betas)
         for m in range(N + 1):
-            num = qpoch_dd(ddc_powi(qd, -N), qd, m)
+            num = ddc_q_pochhammer(ddc_powi(qd, -N), qd, m)
             for al in spec.alphas:
-                num = ddc_mul(num, qpoch_dd(ddc(al), qd, m))
-            den = qpoch_dd(qd, qd, m)
+                num = ddc_mul(num, ddc_q_pochhammer(ddc(al), qd, m))
+            den = ddc_q_pochhammer(qd, qd, m)
             for be in spec.betas:
-                den = ddc_mul(den, qpoch_dd(ddc(be), qd, m))
+                den = ddc_mul(den, ddc_q_pochhammer(ddc(be), qd, m))
             pref = ddc_div(num, den)
             sign = (-1.0) ** (m * (s - r))
             pref = ddc_mul(pref, ddc(sign))
@@ -392,10 +380,10 @@ def _term_table(spec: FamilySpec):
         sig = ddc_add(ddc_add(ddc(a), ddc(b)), ddc_add(ddc(c), ddc(d)))
         pair_sums = [ddc_add(ddc(a), ddc(u)) for u in (b, c, d)]
         for k in range(N + 1):
-            pref = ddc_mul(poch_dd(ddc(-N), k), poch_dd(ddc_add(sig, ddc(N - 1)), k))
+            pref = ddc_mul(ddc_pochhammer(ddc(-N), k), ddc_pochhammer(ddc_add(sig, ddc(N - 1)), k))
             pref = ddc_div(pref, ddc(float(math.factorial(k))))
             for u in pair_sums:
-                pref = ddc_mul(pref, poch_dd(ddc_add(u, ddc(k)), N - k))
+                pref = ddc_mul(pref, ddc_pochhammer(ddc_add(u, ddc(k)), N - k))
             factors = []
             for i in range(k):
                 t = ddc_add(ddc(a), ddc(i))
@@ -411,10 +399,10 @@ def _term_table(spec: FamilySpec):
             ddc_add(ddc(ga), one),
         )
         for n in range(N + 1):
-            num = ddc_mul(poch_dd(ddc(-N), n), poch_dd(nab1, n))
+            num = ddc_mul(ddc_pochhammer(ddc(-N), n), ddc_pochhammer(nab1, n))
             den = ddc(float(math.factorial(n)))
             for u in dens:
-                den = ddc_mul(den, poch_dd(u, n))
+                den = ddc_mul(den, ddc_pochhammer(u, n))
             factors = []
             for s in range(n):
                 a_s = ddc_add(ddc_mul(ddc(float(s)), gd1), ddc(float(s * s)))
@@ -427,12 +415,12 @@ def _term_table(spec: FamilySpec):
         prod = ddc_mul(ddc_mul(add, ddc(b)), ddc_mul(ddc(c), ddc(d)))
         a_pow = ddc_powi(add, -N)
         for m in range(N + 1):
-            num = ddc_mul(ddc_powi(qd, m), qpoch_dd(ddc_powi(qd, -N), qd, m))
-            num = ddc_mul(num, qpoch_dd(ddc_mul(prod, ddc_powi(qd, N - 1)), qd, m))
-            pref = ddc_mul(ddc_div(num, qpoch_dd(qd, qd, m)), a_pow)
+            num = ddc_mul(ddc_powi(qd, m), ddc_q_pochhammer(ddc_powi(qd, -N), qd, m))
+            num = ddc_mul(num, ddc_q_pochhammer(ddc_mul(prod, ddc_powi(qd, N - 1)), qd, m))
+            pref = ddc_mul(ddc_div(num, ddc_q_pochhammer(qd, qd, m)), a_pow)
             qm = ddc_powi(qd, m)
             for u in (ddc(b), ddc(c), ddc(d)):
-                pref = ddc_mul(pref, qpoch_dd(ddc_mul(ddc_mul(add, u), qm), qd, N - m))
+                pref = ddc_mul(pref, ddc_q_pochhammer(ddc_mul(ddc_mul(add, u), qm), qd, N - m))
             factors = []
             for j in range(m):
                 qj = ddc_powi(qd, j)
@@ -445,12 +433,12 @@ def _term_table(spec: FamilySpec):
         al, be, ga, de = spec.alphas
         gd = ddc_mul(ddc(ga), ddc(de))
         for m in range(N + 1):
-            num = ddc_mul(ddc_powi(qd, m), qpoch_dd(ddc_powi(qd, -N), qd, m))
+            num = ddc_mul(ddc_powi(qd, m), ddc_q_pochhammer(ddc_powi(qd, -N), qd, m))
             ab_q = ddc_mul(ddc_mul(ddc(al), ddc(be)), ddc_powi(qd, N + 1))
-            num = ddc_mul(num, qpoch_dd(ab_q, qd, m))
-            den = qpoch_dd(qd, qd, m)
+            num = ddc_mul(num, ddc_q_pochhammer(ab_q, qd, m))
+            den = ddc_q_pochhammer(qd, qd, m)
             for u in (ddc(al), ddc_mul(ddc(be), ddc(de)), ddc(ga)):
-                den = ddc_mul(den, qpoch_dd(ddc_mul(u, qd), qd, m))
+                den = ddc_mul(den, ddc_q_pochhammer(ddc_mul(u, qd), qd, m))
             factors = []
             for s in range(m):
                 a_s = ddc_add(one, ddc_mul(gd, ddc_powi(qd, 2 * s + 1)))
@@ -461,8 +449,8 @@ def _term_table(spec: FamilySpec):
         half = (ddc(0.5), ddc(-0.5))
         nab1 = ddc_add(ddc_add(ddc(al), ddc(be)), ddc(N + 1))
         for m in range(N + 1):
-            num = ddc_mul(poch_dd(ddc(-N), m), poch_dd(nab1, m))
-            num = ddc_mul(num, poch_dd(ddc_add(ddc(al), ddc(m + 1)), N - m))
+            num = ddc_mul(ddc_pochhammer(ddc(-N), m), ddc_pochhammer(nab1, m))
+            num = ddc_mul(num, ddc_pochhammer(ddc_add(ddc(al), ddc(m + 1)), N - m))
             den = ddc(float(math.factorial(m) * math.factorial(N)))
             table.append((ddc_div(num, den), (half,) * m))
     else:
@@ -504,25 +492,29 @@ def structured_eval(spec: FamilySpec, z):
 def refine_zeros(spec: FamilySpec, roots: np.ndarray, steps: int = 12):
     """Newton-polish roots against the structured evaluation.
 
-    Iterates until the Newton step falls below rounding level in z (the root
-    is then accurate to the last representable digit).  Returns the refined
-    roots plus the worst relative forward-error estimate |p/p'| / (1 + |z|).
+    Each root iterates until its relative Newton step |p/p'| / (1 + |z|)
+    falls below rounding level in z (the root is then accurate to the last
+    representable digit), or stops shrinking once it is within a few ulps
+    (the iterate then alternates between neighbouring doubles), or `steps`
+    steps are taken.  Returns the refined roots plus the worst relative
+    forward-error estimate, which is that step at the returned root.
     """
     out = np.array(roots, dtype=complex)
     worst = 0.0
     eps = np.finfo(float).eps
     for i, z in enumerate(out):
-        step = np.inf
-        for _ in range(steps):
+        prev = np.inf
+        for k in range(steps + 1):
             val, dval, _ = structured_eval(spec, z)
             if abs(dval) < _TINY:
+                fe = np.inf
                 break
             step = val / dval
-            if abs(step) <= 0.25 * eps * (1.0 + abs(z)):
+            fe = abs(step) / (1.0 + abs(z))
+            if k == steps or fe <= 0.25 * eps or (fe <= 2.0 * eps and fe > 0.5 * prev):
                 break
             z = z - step
-        val, dval, _ = structured_eval(spec, z)
-        fe = abs(val / dval) / (1.0 + abs(z)) if abs(dval) > _TINY else np.inf
+            prev = fe
         out[i] = z
         worst = max(worst, fe)
     return out, worst

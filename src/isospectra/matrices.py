@@ -644,9 +644,14 @@ def verify_matrix(
     tol_spectral: float = 1e-6,
     tol_tracedet: float = 1e-8,
     pad_count: int = 0,
+    zeros: Optional[ZeroSet] = None,
 ) -> IsospectralMatrix:
-    """compute_zeros -> build_matrix -> eigenvalues -> residual report."""
-    zs = fam.compute_zeros(spec)
+    """compute_zeros -> build_matrix -> eigenvalues -> residual report.
+
+    Pass `zeros` (the `compute_zeros(spec)` result) when the caller already
+    has it, so the zeros are not solved for again.
+    """
+    zs = fam.compute_zeros(spec) if zeros is None else zeros
     report = build_matrix(spec, zs, pad_count=pad_count)
     ev = matrix_eigenvalues(report.L)
     ref = report.reference_spectrum

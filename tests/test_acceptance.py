@@ -44,7 +44,8 @@ def rng_for(construction, k, salt=0):
 
 
 def draw(construction, k, nmax=8, nmin=2, salt=0):
-    return cli.draw_spec(construction, nmax, rng_for(construction, k, salt), nmin=nmin)
+    spec, _ = cli.draw_spec(construction, nmax, rng_for(construction, k, salt), nmin=nmin)
+    return spec
 
 
 def draw_for_dynamics(construction, k, t1=0.5, require_gap=False):

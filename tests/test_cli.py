@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from isospectra import cli
+from isospectra import cli, families
 
 # Wilson parameters at a discriminant cusp: double zero survives rounding
 WILSON_DEGENERATE = "-0.8580553427452533,-0.33251962240715427,1.5,2.0"
@@ -14,6 +14,20 @@ WILSON_DEGENERATE = "-0.8580553427452533,-0.33251962240715427,1.5,2.0"
 def run(capsys, argv):
     code = cli.main(argv)
     return code, capsys.readouterr().out
+
+
+def count_zero_solves(monkeypatch):
+    """Count the compute_zeros calls that return (rejected draws raise)."""
+    solved = []
+    compute_zeros = families.compute_zeros
+
+    def counting(spec, *args, **kwargs):
+        zs = compute_zeros(spec, *args, **kwargs)
+        solved.append(spec)
+        return zs
+
+    monkeypatch.setattr(families, "compute_zeros", counting)
+    return solved
 
 
 class TestZeros:
@@ -56,6 +70,17 @@ class TestMatrix:
         assert code == 0
         np.testing.assert_allclose(report["reference_spectrum"], [[1.0, 0.0], [4.0, 0.0]], atol=1e-12)
 
+    def test_no_dimension_cap(self, capsys):
+        code, out = run(capsys, ["matrix", "--family", "ghyp", "-N", "13", "--alphas", "2", "--betas", "3"])
+        report = json.loads(out)
+        assert code == 0 and report["pass"] is True
+        assert len(report["computed_spectrum"]) == 13
+
+    def test_zeros_solved_once(self, capsys, monkeypatch):
+        solved = count_zero_solves(monkeypatch)
+        code, _ = run(capsys, ["matrix", "--family", "jacobi", "-N", "3", "--alphas", "0.5,1"])
+        assert code == 0 and len(solved) == 1
+
     def test_degenerate_wilson_exit_3(self, capsys):
         code, _ = run(
             capsys,
@@ -81,6 +106,11 @@ class TestVerify:
     def test_ghyp_random_passes(self, capsys):
         code, out = run(capsys, ["verify", "--family", "ghyp", "-N", "4", "--alphas", "1.9", "--betas", "2.7"])
         assert code == 0 and json.loads(out)["pass"] is True
+
+    def test_zeros_solved_once(self, capsys, monkeypatch):
+        solved = count_zero_solves(monkeypatch)
+        code, _ = run(capsys, ["verify", "--family", "wilson", "-N", "3", "--alphas", "0.7,1.1,1.6,2.2"])
+        assert code == 0 and len(solved) == 1
 
     def test_q_close_to_one_exit_2(self, capsys):
         code, _ = run(
@@ -149,6 +179,33 @@ class TestSweep:
         code, _ = run(capsys, ["sweep", "--family", "nope", "--draws", "1"])
         assert code == 2
 
+    def test_zeros_solved_once_per_spec(self, capsys, monkeypatch):
+        solved = count_zero_solves(monkeypatch)
+        # seed 6 redraws aw five times before a valid spec
+        code, out = run(capsys, ["sweep", "--family", "all", "--draws", "1", "--seed", "6", "--nmax", "8"])
+        report = json.loads(out)
+        assert code == 0 and report["total"] == 12
+        assert len(solved) == 12
+
+    def test_pinned_draws(self, capsys):
+        _, out = run(capsys, ["sweep", "--family", "all", "--draws", "1", "--seed", "6", "--nmax", "8"])
+        echoes = [(r["construction"], r["spec"]["N"], r["spec"]["alphas"][0][0])
+                  for r in json.loads(out)["results"]]
+        assert echoes == [
+            ("ghyp11", 6, 2.754708530128889),
+            ("jacobi", 8, 2.0083697110854306),
+            ("ghyp21", 7, 1.856095670357376),
+            ("ghyp22", 6, 1.8635374688081807),
+            ("ghyp32", 5, 2.6169340589421335),
+            ("gbasic11", 5, 2.5556305768905307),
+            ("gbasic21", 5, 1.7987226461373766),
+            ("gbasic22", 3, 2.327770575712782),
+            ("wilson", 4, 0.912314227077013),
+            ("racah", 8, 1.7837055570093114),
+            ("aw", 3, 0.5503690942917765),
+            ("qracah", 8, 2.176601838045264),
+        ]
+
 
 class TestSpecFile:
     def test_load_and_override(self, tmp_path, capsys):
@@ -172,6 +229,35 @@ class TestSpecFile:
     def test_missing_family_exit_2(self, capsys):
         code, _ = run(capsys, ["zeros", "-N", "2", "--alphas", "1.5"])
         assert code == 2
+
+
+class TestInputErrors:
+    """Bad input exits 2 with a one-line error and no traceback."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["evolve", "--family", "ghyp", "-N", "2", "--alphas", "1.7", "--betas", "2.3", "--steps", "0"],
+            ["evolve", "--family", "ghyp", "-N", "2", "--alphas", "1.7", "--betas", "2.3",
+             "--record-every", "0"],
+            ["zeros", "--family", "ghyp", "-N", "2", "--alphas", "2,x", "--betas", "3"],
+            ["zeros", "--spec-file", "{tmp}/no-such-spec.json"],
+            ["sweep", "--draws", "-1"],
+        ],
+        ids=["steps-0", "record-every-0", "bad-alpha", "missing-spec-file", "negative-draws"],
+    )
+    def test_exit_2(self, tmp_path, argv):
+        import subprocess
+        import sys
+
+        argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+        proc = subprocess.run(
+            [sys.executable, "-m", "isospectra.cli", *argv], capture_output=True, text=True
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        lines = proc.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
 
 
 class TestConsoleEntryPoint:

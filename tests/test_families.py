@@ -13,7 +13,7 @@ from isospectra.errors import (
     SingularSample,
 )
 from isospectra.families import Family, FamilySpec
-from isospectra.numeric import Poly, ZeroSet
+from isospectra.numeric import Poly, ZeroSet, poly_roots
 
 # frozen (see test_cli): Wilson parameters at a discriminant cusp -> double zero
 WILSON_DEGENERATE = (-0.8580553427452533, -0.33251962240715427, 1.5, 2.0)
@@ -102,6 +102,28 @@ class TestStructuredEval:
             h = 1e-6
             fd = (p(z + h) - p(z - h)) / (2 * h)
             assert abs(dval - fd) <= 1e-5 * max(1.0, abs(fd))
+
+
+class TestRefineZeros:
+    @pytest.mark.parametrize("spec", SAMPLE_SPECS, ids=lambda s: s.family.value)
+    def test_stops_at_rounding_level(self, spec, monkeypatch):
+        roots = poly_roots(iso.build_polynomial(spec)).zeros
+        evaluations = []
+        structured_eval = families.structured_eval
+        monkeypatch.setattr(
+            families, "structured_eval", lambda *a: evaluations.append(1) or structured_eval(*a)
+        )
+        refined, worst = families.refine_zeros(spec, roots)
+        monkeypatch.undo()
+        # a root whose step alternates between neighbouring doubles used to
+        # take all 12 steps plus one more evaluation
+        assert len(evaluations) <= 3 * len(roots)
+        # the estimate is the relative Newton step at the returned roots
+        fresh = 0.0
+        for z in refined:
+            val, dval, _ = families.structured_eval(spec, z)
+            fresh = max(fresh, abs(val / dval) / (1.0 + abs(z)))
+        assert worst == fresh
 
 
 class TestComputeZeros:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import isospectra as iso
-from isospectra import dynamics, families, matrices
+from isospectra import cli, dynamics, families, matrices
 from isospectra.errors import InvalidParameters, RepeatedZeros
 from isospectra.numeric import matrix_eigenvalues, multiset_match
 
@@ -308,6 +308,22 @@ class TestVerifyMatrix:
     def test_sample_specs_pass(self, spec):
         rep = iso.verify_matrix(spec)
         assert rep.passed, (rep.spectral_residual, rep.trace_residual, rep.det_residual)
+
+    def test_given_zeros_are_used(self):
+        spec = SAMPLE_SPECS[3]
+        zs = iso.compute_zeros(spec)
+        rep = iso.verify_matrix(spec, zeros=zs)
+        np.testing.assert_array_equal(rep.L, iso.build_matrix(spec, zs).L)
+
+    def test_newton_polish_beats_plain_qr(self):
+        # one Newton step per eigenvalue on det(lam I - L) after LAPACK's QR
+        polished, plain = [], []
+        for k, name in enumerate(cli.CONSTRUCTIONS):
+            spec, zs = cli.draw_spec(name, 8, np.random.default_rng([5, k]), nmin=6)
+            rep = iso.verify_matrix(spec, zeros=zs)
+            polished.append(rep.spectral_residual)
+            plain.append(multiset_match(np.linalg.eigvals(rep.L), rep.reference_spectrum))
+        assert np.median(polished) < 0.5 * np.median(plain)
 
 
 class TestIsospectrality:

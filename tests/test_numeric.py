@@ -1,13 +1,20 @@
 """Core numeric substrate: symbols, polynomials, roots, eigenvalues, duals."""
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import numpy.polynomial.polynomial as npp
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+import isospectra as iso
 from isospectra.errors import CardinalityMismatch, DegenerateInput, NonConvergence
 from isospectra.numeric import (
+    BACKWARD_STOP,
     Dual,
+    _dd_add,
+    _dd_mul,
     Poly,
     aw_pochhammer_poly,
     ddc,
@@ -68,12 +75,23 @@ class TestQPochhammer:
         q=finite_complex,
         m=st.integers(min_value=0, max_value=20),
     )
+    # plain double accumulation of gamma q^i is 1.16e-14 off here
+    @example(gamma=-0.0011 - 1.3354j, q=-2.3682 + 0.8998j, m=20)
+    @settings(deadline=None)  # the exact product of tiny q^i has huge denominators
     def test_matches_direct_product(self, gamma, q, m):
-        direct = 1.0 + 0.0j
-        for i in range(m):
-            direct *= 1.0 - gamma * q**i
+        # exact rational product on (re, im) pairs
+        def mul(x, y):
+            return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+        g = (Fraction(gamma.real), Fraction(gamma.imag))
+        qq = (Fraction(q.real), Fraction(q.imag))
+        direct = (Fraction(1), Fraction(0))
+        for _ in range(m):
+            direct = mul(direct, (1 - g[0], -g[1]))
+            g = mul(g, qq)
         got = q_pochhammer(gamma, q, m)
-        assert abs(got - direct) <= 1e-14 * max(1.0, abs(direct))
+        err = math.hypot(float(Fraction(got.real) - direct[0]), float(Fraction(got.imag) - direct[1]))
+        assert err <= 1e-14 * max(1.0, math.hypot(float(direct[0]), float(direct[1])))
 
 
 class TestPochhammerPolynomials:
@@ -206,6 +224,22 @@ class TestPolyRoots:
         with pytest.raises(DegenerateInput):
             poly_roots(Poly([3.0]))
 
+    def test_stops_at_rounding_level(self, monkeypatch):
+        # a safe-box racah draw on which the correction-size test alone never
+        # fires: the iteration used to run all ROOT_MAX_ITER = 200 iterations
+        spec = iso.make_spec(
+            "racah", 6, [2.6123844380864822, 1.041393051647385, 2.723188787953626, 1.7372567706639868]
+        )
+        c = iso.build_polynomial(spec).coeffs
+        evaluations = []
+        polyval = npp.polyval
+        monkeypatch.setattr(npp, "polyval", lambda *a: evaluations.append(1) or polyval(*a))
+        zs = poly_roots(Poly(c))
+        monkeypatch.undo()
+        assert len(evaluations) < 150  # 3 per Aberth iteration, plus the Newton polish
+        backward = np.abs(npp.polyval(zs.zeros, c)) / npp.polyval(np.abs(zs.zeros), np.abs(c))
+        assert np.all(backward <= BACKWARD_STOP * np.finfo(float).eps * 6)
+
     def test_nonconvergence_flagged(self):
         coeffs = npp.polyfromroots(np.arange(1.0, 7.0))
         with pytest.raises(NonConvergence):
@@ -249,9 +283,22 @@ class TestMatrixEigenvalues:
             det = np.linalg.det(m)
             assert abs(ev.prod() - det) <= 1e-8 * max(1.0, abs(det))
 
-    def test_dimension_cap(self):
+    def test_no_dimension_cap(self):
+        rng = np.random.default_rng(13)
+        for n in range(13, 17):
+            m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            ev = matrix_eigenvalues(m).values
+            assert len(ev) == n
+            tr = np.trace(m)
+            assert abs(ev.sum() - tr) <= 1e-9 * max(1.0, abs(tr))
+            det = np.linalg.det(m)
+            assert abs(ev.prod() - det) <= 1e-8 * max(1.0, abs(det))
+
+    def test_rejects_bad_input(self):
         with pytest.raises(DegenerateInput):
-            matrix_eigenvalues(np.eye(13))
+            matrix_eigenvalues(np.ones((2, 3)))
+        with pytest.raises(DegenerateInput):
+            matrix_eigenvalues([[1.0, np.nan], [0.0, 1.0]])
 
 
 class TestMultisetMatch:
@@ -324,3 +371,20 @@ class TestCompensatedArithmetic:
         x = ddc(1.0 + 2.0j)
         y = ddc(3.0 - 1.0j)
         assert ddc_to_complex(ddc_mul(x, y)) == (1.0 + 2.0j) * (3.0 - 1.0j)
+
+    def test_complex_mul_matches_composed_reference(self):
+        # ddc_mul is the composition below written out inline: bit-identical
+        def reference(x, y):
+            ac = _dd_mul(x[0], x[1], y[0], y[1])
+            bd = _dd_mul(x[2], x[3], y[2], y[3])
+            ad = _dd_mul(x[0], x[1], y[2], y[3])
+            bc = _dd_mul(x[2], x[3], y[0], y[1])
+            return (*_dd_add(ac[0], ac[1], -bd[0], -bd[1]), *_dd_add(*ad, *bc))
+
+        rng = np.random.default_rng(11)
+        for _ in range(2000):
+            hi = rng.uniform(-5.0, 5.0, 4) * 10.0 ** rng.integers(-8, 9, 4)
+            lo = hi * rng.uniform(-1.0, 1.0, 4) * 1e-16
+            x = (float(hi[0]), float(lo[0]), float(hi[1]), float(lo[1]))
+            y = (float(hi[2]), float(lo[2]), float(hi[3]), float(lo[3]))
+            assert ddc_mul(x, y) == reference(x, y)
