@@ -99,6 +99,13 @@ def _parse_complex_list(text):
     return tuple(out)
 
 
+def _file_pair(value, field: str) -> complex:
+    """One [re, im] pair of a spec file, as a complex number."""
+    if isinstance(value, list) and len(value) == 2 and all(type(v) in (int, float) for v in value):
+        return complex(value[0], value[1])
+    raise InvalidParameters(f"spec file: {field} needs [re, im] pairs of numbers, got {value!r}")
+
+
 def _spec_from_args(args) -> FamilySpec:
     file_cfg = {}
     if getattr(args, "spec_file", None):
@@ -107,6 +114,8 @@ def _spec_from_args(args) -> FamilySpec:
                 file_cfg = json.load(fh)
         except (OSError, ValueError) as exc:
             raise InvalidParameters(f"cannot read spec file: {exc}") from None
+        if not isinstance(file_cfg, dict):
+            raise InvalidParameters("spec file must hold a JSON object")
     family = args.family or file_cfg.get("family")
     if family is None:
         raise InvalidParameters("no family given (flag --family or spec file)")
@@ -114,22 +123,19 @@ def _spec_from_args(args) -> FamilySpec:
     if fam_key not in FAMILY_ALIASES:
         raise InvalidParameters(f"unknown family {family!r}")
 
-    def from_pairs(value):
-        return tuple(complex(p[0], p[1]) for p in value)
+    def from_pairs(field):
+        value = file_cfg.get(field, [])
+        if not isinstance(value, list):
+            raise InvalidParameters(f"spec file: {field} must be a list, got {value!r}")
+        return tuple(_file_pair(p, field) for p in value)
 
     n = args.N if args.N is not None else file_cfg.get("N")
     if n is None:
         raise InvalidParameters("no degree N given")
-    alphas = (
-        _parse_complex_list(args.alphas)
-        if args.alphas is not None
-        else from_pairs(file_cfg.get("alphas", []))
-    )
-    betas = (
-        _parse_complex_list(args.betas)
-        if args.betas is not None
-        else from_pairs(file_cfg.get("betas", []))
-    )
+    if type(n) is not int:
+        raise InvalidParameters(f"spec file: N must be an integer, got {n!r}")
+    alphas = _parse_complex_list(args.alphas) if args.alphas is not None else from_pairs("alphas")
+    betas = _parse_complex_list(args.betas) if args.betas is not None else from_pairs("betas")
     if args.q is not None:
         qs = _parse_complex_list(args.q)
         if len(qs) != 1:
@@ -137,8 +143,8 @@ def _spec_from_args(args) -> FamilySpec:
         q = qs[0]
     else:
         raw = file_cfg.get("q")
-        q = complex(raw[0], raw[1]) if raw else None
-    return make_spec(FAMILY_ALIASES[fam_key], int(n), alphas, betas, q)
+        q = None if raw is None else _file_pair(raw, "q")
+    return make_spec(FAMILY_ALIASES[fam_key], n, alphas, betas, q)
 
 
 def _spec_echo(spec: FamilySpec) -> dict:
@@ -403,9 +409,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     log.info("command %s", args.command)
     try:
-        if getattr(args, "draws", None) == 0:
-            _emit({"results": [], "pass_count": 0, "total": 0, "pass": True})
-            return EXIT_PASS
         return args.func(args)
     except InvalidParameters as exc:
         log.info("invalid input: %s", exc)

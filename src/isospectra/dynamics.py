@@ -17,7 +17,9 @@ complex throughout; no realness is assumed anywhere.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import numpy.polynomial.polynomial as npp
@@ -30,9 +32,17 @@ from .errors import (
     InvalidParameters,
     NonConvergence,
     SingularA,
+    SingularDenominator,
 )
-from .matrices import basic_f
-from .numeric import Poly, ZeroSet, elementary_coeffs_basic, elementary_coeffs_hyp, poly_roots
+from .matrices import basic_f, check_distinct, fg_recursion
+from .numeric import (
+    Poly,
+    ZeroSet,
+    elementary_coeffs_basic,
+    elementary_coeffs_hyp,
+    pairwise_close,
+    poly_roots,
+)
 
 _TINY = 1e-300
 COLLISION_REL = 1e-9       # pairwise separation guard during integration
@@ -178,149 +188,129 @@ def solve_c(cs: CSystem, c0, t: float) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # Nonlinear right-hand sides
+#
+# Each builder takes the state as a list of Python complex numbers and returns
+# the per-component terms as a list of rows.  Up to N of about 6 these scalar
+# loops beat masked N x N numpy arrays, whose fixed cost per call dominates
+# (README, "Zero-dynamics kernels").
 # ---------------------------------------------------------------------------
 
-def _rhs_terms_ghyp(spec, z):
-    a, b = elementary_coeffs_hyp(spec.alphas, spec.betas)
-    p, qn = len(spec.alphas), len(spec.betas)
-    from .matrices import fg_tables
+@lru_cache(maxsize=512)
+def _coeff_lists(elementary_coeffs, alphas: tuple, betas: tuple):
+    """`elementary_coeffs(alphas, betas)` as Python lists, once per parameter set."""
+    a, b = elementary_coeffs(alphas, betas)
+    return a.tolist(), b.tolist()
 
-    tab = fg_tables(z, max(qn + 1, max(p, 1)))
-    terms = []
-    for n in range(len(z)):
-        row = [b[k - 1] * tab.f[k, n] for k in range(1, qn + 2)]
-        row += [-a[j] * tab.g[j, n] for j in range(0, p + 1)]
-        terms.append(row)
-    return np.asarray(terms, dtype=complex)
+
+def _rhs_terms_ghyp(spec, z):
+    a, b = _coeff_lists(elementary_coeffs_hyp, spec.alphas, spec.betas)
+    f, g = fg_recursion(z, max(len(b), len(a) - 1))
+    return [
+        [bk * f[k][n] for k, bk in enumerate(b, 1)] + [-aj * g[j][n] for j, aj in enumerate(a)]
+        for n in range(len(z))
+    ]
 
 
 def _rhs_terms_gbasic(spec, z):
     q = spec.q
-    N = spec.N
     r, s = len(spec.alphas), len(spec.betas)
-    a, b = elementary_coeffs_basic(spec.alphas, spec.betas)
-    qn = q ** float(-N)
+    a, b = _coeff_lists(elementary_coeffs_basic, spec.alphas, spec.betas)
+    qn = q ** float(-spec.N)
     sgn_s = (-1.0) ** (s + 1)
     sgn_r = (-1.0) ** r
-    terms = []
-    for n in range(len(z)):
-        fn = lambda p: basic_f(q, p, z, n)
-        row = [sgn_s * (q - 1.0) * fn(1)]
+    qp = {p: q ** float(p) for p in range(min(1, s - r), s + 2)}  # every shift q^p used
+    qm1 = {p: v - 1.0 for p, v in qp.items()}
+    cb = [sgn_s * b[k - 1] * (-1.0) ** k / q**k for k in range(1, s + 1)]
+    ca = [a[j - 1] * (-1.0) ** j for j in range(1, r + 1)]
+    rows = []
+    for n, zn in enumerate(z):
+        fn = {p: basic_f(v * zn, z, n) for p, v in qp.items()}
+        sz = sgn_r * zn
+        row = [sgn_s * (q - 1.0) * fn[1]]
+        row += [c * (qm1[k + 1] * fn[k + 1] - qm1[k] * fn[k]) for k, c in enumerate(cb, 1)]
+        row.append(sz * (qn * qm1[s - r + 1] * fn[s - r + 1] - qm1[s - r] * fn[s - r]))
         row += [
-            sgn_s
-            * b[k - 1]
-            * (-1.0) ** k
-            / q**k
-            * ((q ** (k + 1) - 1.0) * fn(k + 1) - (q**k - 1.0) * fn(k))
-            for k in range(1, s + 1)
+            sz * c * (qn * qm1[j + s + 1 - r] * fn[j + s + 1 - r] - qm1[j + s - r] * fn[j + s - r])
+            for j, c in enumerate(ca, 1)
         ]
-        row.append(
-            sgn_r
-            * z[n]
-            * (qn * (q ** float(s - r + 1) - 1.0) * fn(s - r + 1) - (q ** float(s - r) - 1.0) * fn(s - r))
-        )
-        row += [
-            sgn_r
-            * z[n]
-            * a[j - 1]
-            * (-1.0) ** j
-            * (
-                qn * (q ** float(j + s + 1 - r) - 1.0) * fn(j + s + 1 - r)
-                - (q ** float(j + s - r) - 1.0) * fn(j + s - r)
-            )
-            for j in range(1, r + 1)
-        ]
-        terms.append(row)
-    return np.asarray(terms, dtype=complex)
+        rows.append(row)
+    return rows
 
 
 def _rhs_terms_wilson(spec, x):
-    if np.any(np.abs(x) < X_GUARD):
+    if any(abs(v) < X_GUARD for v in x):
         raise DivideByZeroVariable("wilson dynamics needs |x_n| > 0")
-    x2 = x * x
-
-    def piece(xv, xv2):
-        out = np.zeros(len(x), dtype=complex)
-        for n in range(len(x)):
-            prod = np.prod(
-                [
-                    (xv2[n] - xv2[m] - 1.0 - 2j * xv[n]) / (xv2[n] - xv2[m])
-                    for m in range(len(x))
-                    if m != n
-                ]
-            ) if len(x) > 1 else 1.0
-            out[n] = fam.wilson_D(spec, xv[n]) / (2j * xv[n]) * prod
-        return out
-
-    e_plus = piece(x, x2)
-    e_minus = piece(-x, x2)
-    pref = -1j / (2.0 * x)
-    return np.stack([pref * e_plus, pref * e_minus], axis=1)
+    x2 = [v * v for v in x]
+    rows = []
+    for n, xn in enumerate(x):
+        pref = -1j / (2.0 * xn)
+        row = []
+        for xs in (xn, -xn):
+            prod = 1.0
+            for m, x2m in enumerate(x2):
+                if m != n:
+                    d = x2[n] - x2m
+                    prod *= (d - 1.0 - 2j * xs) / d
+            row.append(pref * (fam.wilson_D(spec, xs) / (2j * xs) * prod))
+        rows.append(row)
+    return rows
 
 
 def _rhs_terms_racah(spec, y):
-    if np.any(np.abs(y) < X_GUARD):
+    if any(abs(v) < X_GUARD for v in y):
         raise DivideByZeroVariable("racah dynamics needs |y_n| > 0")
-    y2 = y * y
-
-    def piece(yv, yv2):
-        out = np.zeros(len(y), dtype=complex)
-        for n in range(len(y)):
-            prod = np.prod(
-                [
-                    1.0 + (1.0 + 2.0 * yv[n]) / (yv2[n] - yv2[m])
-                    for m in range(len(y))
-                    if m != n
-                ]
-            ) if len(y) > 1 else 1.0
-            out[n] = fam.racah_Dtilde(spec, yv[n]) * (2.0 * yv[n] + 1.0) * prod
-        return out
-
-    e_plus = piece(y, y2)
-    e_minus = piece(-y, y2)
-    pref = -1j / (2.0 * y)
-    return np.stack([pref * e_plus, pref * e_minus], axis=1)
+    y2 = [v * v for v in y]
+    rows = []
+    for n, yn in enumerate(y):
+        pref = -1j / (2.0 * yn)
+        row = []
+        for ys in (yn, -yn):
+            prod = 1.0
+            for m, y2m in enumerate(y2):
+                if m != n:
+                    prod *= 1.0 + (1.0 + 2.0 * ys) / (y2[n] - y2m)
+            row.append(pref * (fam.racah_Dtilde(spec, ys) * (2.0 * ys + 1.0) * prod))
+        rows.append(row)
+    return rows
 
 
 def _rhs_terms_aw(spec, x):
     q = spec.q
-    z = x + np.sqrt(x * x - 1.0)
-
-    def piece(zv):
-        out = np.zeros(len(x), dtype=complex)
-        for n in range(len(x)):
-            prod = np.prod(
-                [fam.aw_K(q, zv[n], zv[m]) for m in range(len(x)) if m != n]
-            ) if len(x) > 1 else 1.0
-            out[n] = fam.aw_G(spec, zv[n]) * prod
-        return out
-
     pref = (q - 1.0) / (2.0 * q ** float(spec.N))
-    return np.stack([pref * piece(z), pref * piece(1.0 / z)], axis=1)
+    z = [v + cmath.sqrt(v * v - 1.0) for v in x]
+    z_inv = [1.0 / v for v in z]
+    rows = []
+    for n in range(len(x)):
+        row = []
+        for zv in (z, z_inv):
+            zn = zv[n]
+            prod = 1.0
+            for m, zm in enumerate(zv):
+                if m != n:
+                    prod *= fam.aw_K(q, zn, zm)
+            row.append(pref * (fam.aw_G(spec, zn) * prod))
+        rows.append(row)
+    return rows
 
 
 def _rhs_terms_qracah(spec, z):
-    out = np.zeros((len(z), 2), dtype=complex)
-    for n in range(len(z)):
-        zp = fam.qracah_shift(spec, z[n], +1)
-        zm = fam.qracah_shift(spec, z[n], -1)
-        prod_p = np.prod(
-            [(zp - z[m]) / (z[n] - z[m]) for m in range(len(z)) if m != n]
-        ) if len(z) > 1 else 1.0
-        prod_m = np.prod(
-            [(zm - z[m]) / (z[n] - z[m]) for m in range(len(z)) if m != n]
-        ) if len(z) > 1 else 1.0
-        out[n, 0] = fam.qracah_B(spec, z[n]) * (zp - z[n]) * prod_p
-        out[n, 1] = fam.qracah_D(spec, z[n]) * (zm - z[n]) * prod_m
-    return out
+    rows = []
+    for n, zn in enumerate(z):
+        zp = fam.qracah_shift(spec, zn, +1)
+        zm = fam.qracah_shift(spec, zn, -1)
+        rows.append([
+            fam.qracah_B(spec, zn) * (zp - zn) * basic_f(zp, z, n),
+            fam.qracah_D(spec, zn) * (zm - zn) * basic_f(zm, z, n),
+        ])
+    return rows
 
 
 def _rhs_terms_jacobi(spec, x):
-    gh = fam.jacobi_to_ghyp(spec)
-    zvar = 2.0 / (1.0 - x)
-    terms = _rhs_terms_ghyp(gh, zvar)
+    zvar = [2.0 / (1.0 - v) for v in x]
+    check_distinct(zvar)  # distinct x can still crowd together in z = 2/(1 - x)
+    rows = _rhs_terms_ghyp(fam.jacobi_to_ghyp(spec), zvar)
     # pushforward: x = 1 - 2/z, so xdot = (2/z^2) zdot, applied termwise
-    return terms * (2.0 / zvar**2)[:, None]
+    return [[t * w for t in row] for row, w in zip(rows, [2.0 / (v * v) for v in zvar])]
 
 
 _RHS_BUILDERS = {
@@ -334,25 +324,28 @@ _RHS_BUILDERS = {
 }
 
 
-def _check_separation(z: np.ndarray) -> None:
-    if len(z) < 2:
-        return
-    diff = np.abs(z[:, None] - z[None, :])
-    np.fill_diagonal(diff, np.inf)
-    if diff.min() < COLLISION_REL * max(1.0, float(np.max(np.abs(z)))):
+def _check_separation(z: list) -> None:
+    if pairwise_close(z, COLLISION_REL):
         raise Collision(f"pairwise separation fell below {COLLISION_REL:g} * scale")
+
+
+def _term_rows(spec: fam.FamilySpec, z) -> list:
+    z = np.asarray(z, dtype=complex).ravel().tolist()
+    _check_separation(z)
+    try:
+        return _RHS_BUILDERS[spec.family](spec, z)
+    except ArithmeticError as exc:  # Python scalars raise where numpy gives inf/nan
+        raise SingularDenominator(f"zero-dynamics term not finite at this state: {exc}") from None
 
 
 def rhs_terms(spec: fam.FamilySpec, z) -> np.ndarray:
     """Per-component additive terms of the zero dynamics, shape (N, n_terms)."""
-    z = np.asarray(z, dtype=complex).ravel()
-    _check_separation(z)
-    return _RHS_BUILDERS[spec.family](spec, z)
+    return np.array(_term_rows(spec, z), dtype=complex)
 
 
 def nonlinear_rhs(spec: fam.FamilySpec, z) -> np.ndarray:
     """Right-hand side of the family's zero dynamics, in the dynamics variable."""
-    return rhs_terms(spec, z).sum(axis=1)
+    return np.array([sum(row) for row in _term_rows(spec, z)], dtype=complex)
 
 
 def equilibrium_residual_per_zero(spec: fam.FamilySpec, zeros_natural) -> np.ndarray:
@@ -402,7 +395,7 @@ def integrate(spec: fam.FamilySpec, z0, t1: float, steps: int, record_every: int
         k3 = rhs(z + 0.5 * h * k2)
         k4 = rhs(z + h * k3)
         z = z + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        _check_separation(z)
+        _check_separation(z.tolist())
         if k % record_every == 0 or k == steps:
             times.append(k * h)
             traj.append(z.copy())

@@ -37,7 +37,7 @@ class SingularSample(IsospectraError):
 
 
 class SingularDenominator(IsospectraError):
-    """A matrix-entry formula denominator vanished."""
+    """A matrix-entry or zero-dynamics formula denominator vanished."""
 
 
 class Collision(IsospectraError):

@@ -64,6 +64,7 @@ PARAM_POLE_TOL = 1e-10     # plain Pochhammer validity margin
 QPARAM_POLE_TOL = 1e-12    # q-Pochhammer validity margin
 ZERO_SEP_REL = 1e-8        # distinctness threshold, relative to zero scale
 BRANCH_TOL = 1e-10
+REAL_AXIS_REL = 8 * 2.0**-52  # Im below this share of the operands' size is rounding noise
 SINGULAR_RADIUS = 1e-3     # exclusion radius around defining-equation poles
 
 
@@ -110,6 +111,7 @@ def racah_theta(spec: FamilySpec) -> complex:
     return (g + d + 1.0) / 2.0
 
 
+@lru_cache(maxsize=512)
 def jacobi_to_ghyp(spec: FamilySpec) -> FamilySpec:
     """The ghyp instance whose zeros are 2/(1 - x_n) for Jacobi zeros x_n."""
     al, be = spec.alphas
@@ -559,6 +561,16 @@ def _min_sep(values: np.ndarray) -> float:
     return float(diff.min())
 
 
+def _sqrt_off_noise(w: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """Principal square root, reading an Im(w) at rounding level of `scale` as +0.
+
+    A real zero carries imaginary rounding noise of either sign; on the
+    negative axis that noise alone would choose the branch of the root.
+    """
+    noise = np.abs(w.imag) <= REAL_AXIS_REL * scale
+    return np.sqrt(np.where(noise, w.real + 0j, w))
+
+
 def lift_zero_variables(spec: FamilySpec, zs: ZeroSet) -> ZeroSet:
     """Map natural-variable zeros to the lifted variable of the family.
 
@@ -571,12 +583,12 @@ def lift_zero_variables(spec: FamilySpec, zs: ZeroSet) -> ZeroSet:
     if fam == Family.WILSON:
         if np.any(np.abs(z) < BRANCH_TOL):
             raise BranchPoint("wilson lift needs z_n != 0")
-        lifted = np.sqrt(z.astype(complex))
+        lifted = _sqrt_off_noise(z.astype(complex), np.abs(z))
     elif fam == Family.RACAH:
         t2 = racah_theta(spec) ** 2
         if np.any(np.abs(z + t2) < BRANCH_TOL):
             raise BranchPoint("racah lift needs z_n + theta^2 != 0")
-        lifted = np.sqrt(z + t2)
+        lifted = _sqrt_off_noise(z + t2, np.abs(z) + abs(t2))
     elif fam == Family.AW:
         lifted = z + np.sqrt(z * z - 1.0)
     elif fam == Family.QRACAH:
@@ -600,6 +612,7 @@ def lift_zero_variables(spec: FamilySpec, zs: ZeroSet) -> ZeroSet:
 # All of these accept complex or Dual arguments.
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=512)
 def wilson_sym(spec: FamilySpec):
     """Elementary symmetric functions (sigma1..sigma4) of (a, b, c, d)."""
     a, b, c, d = spec.alphas

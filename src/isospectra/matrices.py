@@ -25,6 +25,7 @@ from .numeric import (
     elementary_coeffs_hyp,
     matrix_eigenvalues,
     multiset_match,
+    pairwise_close,
 )
 
 _TINY = 1e-300
@@ -64,12 +65,14 @@ class IsospectralMatrix:
 
 def _zeros_array(zs) -> np.ndarray:
     z = np.asarray(zs.zeros if isinstance(zs, ZeroSet) else zs, dtype=complex).ravel()
-    if len(z) >= 2:
-        diff = np.abs(z[:, None] - z[None, :])
-        np.fill_diagonal(diff, np.inf)
-        if diff.min() < FG_SEP_TOL * max(1.0, float(np.max(np.abs(z)))):
-            raise RepeatedZeros("zeros must be pairwise distinct")
+    check_distinct(z.tolist())
     return z
+
+
+def check_distinct(z: list) -> None:
+    """Raise RepeatedZeros unless the zeros are pairwise FG_SEP_TOL-separated."""
+    if pairwise_close(z, FG_SEP_TOL):
+        raise RepeatedZeros("zeros must be pairwise distinct")
 
 
 def sigma(zs, n: int, r: int, rho: int):
@@ -86,8 +89,11 @@ def sigma(zs, n: int, r: int, rho: int):
     return out
 
 
-def _fg_recursion(zeta, J: int):
-    """f, g tables over any scalar type with field arithmetic (complex or Dual)."""
+def fg_recursion(zeta, J: int):
+    """f, g tables over a list of scalars with field arithmetic (complex or Dual).
+
+    Returns lists f[j][n] (j = 1..J, f[0] is None) and g[j][n] (j = 0..J).
+    """
     n_zeros = len(zeta)
     one = 1.0 + 0.0j
     if isinstance(zeta[0], Dual):
@@ -97,23 +103,25 @@ def _fg_recursion(zeta, J: int):
     f[1] = list(zeta)
     g[0] = [one] * n_zeros
     for j in range(1, J):
+        fj = f[j]
         nxt = []
-        for n in range(n_zeros):
-            acc = -f[j][n]
-            for ell in range(n_zeros):
-                if ell == n:
-                    continue
-                acc = acc + (zeta[n] * f[j][ell] + zeta[ell] * f[j][n]) / (zeta[n] - zeta[ell])
+        for n, zn in enumerate(zeta):
+            fjn = fj[n]
+            acc = -fjn
+            for ell, zl in enumerate(zeta):
+                if ell != n:
+                    acc = acc + (zn * fj[ell] + zl * fjn) / (zn - zl)
             nxt.append(acc)
         f[j + 1] = nxt
     for j in range(1, J + 1):
+        fj = f[j]
         row = []
-        for n in range(n_zeros):
+        for n, zn in enumerate(zeta):
+            fjn = fj[n]
             acc = 0.0 * one
-            for ell in range(n_zeros):
-                if ell == n:
-                    continue
-                acc = acc + (f[j][n] + f[j][ell]) / (zeta[n] - zeta[ell])
+            for ell, zl in enumerate(zeta):
+                if ell != n:
+                    acc = acc + (fjn + fj[ell]) / (zn - zl)
             row.append(acc)
         g[j] = row
     return f, g
@@ -124,15 +132,10 @@ def fg_tables(zs, J: int) -> FGTable:
     if J < 1:
         raise ValueError("J must be >= 1")
     z = _zeros_array(zs)
-    f_list, g_list = _fg_recursion(list(z), J)
-    n_zeros = len(z)
-    f = np.zeros((J + 1, n_zeros), dtype=complex)
-    g = np.zeros((J + 1, n_zeros), dtype=complex)
-    for j in range(1, J + 1):
-        f[j] = f_list[j]
-    for j in range(0, J + 1):
-        g[j] = g_list[j]
-    return FGTable(f=f, g=g)
+    f_list, g_list = fg_recursion(z.tolist(), J)
+    f = np.zeros((J + 1, len(z)), dtype=complex)
+    f[1:] = f_list[1:]
+    return FGTable(f=f, g=np.array(g_list, dtype=complex))
 
 
 def fg_jacobians(zs, J: int) -> FGJacobian:
@@ -141,7 +144,7 @@ def fg_jacobians(zs, J: int) -> FGJacobian:
         raise ValueError("J must be >= 1")
     z = _zeros_array(zs)
     n_zeros = len(z)
-    f_list, g_list = _fg_recursion(Dual.seed(z), J)
+    f_list, g_list = fg_recursion(Dual.seed(z), J)
     df = np.zeros((J + 1, n_zeros, n_zeros), dtype=complex)
     dg = np.zeros((J + 1, n_zeros, n_zeros), dtype=complex)
     for j in range(1, J + 1):
@@ -154,38 +157,40 @@ def fg_jacobians(zs, J: int) -> FGJacobian:
 
 
 # ---------------------------------------------------------------------------
-# Shared product helpers for the basic (q-) family
+# Exclusion products, shared by the q-family matrices and zero dynamics.
+# The shift `s` is q^p z_n for the basic family (f_n(p, z) in the formulas)
+# and z_n^(+-) for q-Racah.  `z` is a list of Python complex numbers in the
+# dynamics and a numpy array in the matrix builders, whose entries then stay
+# the numpy-scalar results they always were.
 # ---------------------------------------------------------------------------
 
-def basic_f(q, p: int, z: np.ndarray, n: int):
-    """f_n(p, z) = prod_{l != n} (q^p z_n - z_l) / (z_n - z_l)."""
-    qp = q ** float(p)
+def basic_f(s, z, n: int):
+    """prod_{l != n} (s - z_l) / (z_n - z_l)."""
+    zn = z[n]
     out = 1.0 + 0.0j
     for ell, zl in enumerate(z):
-        if ell == n:
-            continue
-        out *= (qp * z[n] - zl) / (z[n] - zl)
+        if ell != n:
+            out *= (s - zl) / (zn - zl)
     return out
 
 
-def basic_f_exc(q, p: int, z: np.ndarray, n: int, m: int):
-    """f_nm(p, z): same product with l != n, m."""
-    qp = q ** float(p)
+def basic_f_exc(s, z, n: int, m: int):
+    """The same product with l != n, m."""
+    zn = z[n]
     out = 1.0 + 0.0j
     for ell, zl in enumerate(z):
-        if ell in (n, m):
-            continue
-        out *= (qp * z[n] - zl) / (z[n] - zl)
+        if ell != n and ell != m:
+            out *= (s - zl) / (zn - zl)
     return out
 
 
-def basic_g(q, p: int, z: np.ndarray, n: int):
-    """g_n(p, z) = sum_{k != n} f_nk(p, z) z_k / (z_n - z_k)^2."""
+def basic_g(s, z, n: int):
+    """sum_{k != n} basic_f_exc(s, z, n, k) z_k / (z_n - z_k)^2."""
+    zn = z[n]
     out = 0.0 + 0.0j
     for k, zk in enumerate(z):
-        if k == n:
-            continue
-        out += basic_f_exc(q, p, z, n, k) * zk / (z[n] - zk) ** 2
+        if k != n:
+            out += basic_f_exc(s, z, n, k) * zk / (zn - zk) ** 2
     return out
 
 
@@ -279,39 +284,45 @@ def _L_gbasic(spec: fam.FamilySpec, zeta: np.ndarray):
         return q ** float(p) - 1.0
 
     for n in range(n_zeros):
+        def f(p):
+            return basic_f(q ** float(p) * zeta[n], zeta, n)
+
+        def g(p):
+            return basic_g(q ** float(p) * zeta[n], zeta, n)
+
         # diagonal entry
         acc = (-1.0) ** s * (
-            qp(1) ** 2 * basic_g(q, 1, zeta, n)
+            qp(1) ** 2 * g(1)
             + sum(
                 b[k - 1]
                 * (-1.0) ** k
                 / q**k
-                * (qp(k + 1) ** 2 * basic_g(q, k + 1, zeta, n) - qp(k) ** 2 * basic_g(q, k, zeta, n))
+                * (qp(k + 1) ** 2 * g(k + 1) - qp(k) ** 2 * g(k))
                 for k in range(1, s + 1)
             )
         )
         acc += (-1.0) ** (r + 1) * zeta[n] * (
-            qn * qp(s - r + 1) ** 2 * basic_g(q, s - r + 1, zeta, n)
-            - qp(s - r) ** 2 * basic_g(q, s - r, zeta, n)
+            qn * qp(s - r + 1) ** 2 * g(s - r + 1)
+            - qp(s - r) ** 2 * g(s - r)
             + sum(
                 a[j - 1]
                 * (-1.0) ** j
                 * (
-                    qn * qp(j + s + 1 - r) ** 2 * basic_g(q, j + s + 1 - r, zeta, n)
-                    - qp(j + s - r) ** 2 * basic_g(q, j + s - r, zeta, n)
+                    qn * qp(j + s + 1 - r) ** 2 * g(j + s + 1 - r)
+                    - qp(j + s - r) ** 2 * g(j + s - r)
                 )
                 for j in range(1, r + 1)
             )
         )
         acc += (-1.0) ** r * (
-            qn * qp(s - r + 1) * basic_f(q, s - r + 1, zeta, n)
-            - qp(s - r) * basic_f(q, s - r, zeta, n)
+            qn * qp(s - r + 1) * f(s - r + 1)
+            - qp(s - r) * f(s - r)
             + sum(
                 a[j - 1]
                 * (-1.0) ** j
                 * (
-                    qn * qp(j + s + 1 - r) * basic_f(q, j + s + 1 - r, zeta, n)
-                    - qp(j + s - r) * basic_f(q, j + s - r, zeta, n)
+                    qn * qp(j + s + 1 - r) * f(j + s + 1 - r)
+                    - qp(j + s - r) * f(j + s - r)
                 )
                 for j in range(1, r + 1)
             )
@@ -321,28 +332,29 @@ def _L_gbasic(spec: fam.FamilySpec, zeta: np.ndarray):
             if m == n:
                 continue
             dd = (zeta[n] - zeta[m]) ** 2
+
+            def fx(p):
+                return basic_f_exc(q ** float(p) * zeta[n], zeta, n, m)
+
             off = (-1.0) ** (s + 1) * zeta[n] / dd * (
-                qp(1) ** 2 * basic_f_exc(q, 1, zeta, n, m)
+                qp(1) ** 2 * fx(1)
                 + sum(
                     b[k - 1]
                     * (-1.0) ** k
                     / q**k
-                    * (
-                        qp(k + 1) ** 2 * basic_f_exc(q, k + 1, zeta, n, m)
-                        - qp(k) ** 2 * basic_f_exc(q, k, zeta, n, m)
-                    )
+                    * (qp(k + 1) ** 2 * fx(k + 1) - qp(k) ** 2 * fx(k))
                     for k in range(1, s + 1)
                 )
             )
             off += (-1.0) ** r * zeta[n] ** 2 / dd * (
-                qn * qp(s - r + 1) ** 2 * basic_f_exc(q, s - r + 1, zeta, n, m)
-                - qp(s - r) ** 2 * basic_f_exc(q, s - r, zeta, n, m)
+                qn * qp(s - r + 1) ** 2 * fx(s - r + 1)
+                - qp(s - r) ** 2 * fx(s - r)
                 + sum(
                     a[j - 1]
                     * (-1.0) ** j
                     * (
-                        qn * qp(j + s + 1 - r) ** 2 * basic_f_exc(q, j + s + 1 - r, zeta, n, m)
-                        - qp(j + s - r) ** 2 * basic_f_exc(q, j + s - r, zeta, n, m)
+                        qn * qp(j + s + 1 - r) ** 2 * fx(j + s + 1 - r)
+                        - qp(j + s - r) ** 2 * fx(j + s - r)
                     )
                     for j in range(1, r + 1)
                 )
@@ -502,8 +514,8 @@ def _L_qracah(spec: fam.FamilySpec, z: np.ndarray):
         return (c_n * (znv - zmv) - zshift_n + zmv) / ((znv - zmv) * (zshift_n - zmv))
 
     for n in range(n_zeros):
-        prod_p = np.prod([(zp[n] - z[ell]) / (z[n] - z[ell]) for ell in range(n_zeros) if ell != n]) if n_zeros > 1 else 1.0
-        prod_m = np.prod([(zm[n] - z[ell]) / (z[n] - z[ell]) for ell in range(n_zeros) if ell != n]) if n_zeros > 1 else 1.0
+        prod_p = basic_f(zp[n], z, n)
+        prod_m = basic_f(zm[n], z, n)
         sum_p = sum(w_term(cp[n], zp[n], z[n], z[m]) for m in range(n_zeros) if m != n)
         sum_m = sum(w_term(cm[n], zm[n], z[n], z[m]) for m in range(n_zeros) if m != n)
         L[n, n] = (
@@ -514,15 +526,9 @@ def _L_qracah(spec: fam.FamilySpec, z: np.ndarray):
         for m in range(n_zeros):
             if m == n:
                 continue
-            exc_p = np.prod(
-                [(zp[n] - z[ell]) / (z[n] - z[ell]) for ell in range(n_zeros) if ell not in (n, m)]
-            )
-            exc_m = np.prod(
-                [(zm[n] - z[ell]) / (z[n] - z[ell]) for ell in range(n_zeros) if ell not in (n, m)]
-            )
             L[n, m] = (
-                bv[n] * ((zp[n] - z[n]) / (z[n] - z[m])) ** 2 * exc_p
-                + dv[n] * ((zm[n] - z[n]) / (z[n] - z[m])) ** 2 * exc_m
+                bv[n] * ((zp[n] - z[n]) / (z[n] - z[m])) ** 2 * basic_f_exc(zp[n], z, n, m)
+                + dv[n] * ((zm[n] - z[n]) / (z[n] - z[m])) ** 2 * basic_f_exc(zm[n], z, n, m)
             )
     return L
 
@@ -577,9 +583,9 @@ def build_matrix(spec: fam.FamilySpec, zs, pad_count: int = 0) -> IsospectralMat
 def identity_residual(spec: fam.FamilySpec, zs) -> np.ndarray:
     """Per-zero residuals of the family's algebraic identity system.
 
-    ghyp/jacobi use the b.f - a.g combination of the recursion tables; gbasic
-    uses the explicit product identity; the four named families' identity is
-    equilibrium of their zero dynamics, delegated to the dynamics module.
+    gbasic uses the explicit product identity; for ghyp (and jacobi, through
+    its ghyp image) and the four named families the identity is equilibrium
+    of the zero dynamics, whose b.f - a.g terms the dynamics module builds.
     Each residual is normalized by the largest contributing term.
     """
     from . import dynamics  # cycle: dynamics imports the f/g machinery from here
@@ -589,18 +595,6 @@ def identity_residual(spec: fam.FamilySpec, zs) -> np.ndarray:
         gh = jacobi_zeros_to_ghyp(spec, _zeros_array(zs))
         return identity_residual(*gh)
     zeta = _zeros_array(zs)
-
-    if f == fam.Family.GHYP:
-        a, b = elementary_coeffs_hyp(spec.alphas, spec.betas)
-        p, qn = len(spec.alphas), len(spec.betas)
-        tab = fg_tables(zeta, max(qn + 1, max(p, 1)))
-        out = np.zeros(len(zeta), dtype=complex)
-        for n in range(len(zeta)):
-            terms = [b[k - 1] * tab.f[k, n] for k in range(1, qn + 2)]
-            terms += [-a[j] * tab.g[j, n] for j in range(0, p + 1)]
-            terms = np.asarray(terms)
-            out[n] = terms.sum() / max(float(np.max(np.abs(terms))), _TINY)
-        return out
 
     if f == fam.Family.GBASIC:
         q = spec.q
@@ -627,7 +621,7 @@ def identity_residual(spec: fam.FamilySpec, zs) -> np.ndarray:
             out[n] = terms.sum() / max(float(np.max(np.abs(terms))), _TINY)
         return out
 
-    if f in (fam.Family.WILSON, fam.Family.RACAH, fam.Family.AW, fam.Family.QRACAH):
+    if f == fam.Family.GHYP or f in fam.FOUR_PARAM_FAMILIES:
         return dynamics.equilibrium_residual_per_zero(spec, zeta)
 
     raise InvalidParameters(f"no identity for family {f!r}")

@@ -13,7 +13,9 @@ stop moving the roots); `matrix_eigenvalues` is LAPACK's QR algorithm through
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Optional
 
 import numpy as np
@@ -382,6 +384,14 @@ def multiset_match(a, b) -> float:
     return worst / max(1.0, float(np.max(np.abs(vb))))
 
 
+def pairwise_close(values: list, rel: float) -> bool:
+    """True when two of `values` lie closer than rel * max(1, max |value|)."""
+    if len(values) < 2:
+        return False
+    tol = rel * max(1.0, max(map(abs, values)))
+    return any(abs(a - b) < tol for a, b in combinations(values, 2))
+
+
 # ---------------------------------------------------------------------------
 # Forward-mode dual numbers
 # ---------------------------------------------------------------------------
@@ -455,9 +465,9 @@ class Dual:
 def dsqrt(x):
     """Principal square root for complex scalars or Duals."""
     if isinstance(x, Dual):
-        r = complex(np.sqrt(x.val))
+        r = cmath.sqrt(x.val)
         return Dual(r, x.eps / (2.0 * r))
-    return complex(np.sqrt(complex(x)))
+    return cmath.sqrt(complex(x))
 
 
 def value_of(x):

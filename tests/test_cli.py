@@ -179,6 +179,18 @@ class TestSweep:
         code, _ = run(capsys, ["sweep", "--family", "nope", "--draws", "1"])
         assert code == 2
 
+    def test_zero_draws_unknown_construction_exit_2(self, capsys):
+        code, out = run(capsys, ["sweep", "--family", "nope", "--draws", "0"])
+        assert code == 2 and out == ""
+
+    def test_zero_draws_full_report(self, capsys):
+        code, out = run(capsys, ["sweep", "--family", "ghyp11", "--draws", "0", "--seed", "4"])
+        report = json.loads(out)
+        assert code == 0 and report["pass"] is True
+        assert report["total"] == report["pass_count"] == 0 and report["results"] == []
+        assert report["constructions"] == ["ghyp11"] and report["seed"] == 4
+        assert report["worst_residuals"] == {"spectral": 0.0, "trace": 0.0, "det": 0.0}
+
     def test_zeros_solved_once_per_spec(self, capsys, monkeypatch):
         solved = count_zero_solves(monkeypatch)
         # seed 6 redraws aw five times before a valid spec
@@ -229,6 +241,27 @@ class TestSpecFile:
     def test_missing_family_exit_2(self, capsys):
         code, _ = run(capsys, ["zeros", "-N", "2", "--alphas", "1.5"])
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            ["ghyp", 2],
+            {"family": "ghyp", "N": "x", "alphas": [[2.0, 0.0]], "betas": [[3.0, 0.0]]},
+            {"family": "ghyp", "N": 2.5, "alphas": [[2.0, 0.0]], "betas": [[3.0, 0.0]]},
+            {"family": "ghyp", "N": 2, "alphas": 5, "betas": [[3.0, 0.0]]},
+            {"family": "ghyp", "N": 2, "alphas": [[1]], "betas": [[3.0, 0.0]]},
+            {"family": "gbasic", "N": 2, "alphas": [[2.0, 0.0]], "betas": [[3.0, 0.0]], "q": 5},
+        ],
+        ids=["not-object", "N-string", "N-fraction", "alphas-number", "alphas-short-pair", "q-number"],
+    )
+    def test_malformed_field_exit_2(self, tmp_path, capsys, cfg):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(cfg))
+        code = cli.main(["zeros", "--spec-file", str(path)])
+        out, err = capsys.readouterr()
+        lines = err.strip().splitlines()
+        assert code == 2 and out == ""
+        assert len(lines) == 1 and lines[0].startswith("error:")
 
 
 class TestInputErrors:

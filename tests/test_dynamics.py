@@ -1,11 +1,15 @@
 """Coefficient systems, nonlinear zero systems, RK4, and the algebraic oracle."""
 
+import cmath
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import isospectra as iso
+import rhs_reference
 from isospectra import dynamics, families, matrices
-from isospectra.errors import Collision, DivideByZeroVariable, SingularA
+from isospectra.errors import Collision, DivideByZeroVariable, SingularA, SingularDenominator
 from isospectra.numeric import multiset_match
 
 DYNAMICS_SPECS = [
@@ -16,6 +20,9 @@ DYNAMICS_SPECS = [
     iso.make_spec("aw", 4, [0.6, 1.1, 1.7, 1.4], q=1.4),
     iso.make_spec("qracah", 4, [1.1, 2.2, 0.8, 1.4], q=1.4),
 ]
+
+# the README / scripts/run_evolution_demo.py specs, one per family
+DEMO_SPECS = DYNAMICS_SPECS + [iso.make_spec("jacobi", 4, [0.5, 1.0])]
 
 TIME_FACTOR = {"ghyp": 1.0, "gbasic": 1.0, "wilson": 1j, "racah": 1j, "aw": 1.0, "qracah": 1.0}
 
@@ -306,3 +313,52 @@ class TestLinearization:
         tf = TIME_FACTOR[spec.family.value]
         ev = iso.matrix_eigenvalues(jac)
         assert multiset_match(ev, tf * lam) <= 1e-5
+
+
+class TestScalarKernels:
+    """The Python-scalar builders against the loop-over-numpy reference copies."""
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 8, 12])
+    @pytest.mark.parametrize("base", DEMO_SPECS, ids=lambda s: s.family.value)
+    @settings(max_examples=25, deadline=None)
+    @given(
+        scale=st.floats(0.3, 1.0),
+        turn=st.floats(0.0, 2 * np.pi),
+        jitter=st.lists(st.complex_numbers(max_magnitude=0.05), min_size=12, max_size=12),
+    )
+    def test_terms_match_reference(self, base, n, scale, turn, jitter):
+        spec = iso.make_spec(base.family, n, base.alphas, base.betas, base.q)
+        # a jittered spiral with radii 0.25 * scale apart, so every pair stays
+        # separated; radii stay below 4 because the aw lift x + sqrt(x^2 - 1)
+        # cancels like |x|^2 for Re x < 0, which both versions inherit
+        z = np.array(
+            [scale * ((1 + 0.25 * k) * cmath.exp(1j * (turn + 2.4 * k)) + jitter[k]) for k in range(n)]
+        )
+        assume(spec.family != families.Family.JACOBI or np.min(np.abs(1.0 - z)) > 0.05)
+        with np.errstate(all="ignore"):
+            want = rhs_reference.rhs_terms(spec, z)
+        assume(np.all(np.isfinite(want)))  # e.g. aw at x = 1: see test_singular_state
+        got = dynamics.rhs_terms(spec, z)
+        assert got.shape == want.shape
+        scale_rows = np.max(np.abs(want), axis=1, keepdims=True)
+        assert np.all(np.abs(got - want) <= 1e-13 * scale_rows)
+
+    @pytest.mark.parametrize(
+        "spec, z",
+        [
+            (iso.make_spec("aw", 2, [0.6, 1.1, 1.7, 1.4], q=1.4), [1.0, 0.3]),
+            (iso.make_spec("wilson", 2, [0.7, 1.1, 1.6, 2.2]), [0.8, -0.8]),
+        ],
+        ids=["aw-edge", "wilson-opposite"],
+    )
+    def test_singular_state(self, spec, z):
+        # the reference returns inf/nan here; the scalar kernels raise instead
+        with pytest.raises(SingularDenominator):
+            dynamics.nonlinear_rhs(spec, z)
+
+    @pytest.mark.parametrize("spec", DEMO_SPECS, ids=lambda s: s.family.value)
+    def test_trajectory_matches_reference(self, spec):
+        z0 = perturbed_start(spec)
+        _, got = dynamics.integrate(spec, z0, 0.5, 2000, record_every=20)
+        want = rhs_reference.integrate(spec, z0, 0.5, 2000, record_every=20)
+        assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, float(np.max(np.abs(want))))

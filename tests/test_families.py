@@ -185,6 +185,28 @@ class TestLiftZeroVariables:
         assert abs(zp - families.qracah_shift(spec, z, +1)) < 1e-14
         assert abs(zm - families.qracah_shift(spec, z, -1)) < 1e-14
 
+    def test_racah_branch_ignores_rounding_noise(self):
+        # real zeros with z + theta^2 < 0 carry Im noise of either sign; the
+        # principal root must not follow it (here y = +3.80i, not -3.80i)
+        spec = spec_of("racah", 4, [1.1, 2.2, 0.8, 1.4])
+        z = iso.compute_zeros(spec).zeros.real
+        assert np.any(z + families.racah_theta(spec).real ** 2 < 0)
+        up, down = (
+            iso.lift_zero_variables(spec, ZeroSet(z + 1j * noise, np.inf, 0.0)).zeros
+            for noise in (1e-50, -1e-50)
+        )
+        np.testing.assert_array_equal(up, down)
+        assert np.all(up.imag >= 0)
+
+    def test_wilson_branch_keeps_true_imaginary_parts(self):
+        spec = spec_of("wilson", 1, [0.5] * 4)
+
+        def lift(z):
+            return iso.lift_zero_variables(spec, ZeroSet(np.array([z]), np.inf, 0.0)).zeros[0]
+
+        assert lift(-4.0 + 1e-50j) == lift(-4.0 - 1e-50j) == 2j
+        assert abs(lift(-4.0 - 1e-6j) + 2j) < 1e-6
+
     def test_wilson_branch_point(self):
         with pytest.raises(BranchPoint):
             iso.lift_zero_variables(
