@@ -313,7 +313,7 @@ def _rhs_terms_jacobi(spec, x):
     return [[t * w for t in row] for row, w in zip(rows, [2.0 / (v * v) for v in zvar])]
 
 
-_RHS_BUILDERS = {
+_RHS_TERMS = {
     fam.Family.GHYP: _rhs_terms_ghyp,
     fam.Family.GBASIC: _rhs_terms_gbasic,
     fam.Family.WILSON: _rhs_terms_wilson,
@@ -333,7 +333,7 @@ def _term_rows(spec: fam.FamilySpec, z) -> list:
     z = np.asarray(z, dtype=complex).ravel().tolist()
     _check_separation(z)
     try:
-        return _RHS_BUILDERS[spec.family](spec, z)
+        return _RHS_TERMS[spec.family](spec, z)
     except ArithmeticError as exc:  # Python scalars raise where numpy gives inf/nan
         raise SingularDenominator(f"zero-dynamics term not finite at this state: {exc}") from None
 

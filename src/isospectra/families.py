@@ -1,10 +1,15 @@
 """Polynomial families and their defining equations.
 
-Each family is constructed directly from its explicit finite sum as a dense
-coefficient vector.  Where the textbook sum divides by a Pochhammer symbol
-that also appears in a prefactor (Wilson, Askey-Wilson, Jacobi), the ratio is
-rewritten as a shifted Pochhammer product, so the builders are entire in the
-parameters and only genuinely missing denominators are rejected.
+Each family's explicit finite sum is written once, in `_term_table`, as
+terms pref * prod_s (A_s + B_s z) held in complex double-double.  The
+structured evaluation (zero refinement, defining-equation residuals) runs
+the terms in factored form; `build_polynomial` multiplies them out into
+dense monomial coefficients in double-double and rounds each coefficient
+once.  Where the textbook sum divides by a Pochhammer symbol that also
+appears in a prefactor (Wilson, Askey-Wilson, Jacobi), the ratio is
+rewritten as a shifted Pochhammer product, so the sums are entire in the
+parameters and `validate_spec` rejects only genuinely vanishing
+denominators.
 
 Variable conventions (the "natural" variable of each family):
 
@@ -39,10 +44,10 @@ from .errors import (
 from .numeric import (
     Poly,
     ZeroSet,
-    aw_pochhammer_poly,
     ddc,
     ddc_add,
     ddc_div,
+    ddc_expand,
     ddc_mul,
     ddc_neg,
     ddc_pochhammer,
@@ -50,16 +55,10 @@ from .numeric import (
     ddc_q_pochhammer,
     ddc_to_complex,
     dsqrt,
-    pochhammer,
     poly_roots,
-    q_pochhammer,
-    qracah_pochhammer_poly,
-    racah_lambda_pochhammer_poly,
-    wilson_pochhammer_poly,
 )
 
 _TINY = 1e-300
-DENOM_TOL = 1e-13          # vanishing-denominator rejection inside the sums
 PARAM_POLE_TOL = 1e-10     # plain Pochhammer validity margin
 QPARAM_POLE_TOL = 1e-12    # q-Pochhammer validity margin
 ZERO_SEP_REL = 1e-8        # distinctness threshold, relative to zero scale
@@ -195,144 +194,16 @@ def validate_spec(spec: FamilySpec) -> None:
         poch_ok(N + al + be + 1.0, N, "(N+alpha+beta+1)_N")
 
 
-# ---------------------------------------------------------------------------
-# Explicit-sum builders
-# ---------------------------------------------------------------------------
-
-def _guard_denominator(den, num):
-    if abs(den) < DENOM_TOL * max(1.0, abs(num)):
-        raise InvalidParameters("vanishing denominator in term accumulation")
-
-
-def _build_ghyp(spec: FamilySpec) -> np.ndarray:
-    N = spec.N
-    coef = np.zeros(N + 1, dtype=complex)
-    for m in range(N + 1):
-        num = pochhammer(-N, m)
-        for al in spec.alphas:
-            num *= pochhammer(al, m)
-        den = complex(math.factorial(m))
-        for be in spec.betas:
-            den *= pochhammer(be, m)
-        _guard_denominator(den, num)
-        coef[N - m] = num / den
-    return coef
-
-
-def _build_gbasic(spec: FamilySpec) -> np.ndarray:
-    N, q = spec.N, spec.q
-    r, s = len(spec.alphas), len(spec.betas)
-    coef = np.zeros(N + 1, dtype=complex)
-    for m in range(N + 1):
-        num = q_pochhammer(q ** (-N), q, m)
-        for al in spec.alphas:
-            num *= q_pochhammer(al, q, m)
-        den = q_pochhammer(q, q, m)
-        for be in spec.betas:
-            den *= q_pochhammer(be, q, m)
-        _guard_denominator(den, num)
-        sign = (-1) ** (m * (s - r))
-        coef[m] = num / den * sign * q ** ((m * (m - 1) // 2) * (s - r))
-    return coef
-
-
-def _build_wilson(spec: FamilySpec) -> np.ndarray:
-    N = spec.N
-    a, b, c, d = spec.alphas
-    sig = a + b + c + d
-    coef = np.zeros(N + 1, dtype=complex)
-    for k in range(N + 1):
-        pref = pochhammer(-N, k) * pochhammer(N + sig - 1.0, k) / math.factorial(k)
-        for u in (a + b, a + c, a + d):
-            pref *= pochhammer(u + k, N - k)
-        coef[: k + 1] += pref * wilson_pochhammer_poly(a, k).padded(k + 1)
-    return coef
-
-
-def _build_racah(spec: FamilySpec) -> np.ndarray:
-    N = spec.N
-    al, be, ga, de = spec.alphas
-    gd1 = ga + de + 1.0
-    coef = np.zeros(N + 1, dtype=complex)
-    for n in range(N + 1):
-        num = pochhammer(-N, n) * pochhammer(N + al + be + 1.0, n)
-        den = complex(math.factorial(n))
-        for u in (al + 1.0, be + de + 1.0, ga + 1.0):
-            den *= pochhammer(u, n)
-        _guard_denominator(den, num)
-        coef[: n + 1] += (num / den) * racah_lambda_pochhammer_poly(gd1, n).padded(n + 1)
-    return coef
-
-
-def _build_aw(spec: FamilySpec) -> np.ndarray:
-    N, q = spec.N, spec.q
-    a, b, c, d = spec.alphas
-    prod = a * b * c * d
-    coef = np.zeros(N + 1, dtype=complex)
-    for m in range(N + 1):
-        num = q**m * q_pochhammer(q ** (-N), q, m) * q_pochhammer(prod * q ** (N - 1), q, m)
-        den = q_pochhammer(q, q, m)
-        _guard_denominator(den, num)
-        pref = num / den
-        for u in (a * b, a * c, a * d):
-            pref *= q_pochhammer(u * q**m, q, N - m)
-        coef[: m + 1] += pref * aw_pochhammer_poly(a, q, m).padded(m + 1)
-    return coef * a ** (-N)
-
-
-def _build_qracah(spec: FamilySpec) -> np.ndarray:
-    N, q = spec.N, spec.q
-    al, be, ga, de = spec.alphas
-    coef = np.zeros(N + 1, dtype=complex)
-    for m in range(N + 1):
-        num = q**m * q_pochhammer(q ** (-N), q, m) * q_pochhammer(al * be * q ** (N + 1), q, m)
-        den = q_pochhammer(q, q, m)
-        for u in (al * q, be * de * q, ga * q):
-            den *= q_pochhammer(u, q, m)
-        _guard_denominator(den, num)
-        coef[: m + 1] += (num / den) * qracah_pochhammer_poly(ga * de, q, m).padded(m + 1)
-    return coef
-
-
-def _build_jacobi(spec: FamilySpec) -> np.ndarray:
-    # ((alpha+1)_N / N!) 2F1(-N, N+alpha+beta+1; alpha+1; (1-x)/2), with the
-    # prefactor folded in as (alpha+1)_N / (alpha+1)_m = (alpha+1+m)_(N-m).
-    N = spec.N
-    al, be = spec.alphas
-    half = Poly([0.5, -0.5])
-    power = Poly([1.0])
-    coef = np.zeros(N + 1, dtype=complex)
-    for m in range(N + 1):
-        pref = (
-            pochhammer(-N, m)
-            * pochhammer(N + al + be + 1.0, m)
-            * pochhammer(al + 1.0 + m, N - m)
-            / (math.factorial(m) * math.factorial(N))
-        )
-        coef[: m + 1] += pref * power.padded(m + 1)
-        power = power * half
-    return coef
-
-
-_BUILDERS = {
-    Family.GHYP: _build_ghyp,
-    Family.GBASIC: _build_gbasic,
-    Family.WILSON: _build_wilson,
-    Family.RACAH: _build_racah,
-    Family.AW: _build_aw,
-    Family.QRACAH: _build_qracah,
-    Family.JACOBI: _build_jacobi,
-}
-
-
 def build_polynomial(spec: FamilySpec) -> Poly:
     """The degree-N polynomial of `spec` in its natural variable.
 
-    ghyp output is exactly monic (the m = 0 term is z^N with coefficient 1);
-    the other families keep their textbook normalization.
+    The monomial expansion of the term table, accumulated in double-double
+    and rounded once per coefficient.  ghyp output is exactly monic (the
+    m = 0 term is z^N with coefficient 1); the other families keep their
+    textbook normalization.
     """
     validate_spec(spec)
-    p = Poly(_BUILDERS[spec.family](spec))
+    p = Poly(ddc_expand(_term_table(spec), spec.N))
     if p.degree != spec.N:
         raise InvalidParameters(
             f"leading coefficient degenerates: degree {p.degree} != N = {spec.N}"
@@ -780,6 +651,7 @@ def defining_equation_residual(spec: FamilySpec, sample, poly: Optional[Poly] = 
         if poly is None:
             return defining_equation_residual(gh, s)
         return defining_equation_residual(gh, s, poly=poly)
+    _probe_singular(spec, s)
     if poly is None:
         # structured form: immune to the monomial expansion's cancellation
         value = lambda u: structured_eval(spec, u)[0]
@@ -797,7 +669,6 @@ def defining_equation_residual(spec: FamilySpec, sample, poly: Optional[Poly] = 
         return _normalized([halves[0](s), -halves[1](s)])
 
     if fam == Family.WILSON:
-        _check_not_singular([abs(s), abs(s - 0.5j), abs(s + 0.5j)], "wilson B(x)")
         sig = sum(spec.alphas)
         w = lambda x: value(x * x)
         terms = [
@@ -808,7 +679,6 @@ def defining_equation_residual(spec: FamilySpec, sample, poly: Optional[Poly] = 
         return _normalized(terms)
 
     if fam == Family.RACAH:
-        _check_not_singular([abs(s), abs(s - 0.5), abs(s + 0.5)], "racah Dtilde(y)")
         al, be = spec.alphas[0], spec.alphas[1]
         t2 = racah_theta(spec) ** 2
         qt = lambda y: value(y * y - t2)
@@ -821,9 +691,6 @@ def defining_equation_residual(spec: FamilySpec, sample, poly: Optional[Poly] = 
 
     if fam == Family.AW:
         q = spec.q
-        _check_not_singular(
-            [abs(s), abs(s * s - 1.0), abs(q * s * s - 1.0), abs(s * s - q)], "askey-wilson D(z)"
-        )
         a, b, c, d = spec.alphas
         Q = lambda z: value((z * z + 1.0) / (2.0 * z))
         lam = (q ** (-spec.N) - 1.0) * (1.0 - a * b * c * d * q ** (spec.N - 1))
@@ -835,21 +702,8 @@ def defining_equation_residual(spec: FamilySpec, sample, poly: Optional[Poly] = 
         return _normalized(terms)
 
     if fam == Family.QRACAH:
-        al, be, ga, de = spec.alphas
+        al, be = spec.alphas[:2]
         q = spec.q
-        gd = ga * de
-        if abs(s * s - 4.0 * gd * q) < SINGULAR_RADIUS:
-            raise SingularSample("sample at the q-racah square-root branch point")
-        Z = qracah_Z(spec, s)
-        Z2 = Z * Z
-        _check_not_singular(
-            [
-                abs(1.0 - gd * q * Z2),
-                abs(1.0 - gd * q * q * Z2),
-                abs(1.0 - gd * Z2),
-            ],
-            "q-racah B/D",
-        )
         lam = (q ** (-spec.N) - 1.0) * (1.0 - al * be * q ** (spec.N + 1))
         zp = qracah_shift(spec, s, +1)
         zm = qracah_shift(spec, s, -1)
@@ -879,23 +733,23 @@ def residual_samples(spec: FamilySpec, count: int, rng: np.random.Generator) -> 
 def _probe_singular(spec: FamilySpec, s: complex) -> None:
     fam = spec.family
     if fam == Family.WILSON:
-        _check_not_singular([abs(s), abs(s - 0.5j), abs(s + 0.5j)], "wilson")
+        _check_not_singular([abs(s), abs(s - 0.5j), abs(s + 0.5j)], "wilson B(x)")
     elif fam == Family.RACAH:
-        _check_not_singular([abs(s), abs(s - 0.5), abs(s + 0.5)], "racah")
+        _check_not_singular([abs(s), abs(s - 0.5), abs(s + 0.5)], "racah Dtilde(y)")
     elif fam == Family.AW:
         q = spec.q
         _check_not_singular(
-            [abs(s), abs(s * s - 1.0), abs(q * s * s - 1.0), abs(s * s - q)], "askey-wilson"
+            [abs(s), abs(s * s - 1.0), abs(q * s * s - 1.0), abs(s * s - q)], "askey-wilson D(z)"
         )
     elif fam == Family.QRACAH:
         ga, de = spec.alphas[2], spec.alphas[3]
         gd = ga * de
         q = spec.q
         if abs(s * s - 4.0 * gd * q) < SINGULAR_RADIUS:
-            raise SingularSample("branch point")
+            raise SingularSample("sample at the q-racah square-root branch point")
         Z2 = qracah_Z(spec, s) ** 2
         _check_not_singular(
-            [abs(1.0 - gd * q * Z2), abs(1.0 - gd * q * q * Z2), abs(1.0 - gd * Z2)], "q-racah"
+            [abs(1.0 - gd * q * Z2), abs(1.0 - gd * q * q * Z2), abs(1.0 - gd * Z2)], "q-racah B/D"
         )
 
 
@@ -917,7 +771,8 @@ def q_to_one_limit_check(spec: FamilySpec, q_near_1: float) -> float:
 
     `spec` is a ghyp-style instance whose alphas/betas act as exponents: the
     basic side uses parameters q^alpha_j, q^beta_k and argument scaled by
-    (q-1)^(s-r).  Returns max_m |phi_m - F_m| / max(1, max|F_m|), which is
+    (q-1)^(s-r).  Both sides are the term-table prefactors of the ghyp and
+    gbasic sums.  Returns max_m |phi_m - F_m| / max(1, max|F_m|), which is
     O(|q-1|).  N = 0 is allowed here (both sides are the constant 1).
     """
     if not (0.0 < abs(q_near_1 - 1.0) <= 0.01):
@@ -925,25 +780,13 @@ def q_to_one_limit_check(spec: FamilySpec, q_near_1: float) -> float:
     N = spec.N
     r, s = len(spec.alphas), len(spec.betas)
     q = float(q_near_1)
-    f_side = np.zeros(N + 1, dtype=complex)
-    phi_side = np.zeros(N + 1, dtype=complex)
-    for m in range(N + 1):
-        num = pochhammer(-N, m)
-        for al in spec.alphas:
-            num *= pochhammer(al, m)
-        den = complex(math.factorial(m))
-        for be in spec.betas:
-            den *= pochhammer(be, m)
-        f_side[m] = num / den
-
-        qnum = q_pochhammer(q ** (-N), q, m)
-        for al in spec.alphas:
-            qnum *= q_pochhammer(q ** complex(al), q, m)
-        qden = q_pochhammer(q, q, m)
-        for be in spec.betas:
-            qden *= q_pochhammer(q ** complex(be), q, m)
-        sign = (-1) ** (m * (s - r))
-        phase = sign * q ** ((m * (m - 1) // 2) * (s - r))
-        phi_side[m] = qnum / qden * phase * (q - 1.0) ** ((s - r) * m)
+    basic_alphas = [q ** complex(a) for a in spec.alphas]
+    basic_betas = [q ** complex(b) for b in spec.betas]
+    plain = _term_table(make_spec(Family.GHYP, N, spec.alphas, spec.betas))
+    basic = _term_table(make_spec(Family.GBASIC, N, basic_alphas, basic_betas, q))
+    f_side = np.array([ddc_to_complex(pref) for pref, _ in plain])
+    phi_side = np.array(
+        [ddc_to_complex(pref) * (q - 1.0) ** ((s - r) * m) for m, (pref, _) in enumerate(basic)]
+    )
     dev = np.max(np.abs(phi_side - f_side))
     return float(dev / max(1.0, float(np.max(np.abs(f_side)))))

@@ -163,53 +163,6 @@ def q_pochhammer(gamma, q, m: int):
     return ddc_to_complex(ddc_q_pochhammer(ddc(gamma), ddc(q), m))
 
 
-def wilson_pochhammer_poly(a, k: int) -> Poly:
-    """[a; z]_k = (a^2+z)((a+1)^2+z)...((a+k-1)^2+z) as a degree-k Poly in z."""
-    if k < 0:
-        raise ValueError("order must be >= 0")
-    p = Poly([1.0])
-    a = complex(a)
-    for i in range(k):
-        p = p * Poly([(a + i) ** 2, 1.0])
-    return p
-
-
-def aw_pochhammer_poly(a, q, m: int) -> Poly:
-    """{a; q; x}_m = prod_{j<m} (1 + a^2 q^(2j) - 2 a q^j x), degree m in x."""
-    if m < 0:
-        raise ValueError("order must be >= 0")
-    p = Poly([1.0])
-    a = complex(a)
-    q = complex(q)
-    for j in range(m):
-        qj = q**j
-        p = p * Poly([1.0 + a * a * qj * qj, -2.0 * a * qj])
-    return p
-
-
-def qracah_pochhammer_poly(gd, q, m: int) -> Poly:
-    """prod_{s<m} (1 - z q^s + gd q^(2s+1)) as a degree-m Poly in z."""
-    if m < 0:
-        raise ValueError("order must be >= 0")
-    p = Poly([1.0])
-    gd = complex(gd)
-    q = complex(q)
-    for s in range(m):
-        p = p * Poly([1.0 + gd * q ** (2 * s + 1), -(q**s)])
-    return p
-
-
-def racah_lambda_pochhammer_poly(gd1, n: int) -> Poly:
-    """prod_{s<n} (-lam + s*gd1 + s^2) as a degree-n Poly in lam; empty product is 1."""
-    if n < 0:
-        raise ValueError("order must be >= 0")
-    p = Poly([1.0])
-    gd1 = complex(gd1)
-    for s in range(n):
-        p = p * Poly([s * gd1 + s * s, -1.0])
-    return p
-
-
 def elementary_coeffs_hyp(alphas, betas):
     """Coefficients a_0..a_p of prod(alpha_j - x) and b_1..b_{q+1} of x prod(beta_k - 1 - x).
 
@@ -642,3 +595,27 @@ def ddc_powi(x, k: int):
         base = ddc_mul(base, base)
         kk >>= 1
     return out
+
+
+def ddc_expand(terms, degree: int) -> list:
+    """Ascending monomial coefficients of sum_t pref_t * prod_s (A_s + B_s z).
+
+    `terms` holds (pref, ((A_s, B_s), ...)) pairs of complex double-doubles
+    with at most `degree` factors per term.  Each product is multiplied out
+    by synthetic multiplication and every coefficient is accumulated in
+    double-double, then rounded to a complex double once.
+    """
+    zero, one = ddc(0.0), ddc(1.0)
+    acc = [zero] * (degree + 1)
+    for pref, factors in terms:
+        c = [pref]
+        for a, b in factors:
+            if a == zero and b == one:  # a bare z (every ghyp/gbasic factor) is a shift
+                c = [zero] + c
+                continue
+            c = ([ddc_mul(a, c[0])]
+                 + [ddc_add(ddc_mul(a, ci), ddc_mul(b, cl)) for ci, cl in zip(c[1:], c)]
+                 + [ddc_mul(b, c[-1])])
+        for i, ci in enumerate(c):
+            acc[i] = ddc_add(acc[i], ci)
+    return [ddc_to_complex(x) for x in acc]

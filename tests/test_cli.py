@@ -112,6 +112,16 @@ class TestVerify:
         code, _ = run(capsys, ["verify", "--family", "wilson", "-N", "3", "--alphas", "0.7,1.1,1.6,2.2"])
         assert code == 0 and len(solved) == 1
 
+    def test_aw_large_numerator_passes(self, capsys):
+        # (abcd q^(N-1); q)_m dwarfs (q; q)_m here; no denominator is near zero
+        code, out = run(
+            capsys,
+            ["verify", "--family", "aw", "-N", "7", "--alphas",
+             "0.8941277876239196,2.283276975311005,2.911113034696443,0.8266090064949669",
+             "--q", "1.70944684390733"],
+        )
+        assert code == 0 and json.loads(out)["pass"] is True
+
     def test_q_close_to_one_exit_2(self, capsys):
         code, _ = run(
             capsys,
@@ -193,7 +203,7 @@ class TestSweep:
 
     def test_zeros_solved_once_per_spec(self, capsys, monkeypatch):
         solved = count_zero_solves(monkeypatch)
-        # seed 6 redraws aw five times before a valid spec
+        # seed 6 accepts the first draw of every construction
         code, out = run(capsys, ["sweep", "--family", "all", "--draws", "1", "--seed", "6", "--nmax", "8"])
         report = json.loads(out)
         assert code == 0 and report["total"] == 12
@@ -214,7 +224,7 @@ class TestSweep:
             ("gbasic22", 3, 2.327770575712782),
             ("wilson", 4, 0.912314227077013),
             ("racah", 8, 1.7837055570093114),
-            ("aw", 3, 0.5503690942917765),
+            ("aw", 7, 0.8941277876239196),
             ("qracah", 8, 2.176601838045264),
         ]
 

@@ -1,5 +1,8 @@
 """Family builders, zeros, variable lifts, defining equations, q->1 limit."""
 
+import re
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -87,6 +90,84 @@ class TestBuildPolynomial:
     def test_four_param_count_enforced(self):
         with pytest.raises(InvalidParameters):
             iso.build_polynomial(spec_of("wilson", 2, [1.0, 2.0]))
+
+
+# real dyadic parameters: exact in binary, inside each family's valid box for N = 1..8
+EXACT_PARAMS = [
+    ("ghyp", [1.25, 2.5], [1.75], None),
+    ("gbasic", [1.5, 0.75], [2.25], 1.75),
+    ("wilson", [0.5, 1.25, 0.75, 1.5], [], None),
+    ("racah", [1.5, 1.25, 0.75, 1.125], [], None),
+    ("aw", [0.875, 2.25, 2.875, 0.8125], [], 1.71875),
+    ("qracah", [2.125, 1.25, 0.75, 1.375], [], 1.625),
+    ("jacobi", [2.0, 1.5], [], None),
+]
+
+
+def _exact(x):
+    """A complex double-double as an exact (re, im) pair of Fractions."""
+    return Fraction(x[0]) + Fraction(x[1]), Fraction(x[2]) + Fraction(x[3])
+
+
+def _exact_expansion(table, degree):
+    """Monomial coefficients of the term table in exact rational arithmetic."""
+    zero = (Fraction(0), Fraction(0))
+    acc = [zero] * (degree + 1)
+    for pref, factors in table:
+        c = [_exact(pref)]
+        for a, b in factors:
+            (ar, ai), (br, bi) = _exact(a), _exact(b)
+            nxt = [zero] * (len(c) + 1)
+            for i, (cr, ci) in enumerate(c):
+                r, m = nxt[i]
+                nxt[i] = (r + ar * cr - ai * ci, m + ar * ci + ai * cr)
+                r, m = nxt[i + 1]
+                nxt[i + 1] = (r + br * cr - bi * ci, m + br * ci + bi * cr)
+            c = nxt
+        for i, (cr, ci) in enumerate(c):
+            acc[i] = (acc[i][0] + cr, acc[i][1] + ci)
+    return acc
+
+
+class TestExpansionExact:
+    """build_polynomial against an exact expansion of the same term table."""
+
+    @pytest.mark.parametrize("family,alphas,betas,q", EXACT_PARAMS, ids=[p[0] for p in EXACT_PARAMS])
+    def test_coefficients_correctly_rounded(self, family, alphas, betas, q):
+        tol = Fraction(2 * np.finfo(float).eps)
+        floor = Fraction(1e-300)
+        for n in range(1, 9):
+            spec = spec_of(family, n, alphas, betas, q)
+            got = iso.build_polynomial(spec).coeffs
+            want = _exact_expansion(families._term_table(spec), n)
+            assert len(got) == n + 1
+            for g, (wr, wi) in zip(got, want):
+                assert abs(Fraction(g.real) - wr) <= tol * abs(wr) + floor, (n, g, float(wr))
+                assert abs(Fraction(g.imag) - wi) <= tol * abs(wi) + floor, (n, g, float(wi))
+
+
+# one case per denominator factor of the family sums (m! never vanishes)
+DENOMINATOR_POLES = [
+    ("(beta)_m", spec_of("ghyp", 3, [1.5], [-2.0]), "beta_1"),
+    ("(q;q)_m gbasic", spec_of("gbasic", 3, [1.5], [2.5], q=-1.0), "(q; q)_m"),
+    ("(beta;q)_m", spec_of("gbasic", 3, [1.5], [1.5**-2], q=1.5), "(beta_1; q)_m"),
+    ("(q;q)_m aw", spec_of("aw", 3, [0.6, 1.1, 1.7, 2.4], q=-1.0), "(q; q)_m"),
+    ("(q;q)_m qracah", spec_of("qracah", 3, [1.1, 2.2, 0.8, 1.4], q=-1.0), "(q; q)_m"),
+    ("(alpha+1)_n", spec_of("racah", 3, [-2.0, 2.2, 0.8, 1.4]), "(alpha+1)_n"),
+    ("(beta+delta+1)_n", spec_of("racah", 3, [1.1, -1.5, 0.8, -0.5]), "(beta+delta+1)_n"),
+    ("(gamma+1)_n", spec_of("racah", 3, [1.1, 2.2, -3.0, 1.4]), "(gamma+1)_n"),
+    ("(alpha q;q)_m", spec_of("qracah", 3, [1.6**-2, 2.2, 0.8, 1.4], q=1.6), "(alpha q; q)_m"),
+    ("(beta delta q;q)_m", spec_of("qracah", 3, [1.1, 1.6**-3, 0.8, 1.0], q=1.6),
+     "(beta delta q; q)_m"),
+    ("(gamma q;q)_m", spec_of("qracah", 3, [1.1, 2.2, 1.6**-1, 1.4], q=1.6), "(gamma q; q)_m"),
+]
+
+
+@pytest.mark.parametrize("spec,label", [c[1:] for c in DENOMINATOR_POLES],
+                         ids=[c[0] for c in DENOMINATOR_POLES])
+def test_validate_rejects_vanishing_denominator(spec, label):
+    with pytest.raises(InvalidParameters, match=re.escape(label)):
+        families.validate_spec(spec)
 
 
 class TestStructuredEval:
