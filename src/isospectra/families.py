@@ -1,15 +1,16 @@
 """Polynomial families and their defining equations.
 
 Each family's explicit finite sum is written once, in `_term_table`, as
-terms pref * prod_s (A_s + B_s z) held in complex double-double.  The
-structured evaluation (zero refinement, defining-equation residuals) runs
-the terms in factored form; `build_polynomial` multiplies them out into
-dense monomial coefficients in double-double and rounds each coefficient
-once.  Where the textbook sum divides by a Pochhammer symbol that also
-appears in a prefactor (Wilson, Askey-Wilson, Jacobi), the ratio is
-rewritten as a shifted Pochhammer product, so the sums are entire in the
-parameters and `validate_spec` rejects only genuinely vanishing
-denominators.
+terms pref * prod_s (A_s + B_s z) held in complex double-double, and
+multiplied out once per spec into unrounded monomial coefficients.
+`build_polynomial` rounds them; the structured evaluation (zero refinement,
+defining-equation residuals) runs double-double Horner on them with an
+error bound, so a sum that cancels past double-double precision (aw and
+qracah at N >= 10) fails the refinement instead of giving wrong zeros.
+Where the textbook sum divides by a Pochhammer symbol that also appears in
+a prefactor (Wilson, Askey-Wilson, Jacobi), the ratio is rewritten
+as a shifted Pochhammer product, so the sums are entire in the parameters
+and `validate_spec` rejects only genuinely vanishing denominators.
 
 Variable conventions (the "natural" variable of each family):
 
@@ -59,6 +60,7 @@ from .numeric import (
 )
 
 _TINY = 1e-300
+_DD_UNIT = 2.0**-104       # relative rounding of one double-double operation
 PARAM_POLE_TOL = 1e-10     # plain Pochhammer validity margin
 QPARAM_POLE_TOL = 1e-12    # q-Pochhammer validity margin
 ZERO_SEP_REL = 1e-8        # distinctness threshold, relative to zero scale
@@ -203,7 +205,7 @@ def build_polynomial(spec: FamilySpec) -> Poly:
     textbook normalization.
     """
     validate_spec(spec)
-    p = Poly(ddc_expand(_term_table(spec), spec.N))
+    p = Poly(_expansion(spec)[1])
     if p.degree != spec.N:
         raise InvalidParameters(
             f"leading coefficient degenerates: degree {p.degree} != N = {spec.N}"
@@ -211,7 +213,6 @@ def build_polynomial(spec: FamilySpec) -> Poly:
     return p
 
 
-@lru_cache(maxsize=512)
 def _term_table(spec: FamilySpec):
     """Per-term (prefactor, linear factors) of the family sum, in compensated form.
 
@@ -331,35 +332,37 @@ def _term_table(spec: FamilySpec):
     return tuple(table)
 
 
-def structured_eval(spec: FamilySpec, z):
-    """(value, derivative, |term| scale) of the family sum at scalar z.
+@lru_cache(maxsize=512)
+def _expansion(spec: FamilySpec):
+    """(double-double coefficients, their rounded doubles, magnitudes M_k) of the sum."""
+    coeffs, mags = ddc_expand(_term_table(spec), spec.N)
+    return tuple(coeffs), tuple(ddc_to_complex(c) for c in coeffs), tuple(mags)
 
-    Terms are evaluated in factored product form with compensated
-    (double-double) accumulation: the monomial expansion of the q-top
-    families cancels by ~10 digits at N = 8 in the working parameter box,
-    which would otherwise sink the zero accuracy and every residual
-    downstream.  The derivative only steers Newton steps, so plain doubles
-    suffice for it.
+
+def structured_eval(spec: FamilySpec, z):
+    """(value, derivative, error bound) of the family sum at scalar z.
+
+    Double-double Horner on the unrounded expansion gives the value (the
+    q-top sums cancel by 10 digits and more at N = 8); plain Horner on the rounded
+    coefficients gives the derivative, which only steers Newton.  The bound
+    on |value - sum| is compensated Horner's (Graillat, Langlois & Louvet
+    2005): c 2^-104 sum_k M_k |z|^k, M_k from `ddc_expand`, plus 2^-53 |value|
+    for the final rounding.  c = 3N counts a coefficient's roundings: N
+    factor products and N + 1 term sums, then N Horner steps.  Near the
+    zeros of 384 safe-box draws at N = 9..12, c = 1 came within 1.15x of the
+    true error (120-digit reference) and c = 3N stayed 36x above it.
     """
-    zdd = ddc(complex(z))
-    table = _term_table(spec)
-    val = ddc(0.0)
-    dval = 0.0 + 0.0j
-    scale = 0.0
-    for pref, factors in table:
-        t = pref
-        p_plain = ddc_to_complex(pref)
-        dp = 0.0 + 0.0j
-        for a_s, b_s in factors:
-            f = ddc_add(a_s, ddc_mul(b_s, zdd))
-            fp = ddc_to_complex(f)
-            dp = dp * fp + p_plain * ddc_to_complex(b_s)
-            p_plain = p_plain * fp
-            t = ddc_mul(t, f)
-        val = ddc_add(val, t)
-        dval += dp
-        scale = max(scale, abs(ddc_to_complex(t)))
-    return ddc_to_complex(val), dval, scale
+    coeffs, rounded, mags = _expansion(spec)
+    z = complex(z)
+    zdd, az = ddc(z), abs(z)
+    val, p, dval, mag = coeffs[-1], rounded[-1], 0.0j, mags[-1]
+    for c, r, m in zip(coeffs[-2::-1], rounded[-2::-1], mags[-2::-1]):
+        val = ddc_add(ddc_mul(val, zdd), c)
+        dval = dval * z + p
+        p = p * z + r
+        mag = mag * az + m
+    value = ddc_to_complex(val)
+    return value, dval, 3 * spec.N * _DD_UNIT * mag + 2.0**-53 * abs(value)
 
 
 def refine_zeros(spec: FamilySpec, roots: np.ndarray, steps: int = 12):
@@ -370,7 +373,8 @@ def refine_zeros(spec: FamilySpec, roots: np.ndarray, steps: int = 12):
     representable digit), or stops shrinking once it is within a few ulps
     (the iterate then alternates between neighbouring doubles), or `steps`
     steps are taken.  Returns the refined roots plus the worst relative
-    forward-error estimate, which is that step at the returned root.
+    forward-error estimate: per root, the larger of that last step and the
+    evaluation's error bound carried to z, bound / |p'| / (1 + |z|).
     """
     out = np.array(roots, dtype=complex)
     worst = 0.0
@@ -378,13 +382,14 @@ def refine_zeros(spec: FamilySpec, roots: np.ndarray, steps: int = 12):
     for i, z in enumerate(out):
         prev = np.inf
         for k in range(steps + 1):
-            val, dval, _ = structured_eval(spec, z)
+            val, dval, bound = structured_eval(spec, z)
             if abs(dval) < _TINY:
                 fe = np.inf
                 break
             step = val / dval
             fe = abs(step) / (1.0 + abs(z))
             if k == steps or fe <= 0.25 * eps or (fe <= 2.0 * eps and fe > 0.5 * prev):
+                fe = max(fe, bound / abs(dval) / (1.0 + abs(z)))
                 break
             z = z - step
             prev = fe
@@ -396,11 +401,11 @@ def refine_zeros(spec: FamilySpec, roots: np.ndarray, steps: int = 12):
 def compute_zeros(spec: FamilySpec, tol: float = 1e-12, max_iter: int = 200) -> ZeroSet:
     """Zeros in the family's natural variable, sorted by (re, im).
 
-    Roots come from Aberth on the expanded coefficients, then are polished
-    against the structured sum (which does not suffer the expansion's
-    cancellation); max_poly_residual on the result is the worst relative
-    forward-error estimate |p/p'| / (1 + |z|) after polishing.  Raises
-    RepeatedZeros when the minimal pairwise separation drops below
+    Roots come from Aberth on the rounded coefficients, then are polished
+    against the structured sum (which keeps the digits the rounding
+    cancels); max_poly_residual on the result is `refine_zeros`' worst
+    relative forward-error estimate, and above `tol` raises NonConvergence.
+    Raises RepeatedZeros when the minimal pairwise separation drops below
     ZERO_SEP_REL times the zero scale; every downstream construction assumes
     distinct zeros.
     """
@@ -411,11 +416,7 @@ def compute_zeros(spec: FamilySpec, tol: float = 1e-12, max_iter: int = 200) -> 
             f"zero forward-error estimate {worst:.3e} > tol {tol:.1e} after refinement"
         )
     refined = refined[np.lexsort((refined.imag, refined.real))]
-    out = ZeroSet(
-        zeros=refined,
-        min_separation=_min_sep(refined),
-        max_poly_residual=max(worst, 0.0),
-    )
+    out = ZeroSet(zeros=refined, min_separation=_min_sep(refined), max_poly_residual=worst)
     scale = max(1.0, float(np.max(np.abs(out.zeros))))
     if out.min_separation < ZERO_SEP_REL * scale:
         raise RepeatedZeros(
@@ -647,26 +648,15 @@ def defining_equation_residual(spec: FamilySpec, sample, poly: Optional[Poly] = 
     fam = spec.family
     s = complex(sample)
     if fam == Family.JACOBI:
-        gh = jacobi_to_ghyp(spec)
-        if poly is None:
-            return defining_equation_residual(gh, s)
-        return defining_equation_residual(gh, s, poly=poly)
+        return defining_equation_residual(jacobi_to_ghyp(spec), s, poly)
     _probe_singular(spec, s)
-    if poly is None:
-        # structured form: immune to the monomial expansion's cancellation
-        value = lambda u: structured_eval(spec, u)[0]
-    else:
-        value = poly
+    # structured form by default: immune to the monomial expansion's cancellation
+    value = poly if poly is not None else (lambda u: structured_eval(spec, u)[0])
 
     if fam in (Family.GHYP, Family.GBASIC):
-        if poly is None:
-            poly = build_polynomial(spec)
-        halves = (
-            _ghyp_operator_halves(spec, poly)
-            if fam == Family.GHYP
-            else _gbasic_operator_halves(spec, poly)
-        )
-        return _normalized([halves[0](s), -halves[1](s)])
+        halves = _ghyp_operator_halves if fam == Family.GHYP else _gbasic_operator_halves
+        first, second = halves(spec, poly if poly is not None else build_polynomial(spec))
+        return _normalized([first(s), -second(s)])
 
     if fam == Family.WILSON:
         sig = sum(spec.alphas)
@@ -756,14 +746,15 @@ def _probe_singular(spec: FamilySpec, s: complex) -> None:
 def max_defining_residual(spec: FamilySpec, count: int = 10, seed: int = 0) -> float:
     """Max |normalized residual| over `count` seeded random samples.
 
-    No polynomial override is passed: evaluation stays on the structured
-    (cancellation-proof) form; the coefficient form is only as good as the
-    monomial expansion.
+    ghyp and gbasic (jacobi through ghyp) act on the coefficients: their
+    polynomial is built once for all samples.  The other families evaluate
+    the structured sum, since their residuals cancel below coefficient rounding.
     """
     base = jacobi_to_ghyp(spec) if spec.family == Family.JACOBI else spec
+    poly = build_polynomial(base) if base.family in (Family.GHYP, Family.GBASIC) else None
     rng = np.random.default_rng(seed)
     samples = residual_samples(base, count, rng)
-    return max(abs(defining_equation_residual(base, s)) for s in samples)
+    return max(abs(defining_equation_residual(base, s, poly)) for s in samples)
 
 
 def q_to_one_limit_check(spec: FamilySpec, q_near_1: float) -> float:

@@ -597,25 +597,34 @@ def ddc_powi(x, k: int):
     return out
 
 
-def ddc_expand(terms, degree: int) -> list:
-    """Ascending monomial coefficients of sum_t pref_t * prod_s (A_s + B_s z).
+def ddc_expand(terms, degree: int):
+    """Unrounded ascending monomial coefficients of sum_t pref_t * prod_s (A_s + B_s z).
 
     `terms` holds (pref, ((A_s, B_s), ...)) pairs of complex double-doubles
     with at most `degree` factors per term.  Each product is multiplied out
     by synthetic multiplication and every coefficient is accumulated in
-    double-double, then rounded to a complex double once.
+    double-double.  Returns (coeffs, mags): the complex double-double
+    coefficients, and per coefficient the plain-double size M_k of what it
+    summed, (sum_t |pref_t| prod_s (|A_s| + |B_s| z))_k, which scales every
+    rounding error in it however much the sum cancels.
     """
     zero, one = ddc(0.0), ddc(1.0)
     acc = [zero] * (degree + 1)
+    mags = [0.0] * (degree + 1)
     for pref, factors in terms:
         c = [pref]
+        m = [abs(ddc_to_complex(pref))]
         for a, b in factors:
             if a == zero and b == one:  # a bare z (every ghyp/gbasic factor) is a shift
                 c = [zero] + c
+                m = [0.0] + m
                 continue
+            ma, mb = abs(ddc_to_complex(a)), abs(ddc_to_complex(b))
             c = ([ddc_mul(a, c[0])]
                  + [ddc_add(ddc_mul(a, ci), ddc_mul(b, cl)) for ci, cl in zip(c[1:], c)]
                  + [ddc_mul(b, c[-1])])
+            m = [ma * m[0]] + [ma * mi + mb * ml for mi, ml in zip(m[1:], m)] + [mb * m[-1]]
         for i, ci in enumerate(c):
             acc[i] = ddc_add(acc[i], ci)
-    return [ddc_to_complex(x) for x in acc]
+            mags[i] += m[i]
+    return acc, mags

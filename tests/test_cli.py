@@ -303,6 +303,25 @@ class TestInputErrors:
         assert len(lines) == 1 and lines[0].startswith("error:")
 
 
+class TestRefinementGuard:
+    def test_sum_cancelling_past_double_double_exit_4(self):
+        # the q-Racah sum at N = 12 cancels past double-double here, so its expanded
+        # coefficients are wrong; the refinement must say so, not return zeros
+        import subprocess
+        import sys
+
+        argv = ["zeros", "--family", "qracah", "-N", "12",
+                "--alphas", "2.0384152689295716,1.035111498057991,2.36840541332353,2.5428293644206983",
+                "--q", "2.375452650859548"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "isospectra.cli", *argv], capture_output=True, text=True
+        )
+        assert proc.returncode == cli.EXIT_NONCONVERGENCE
+        assert proc.stdout == ""
+        lines = proc.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+
+
 class TestConsoleEntryPoint:
     def test_module_invocation(self):
         import subprocess

@@ -185,6 +185,34 @@ class TestStructuredEval:
             assert abs(dval - fd) <= 1e-5 * max(1.0, abs(fd))
 
 
+def _exact_value(coeffs, z):
+    """Horner in exact rational arithmetic: sum_k coeffs[k] z^k for a dyadic z."""
+    zr, zi = Fraction(z.real), Fraction(z.imag)
+    vr, vi = Fraction(0), Fraction(0)
+    for cr, ci in reversed(coeffs):
+        vr, vi = vr * zr - vi * zi + cr, vr * zi + vi * zr + ci
+    return vr, vi
+
+
+class TestEvaluationBound:
+    """structured_eval's value against the exact sum of the term table, within its bound."""
+
+    @pytest.mark.parametrize("family,alphas,betas,q", EXACT_PARAMS, ids=[p[0] for p in EXACT_PARAMS])
+    def test_value_within_bound(self, family, alphas, betas, q):
+        for n in range(1, 13):
+            spec = spec_of(family, n, alphas, betas, q)
+            coeffs = _exact_expansion(families._term_table(spec), n)
+            roots = np.roots([complex(float(r), float(i)) for r, i in reversed(coeffs)])
+            # dyadic points next to the zeros, where the sum cancels most, and off them
+            points = [complex(round(z.real * 2**30), round(z.imag * 2**30)) / 2**30 for z in roots]
+            points += [0.75 + 0j, -1.25 + 0.5j, 2.5 - 1.0j]
+            for z in points:
+                val, _, bound = families.structured_eval(spec, z)
+                er, ei = _exact_value(coeffs, z)
+                dr, di = Fraction(val.real) - er, Fraction(val.imag) - ei
+                assert dr * dr + di * di <= Fraction(bound) ** 2, (n, z, val, float(er))
+
+
 class TestRefineZeros:
     @pytest.mark.parametrize("spec", SAMPLE_SPECS, ids=lambda s: s.family.value)
     def test_stops_at_rounding_level(self, spec, monkeypatch):
@@ -199,11 +227,13 @@ class TestRefineZeros:
         # a root whose step alternates between neighbouring doubles used to
         # take all 12 steps plus one more evaluation
         assert len(evaluations) <= 3 * len(roots)
-        # the estimate is the relative Newton step at the returned roots
+        # the estimate is the larger of the relative Newton step and the
+        # evaluation's error bound carried to z, at the returned roots
         fresh = 0.0
         for z in refined:
-            val, dval, _ = families.structured_eval(spec, z)
-            fresh = max(fresh, abs(val / dval) / (1.0 + abs(z)))
+            val, dval, bound = families.structured_eval(spec, z)
+            step = abs(val / dval) / (1.0 + abs(z))
+            fresh = max(fresh, step, bound / abs(dval) / (1.0 + abs(z)))
         assert worst == fresh
 
 

@@ -92,9 +92,9 @@ class TestQPochhammer:
 
 
 def expand_product(factors):
-    """prod (A + B z) over (A, B) in `factors`, multiplied out by `ddc_expand`."""
+    """prod (A + B z) over (A, B) in `factors`, multiplied out by `ddc_expand` and rounded."""
     term = (ddc(1.0), tuple((ddc(a), ddc(b)) for a, b in factors))
-    return np.array(ddc_expand((term,), len(factors)))
+    return np.array([ddc_to_complex(c) for c in ddc_expand((term,), len(factors))[0]])
 
 
 def wilson_factors(a, k):
