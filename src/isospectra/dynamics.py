@@ -17,7 +17,6 @@ complex throughout; no realness is assumed anywhere.
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -36,10 +35,12 @@ from .errors import (
 )
 from .matrices import basic_f, check_distinct, fg_recursion
 from .numeric import (
+    Dual,
     Poly,
     ZeroSet,
     elementary_coeffs_basic,
     elementary_coeffs_hyp,
+    dsqrt,
     pairwise_close,
     poly_roots,
 )
@@ -75,6 +76,11 @@ class TrajectoryRecord:
 # Coefficient systems
 # ---------------------------------------------------------------------------
 
+def time_factor(spec: fam.FamilySpec) -> complex:
+    """i for Wilson/Racah, as their displays prescribe; 1 for the other families."""
+    return 1j if spec.family in (fam.Family.WILSON, fam.Family.RACAH) else 1.0 + 0.0j
+
+
 def c_system(spec: fam.FamilySpec) -> CSystem:
     """The family's linear system for the coefficients c_1..c_N (c_0 = 1 fixed).
 
@@ -102,7 +108,7 @@ def c_system(spec: fam.FamilySpec) -> CSystem:
                 h[0] = sub
             else:
                 A[m - 1, m - 2] = sub
-        return CSystem(A=A, h=h, time_factor=1.0 + 0.0j, diagonal=False)
+        return CSystem(A=A, h=h, time_factor=time_factor(spec), diagonal=False)
     if f == fam.Family.GBASIC:
         q = spec.q
         r, s = len(spec.alphas), len(spec.betas)
@@ -118,30 +124,26 @@ def c_system(spec: fam.FamilySpec) -> CSystem:
                 h[0] = sub
             else:
                 A[m - 1, m - 2] = sub
-        return CSystem(A=A, h=h, time_factor=1.0 + 0.0j, diagonal=False)
+        return CSystem(A=A, h=h, time_factor=time_factor(spec), diagonal=False)
 
     m = np.arange(1, N + 1, dtype=complex)
     if f == fam.Family.WILSON:
         rates = m * (2 * N - m + sum(spec.alphas) - 1.0)
-        tf = 1j
     elif f == fam.Family.RACAH:
         al, be = spec.alphas[0], spec.alphas[1]
         rates = m * (m - 2 * N - al - be - 1.0)
-        tf = 1j
     elif f == fam.Family.AW:
         q = spec.q
         prod = np.prod(spec.alphas)
         rates = q ** float(-N) * (1.0 - q**m) * (1.0 - prod * q ** (2 * N - 1 - m))
-        tf = 1.0 + 0.0j
     elif f == fam.Family.QRACAH:
         q = spec.q
         ab = spec.alphas[0] * spec.alphas[1]
         rates = q ** float(-N) * (1.0 - q**m) * (1.0 - ab * q ** (2 * N - m + 1))
-        tf = 1.0 + 0.0j
     else:
         raise InvalidParameters(f"no coefficient system for {f!r}")
     np.fill_diagonal(A, rates)
-    return CSystem(A=A, h=h, time_factor=tf, diagonal=True)
+    return CSystem(A=A, h=h, time_factor=time_factor(spec), diagonal=True)
 
 
 def solve_c(cs: CSystem, c0, t: float) -> np.ndarray:
@@ -189,10 +191,12 @@ def solve_c(cs: CSystem, c0, t: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Nonlinear right-hand sides
 #
-# Each builder takes the state as a list of Python complex numbers and returns
+# Each kernel takes the state as a list of Python complex numbers and returns
 # the per-component terms as a list of rows.  Up to N of about 6 these scalar
 # loops beat masked N x N numpy arrays, whose fixed cost per call dominates
-# (README, "Zero-dynamics kernels").
+# (README, "Zero-dynamics kernels").  Fed `Dual`s instead, the same kernels
+# return the exact Jacobian (`linearization_matrix`), which is the family's
+# isospectral matrix.
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=512)
@@ -277,7 +281,7 @@ def _rhs_terms_racah(spec, y):
 def _rhs_terms_aw(spec, x):
     q = spec.q
     pref = (q - 1.0) / (2.0 * q ** float(spec.N))
-    z = [v + cmath.sqrt(v * v - 1.0) for v in x]
+    z = [v + dsqrt(v * v - 1.0) for v in x]
     z_inv = [1.0 / v for v in z]
     rows = []
     for n in range(len(x)):
@@ -329,13 +333,17 @@ def _check_separation(z: list) -> None:
         raise Collision(f"pairwise separation fell below {COLLISION_REL:g} * scale")
 
 
-def _term_rows(spec: fam.FamilySpec, z) -> list:
-    z = np.asarray(z, dtype=complex).ravel().tolist()
-    _check_separation(z)
+def _kernel_rows(spec: fam.FamilySpec, z: list) -> list:
     try:
         return _RHS_TERMS[spec.family](spec, z)
     except ArithmeticError as exc:  # Python scalars raise where numpy gives inf/nan
         raise SingularDenominator(f"zero-dynamics term not finite at this state: {exc}") from None
+
+
+def _term_rows(spec: fam.FamilySpec, z) -> list:
+    z = np.asarray(z, dtype=complex).ravel().tolist()
+    _check_separation(z)
+    return _kernel_rows(spec, z)
 
 
 def rhs_terms(spec: fam.FamilySpec, z) -> np.ndarray:
@@ -539,13 +547,13 @@ def evolve_compare(
     )
 
 
-def linearization_matrix(spec: fam.FamilySpec, z, h: float = 1e-6) -> np.ndarray:
-    """Central finite-difference Jacobian of the dynamics RHS at `z`."""
+def linearization_matrix(spec: fam.FamilySpec, z) -> np.ndarray:
+    """Exact Jacobian of the dynamics RHS at `z`, in the dynamics variable.
+
+    The family's kernel runs once on `Dual.seed(z)`, so each entry is the
+    derivative of the RHS formula itself, not a difference quotient.  The
+    collision guard of `nonlinear_rhs` is not applied: it protects
+    trajectories, and `build_matrix` checks distinctness at its own threshold.
+    """
     z = np.asarray(z, dtype=complex).ravel()
-    n = len(z)
-    J = np.zeros((n, n), dtype=complex)
-    for m in range(n):
-        e = np.zeros(n, dtype=complex)
-        e[m] = h
-        J[:, m] = (nonlinear_rhs(spec, z + e) - nonlinear_rhs(spec, z - e)) / (2.0 * h)
-    return J
+    return np.array([sum(row).eps for row in _kernel_rows(spec, Dual.seed(z))], dtype=complex)

@@ -501,11 +501,6 @@ def wilson_D(spec: FamilySpec, x):
     return s4 + 1j * s3 * x - s2 * x * x - 1j * s1 * x**3 + x**4
 
 
-def wilson_D_prime(spec: FamilySpec, x):
-    s1, s2, s3, _ = wilson_sym(spec)
-    return 1j * s3 - 2.0 * s2 * x - 3j * s1 * x * x + 4.0 * x**3
-
-
 def wilson_B(spec: FamilySpec, x):
     """B(x) = (a+ix)(b+ix)(c+ix)(d+ix) / (2ix (2ix+1)); numerator equals D(x)."""
     return wilson_D(spec, x) / (2j * x * (2j * x + 1.0))
@@ -571,14 +566,6 @@ def qracah_shift(spec: FamilySpec, z, sign: int):
     gd = spec.alphas[2] * spec.alphas[3]
     root = dsqrt(z * z - 4.0 * gd * q)
     return q ** float(sign) * z + sign * (1.0 - q * q) / (2.0 * q) * (z - root)
-
-
-def qracah_C(spec: FamilySpec, z, sign: int):
-    """d z^(+-) / d z, in closed form."""
-    q = spec.q
-    gd = spec.alphas[2] * spec.alphas[3]
-    root = dsqrt(z * z - 4.0 * gd * q)
-    return q ** float(sign) + sign * (1.0 - q * q) / (2.0 * q) * (1.0 - z / root)
 
 
 # ---------------------------------------------------------------------------

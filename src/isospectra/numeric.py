@@ -353,7 +353,8 @@ class Dual:
     """Scalar forward-mode dual: a value plus a vector of partials.
 
     Supports +, -, *, /, integer powers, and principal sqrt (via `dsqrt`);
-    that is all the matrix formulas need.
+    that is all the zero-dynamics kernels need to return their own Jacobian.
+    `abs` is the magnitude of the value, for the kernels' guards.
     """
 
     __slots__ = ("val", "eps")
@@ -410,6 +411,9 @@ class Dual:
         for _ in range(k):
             out = out * self
         return out
+
+    def __abs__(self):
+        return abs(self.val)
 
     def __repr__(self):
         return f"Dual({self.val!r}, {self.eps!r})"

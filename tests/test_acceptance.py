@@ -2,7 +2,7 @@
 
 All tolerances are pinned here, not configurable: spectral 1e-6, trace/det
 1e-8 relative, identities/equilibria/defining equations 1e-8, trajectory
-deviation 1e-6, linearization 1e-5, machinery cross-checks 1e-10 / 1e-6,
+deviation 1e-6, linearization 1e-10, machinery cross-checks 1e-10 / 1e-6,
 q->1 deviation 1e-2 at q = 1.001.
 """
 
@@ -22,7 +22,7 @@ TOL_SPECTRAL = 1e-6
 TOL_TRACEDET = 1e-8
 TOL_IDENTITY = 1e-8
 TOL_DEVIATION = 1e-6
-TOL_LINEARIZATION = 1e-5
+TOL_LINEARIZATION = 1e-10
 TOL_FG = 1e-10
 TOL_JACOBIAN = 1e-6
 TOL_QLIMIT = 1e-2
@@ -214,7 +214,7 @@ def test_criterion_6_linearization():
             spec = draw_for_dynamics(name, k, require_gap=True)
             zs = iso.compute_zeros(spec)
             zdyn = dynamics.to_dynamics_variable(spec, zs.zeros)
-            jac = dynamics.linearization_matrix(spec, zdyn, h=1e-6)
+            jac = dynamics.linearization_matrix(spec, zdyn)
             lam = matrices.closed_form_spectrum(spec).values
             tf = TIME_FACTOR[spec.family.value]
             dist = multiset_match(matrix_eigenvalues(jac), tf * lam)

@@ -21,7 +21,7 @@ DYNAMICS_SPECS = [
     iso.make_spec("qracah", 4, [1.1, 2.2, 0.8, 1.4], q=1.4),
 ]
 
-# the README / scripts/run_evolution_demo.py specs, one per family
+# the README demo specs, one per family
 DEMO_SPECS = DYNAMICS_SPECS + [iso.make_spec("jacobi", 4, [0.5, 1.0])]
 
 TIME_FACTOR = {"ghyp": 1.0, "gbasic": 1.0, "wilson": 1j, "racah": 1j, "aw": 1.0, "qracah": 1.0}
@@ -312,7 +312,9 @@ class TestLinearization:
         lam = matrices.closed_form_spectrum(spec).values
         tf = TIME_FACTOR[spec.family.value]
         ev = iso.matrix_eigenvalues(jac)
-        assert multiset_match(ev, tf * lam) <= 1e-5
+        # exact Jacobian: worst is gbasic at 1.5e-11, set by its eigenvector
+        # conditioning (8e3), not by the derivative
+        assert multiset_match(ev, tf * lam) <= 1e-8
 
 
 class TestScalarKernels:

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 import isospectra as iso
+import matrix_reference
 from isospectra import cli, dynamics, families, matrices
-from isospectra.errors import InvalidParameters, RepeatedZeros
+from isospectra.errors import Collision, InvalidParameters, RepeatedZeros, SingularDenominator
 from isospectra.numeric import matrix_eigenvalues, multiset_match
 
 SAMPLE_SPECS = [
@@ -19,15 +20,18 @@ SAMPLE_SPECS = [
     iso.make_spec("jacobi", 4, [0.5, 1.0]),
 ]
 
-TIME_FACTOR = {
-    "ghyp": 1.0,
-    "gbasic": 1.0,
-    "wilson": 1j,
-    "racah": 1j,
-    "aw": 1.0,
-    "qracah": 1.0,
-    "jacobi": 1.0,
-}
+# racah specs of the safe box stop building at N = 11-12 (their leading
+# coefficient falls below the polynomial trim), so draw_spec finds none at 12
+REFERENCE_NMAX = {"racah": 11}
+
+
+def reference_draws(case):
+    """A sample spec with its zeros, or one draw per N = 1..12 of a construction."""
+    if not isinstance(case, str):
+        return [(case, iso.compute_zeros(case))]
+    rng = np.random.default_rng([31, list(cli.CONSTRUCTIONS).index(case)])
+    nmax = REFERENCE_NMAX.get(case, 12)
+    return [cli.draw_spec(case, n, rng, nmin=n) for n in range(1, nmax + 1)]
 
 
 class TestSigma:
@@ -190,33 +194,31 @@ class TestBuildMatrix:
         np.testing.assert_allclose(rep.L, [[2.0]], atol=1e-12)
 
     @pytest.mark.parametrize(
-        "spec",
-        [s for s in SAMPLE_SPECS if s.family.value != "jacobi"],
-        ids=lambda s: s.family.value,
+        "case",
+        SAMPLE_SPECS + list(cli.CONSTRUCTIONS),
+        ids=lambda c: f"draws-{c}" if isinstance(c, str) else c.family.value,
     )
-    def test_matrix_is_dynamics_jacobian(self, spec):
-        # strongest cross-check: L (times the family's time factor) must equal
-        # the finite-difference Jacobian of the nonlinear system at equilibrium
-        zs = iso.compute_zeros(spec)
-        rep = iso.build_matrix(spec, zs)
-        zdyn = dynamics.to_dynamics_variable(spec, zs.zeros)
-        jac = dynamics.linearization_matrix(spec, zdyn)
-        tf = TIME_FACTOR[spec.family.value]
-        scale = max(1.0, np.max(np.abs(rep.L)))
-        assert np.max(np.abs(jac - tf * rep.L)) <= 1e-5 * scale
+    def test_matrix_is_dynamics_jacobian(self, case):
+        # build_matrix is the dual-number Jacobian of the zero dynamics; the
+        # paper's componentwise formulas must give the same matrix entrywise
+        for spec, zs in reference_draws(case):
+            for pad in (0, 1, 2) if spec.family == iso.Family.GHYP else (0,):
+                got = iso.build_matrix(spec, zs, pad_count=pad).L
+                want = matrix_reference.reference_matrix(spec, zs, pad)
+                assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), (spec, pad)
 
     def test_jacobi_matrix_is_similar_to_pushforward_jacobian(self):
         # the x-variable flow is the pushforward of the ghyp z-flow, so its
-        # Jacobian is a diagonal similarity of the ghyp matrix; the paper's
-        # Jacobi matrix is a different isospectral representative, so only the
-        # spectra are compared entry-free
+        # Jacobian J is a diagonal similarity of the ghyp matrix; the paper's
+        # Jacobi matrix is the similar representative D^-1 J D, with
+        # D = diag((1 - x)^2)
         spec = iso.make_spec("jacobi", 4, [0.5, 1.0])
         zs = iso.compute_zeros(spec)
-        rep = iso.build_matrix(spec, zs)
         jac = dynamics.linearization_matrix(spec, zs.zeros)
-        ev_l = matrix_eigenvalues(rep.L)
-        ev_j = matrix_eigenvalues(jac)
-        assert multiset_match(ev_l, ev_j) <= 1e-8
+        d = np.diag((1.0 - zs.zeros) ** 2)
+        want = matrix_reference.L_jacobi(spec, zs.zeros)
+        got = np.linalg.inv(d) @ jac @ d
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
         z = 2.0 / (1.0 - zs.zeros)
         gh_rep = iso.build_matrix(iso.jacobi_to_ghyp(spec), z)
         s = np.diag(2.0 / z**2)
@@ -237,28 +239,46 @@ class TestBuildMatrix:
         with pytest.raises(InvalidParameters):
             iso.build_matrix(spec, iso.compute_zeros(spec), pad_count=1)
 
+    @pytest.mark.parametrize("spec", SAMPLE_SPECS[1:3], ids=lambda s: s.family.value)
+    def test_close_distinct_zeros_still_build(self, spec):
+        # a relative separation of 1e-10 lies between build_matrix's own
+        # distinctness guard (FG_SEP_TOL) and the dynamics' collision guard
+        # (COLLISION_REL), which the matrix must not pick up
+        z = iso.compute_zeros(spec).zeros.copy()
+        z[1] = z[0] + 1e-10 * max(1.0, np.max(np.abs(z)))
+        with pytest.raises(Collision):
+            dynamics.nonlinear_rhs(spec, z)
+        assert np.all(np.isfinite(iso.build_matrix(spec, z).L))
+
+    def test_aw_zero_at_branch_point_is_singular(self):
+        spec = iso.make_spec("aw", 4, [0.6, 1.1, 1.7, 2.4], q=1.8)
+        z = iso.compute_zeros(spec).zeros.copy()
+        z[0] = 1.0
+        with pytest.raises(SingularDenominator):
+            iso.build_matrix(spec, z)
+
 
 class TestSymmetrization:
     def test_wilson_even_under_global_negation(self):
         spec = iso.make_spec("wilson", 4, [0.7, 1.1, 1.6, 2.2])
         x = iso.lift_zero_variables(spec, iso.compute_zeros(spec)).zeros
-        l1 = matrices._L_wilson(spec, x)
-        l2 = matrices._L_wilson(spec, -x)
+        l1 = matrix_reference.L_wilson(spec, x)
+        l2 = matrix_reference.L_wilson(spec, -x)
         assert np.max(np.abs(l1 - l2)) <= 1e-12 * max(1.0, np.max(np.abs(l1)))
 
     def test_racah_even_under_global_negation(self):
         spec = iso.make_spec("racah", 4, [1.1, 2.2, 0.8, 1.4])
         y = iso.lift_zero_variables(spec, iso.compute_zeros(spec)).zeros
-        l1 = matrices._L_racah(spec, y)
-        l2 = matrices._L_racah(spec, -y)
+        l1 = matrix_reference.L_racah(spec, y)
+        l2 = matrix_reference.L_racah(spec, -y)
         assert np.max(np.abs(l1 - l2)) <= 1e-12 * max(1.0, np.max(np.abs(l1)))
 
     def test_aw_invariant_under_global_inversion(self):
         spec = iso.make_spec("aw", 4, [0.6, 1.1, 1.7, 2.4], q=1.8)
         zs = iso.compute_zeros(spec).zeros
         z = zs + np.sqrt(zs * zs - 1.0)
-        l1 = matrices._L_aw(spec, z)
-        l2 = matrices._L_aw(spec, 1.0 / z)
+        l1 = matrix_reference.L_aw(spec, z)
+        l2 = matrix_reference.L_aw(spec, 1.0 / z)
         assert np.max(np.abs(l1 - l2)) <= 1e-12 * max(1.0, np.max(np.abs(l1)))
 
 
