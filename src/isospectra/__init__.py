@@ -20,6 +20,7 @@ from .families import (
     Family,
     FamilySpec,
     build_polynomial,
+    closed_form_spectrum,
     compute_zeros,
     defining_equation_residual,
     jacobi_to_ghyp,
@@ -34,7 +35,6 @@ from .matrices import (
     FGTable,
     IsospectralMatrix,
     build_matrix,
-    closed_form_spectrum,
     fg_jacobians,
     fg_tables,
     identity_residual,

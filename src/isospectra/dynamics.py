@@ -1,5 +1,13 @@
 """Solvable zero dynamics: coefficient systems, nonlinear systems, RK4, oracle.
 
+The right-hand-side kernels, with the f/g recursion and the exclusion
+product they share, are the one place each family's zero dynamics is
+written: `linearization_matrix` differentiates them into the isospectral
+matrix, and `equilibrium_residual_per_zero` evaluates them at the zeros,
+which is the zeros' system of algebraic identities.  The coefficient
+systems take their diagonal from `families.closed_form_spectrum`.  This
+module builds on `families` and `numeric` only; `matrices` consumes it.
+
 Variable conventions for the dynamics (differ from the natural polynomial
 variable for two families):
 
@@ -28,12 +36,11 @@ from .errors import (
     BasisIllConditioned,
     Collision,
     DivideByZeroVariable,
-    InvalidParameters,
     NonConvergence,
+    RepeatedZeros,
     SingularA,
     SingularDenominator,
 )
-from .matrices import basic_f, check_distinct, fg_recursion
 from .numeric import (
     Dual,
     Poly,
@@ -47,6 +54,7 @@ from .numeric import (
 
 _TINY = 1e-300
 COLLISION_REL = 1e-9       # pairwise separation guard during integration
+FG_SEP_TOL = 1e-12         # distinctness guard for the recursion denominators
 X_GUARD = 1e-6             # Wilson/Racah: |x_n| (resp. |y_n|) must stay above this
 RK4_FALLBACK_STEP = 1e-4   # solve_c fallback when triangular eigenvalues collide
 PIVOT_TOL = 1e-12
@@ -84,66 +92,33 @@ def time_factor(spec: fam.FamilySpec) -> complex:
 def c_system(spec: fam.FamilySpec) -> CSystem:
     """The family's linear system for the coefficients c_1..c_N (c_0 = 1 fixed).
 
-    ghyp/gbasic are lower bidiagonal with an affine drive from c_0; the four
-    named families are diagonal in their polynomial bases.  The diagonal of A
-    always equals the closed-form spectrum.
+    The diagonal of A is the closed-form spectrum.  ghyp/gbasic are lower
+    bidiagonal with an affine drive from c_0; the four named families are
+    diagonal in their polynomial bases.
     """
     fam.validate_spec(spec)
     if spec.family == fam.Family.JACOBI:
         return c_system(fam.jacobi_to_ghyp(spec))
-    N = spec.N
-    A = np.zeros((N, N), dtype=complex)
-    h = np.zeros(N, dtype=complex)
+    A = np.diag(fam.closed_form_spectrum(spec).values)
+    h = np.zeros(spec.N, dtype=complex)
     f = spec.family
-    if f == fam.Family.GHYP:
-        for m in range(1, N + 1):
-            diag = complex(m)
-            for be in spec.betas:
-                diag *= be - 1.0 + m
-            A[m - 1, m - 1] = diag
+    if f not in (fam.Family.GHYP, fam.Family.GBASIC):
+        return CSystem(A=A, h=h, time_factor=time_factor(spec), diagonal=True)
+    N, q = spec.N, spec.q
+    for m in range(1, N + 1):
+        if f == fam.Family.GHYP:
             sub = complex(N + 1 - m)
             for al in spec.alphas:
                 sub *= al - 1.0 + m
-            if m == 1:
-                h[0] = sub
-            else:
-                A[m - 1, m - 2] = sub
-        return CSystem(A=A, h=h, time_factor=time_factor(spec), diagonal=False)
-    if f == fam.Family.GBASIC:
-        q = spec.q
-        r, s = len(spec.alphas), len(spec.betas)
-        for m in range(1, N + 1):
-            diag = -(q ** float((s - r) * (N - m))) * (q ** float(-m) - 1.0)
-            for al in spec.alphas:
-                diag *= al * q ** (N - m) - 1.0
-            A[m - 1, m - 1] = diag
+        else:
             sub = q ** (N - m + 1) - 1.0
             for be in spec.betas:
                 sub *= be * q ** (N - m) - 1.0
-            if m == 1:
-                h[0] = sub
-            else:
-                A[m - 1, m - 2] = sub
-        return CSystem(A=A, h=h, time_factor=time_factor(spec), diagonal=False)
-
-    m = np.arange(1, N + 1, dtype=complex)
-    if f == fam.Family.WILSON:
-        rates = m * (2 * N - m + sum(spec.alphas) - 1.0)
-    elif f == fam.Family.RACAH:
-        al, be = spec.alphas[0], spec.alphas[1]
-        rates = m * (m - 2 * N - al - be - 1.0)
-    elif f == fam.Family.AW:
-        q = spec.q
-        prod = np.prod(spec.alphas)
-        rates = q ** float(-N) * (1.0 - q**m) * (1.0 - prod * q ** (2 * N - 1 - m))
-    elif f == fam.Family.QRACAH:
-        q = spec.q
-        ab = spec.alphas[0] * spec.alphas[1]
-        rates = q ** float(-N) * (1.0 - q**m) * (1.0 - ab * q ** (2 * N - m + 1))
-    else:
-        raise InvalidParameters(f"no coefficient system for {f!r}")
-    np.fill_diagonal(A, rates)
-    return CSystem(A=A, h=h, time_factor=time_factor(spec), diagonal=True)
+        if m == 1:
+            h[0] = sub
+        else:
+            A[m - 1, m - 2] = sub
+    return CSystem(A=A, h=h, time_factor=time_factor(spec), diagonal=False)
 
 
 def solve_c(cs: CSystem, c0, t: float) -> np.ndarray:
@@ -198,6 +173,64 @@ def solve_c(cs: CSystem, c0, t: float) -> np.ndarray:
 # return the exact Jacobian (`linearization_matrix`), which is the family's
 # isospectral matrix.
 # ---------------------------------------------------------------------------
+
+def check_distinct(z: list) -> None:
+    """Raise RepeatedZeros unless the zeros are pairwise FG_SEP_TOL-separated."""
+    if pairwise_close(z, FG_SEP_TOL):
+        raise RepeatedZeros("zeros must be pairwise distinct")
+
+
+def fg_recursion(zeta, J: int):
+    """f, g tables over a list of scalars with field arithmetic (complex or Dual).
+
+    Returns lists f[j][n] (j = 1..J, f[0] is None) and g[j][n] (j = 0..J).
+    """
+    n_zeros = len(zeta)
+    one = 1.0 + 0.0j
+    if isinstance(zeta[0], Dual):
+        one = Dual(1.0, np.zeros_like(zeta[0].eps))
+    f = [None] * (J + 1)
+    g = [None] * (J + 1)
+    f[1] = list(zeta)
+    g[0] = [one] * n_zeros
+    for j in range(1, J):
+        fj = f[j]
+        nxt = []
+        for n, zn in enumerate(zeta):
+            fjn = fj[n]
+            acc = -fjn
+            for ell, zl in enumerate(zeta):
+                if ell != n:
+                    acc = acc + (zn * fj[ell] + zl * fjn) / (zn - zl)
+            nxt.append(acc)
+        f[j + 1] = nxt
+    for j in range(1, J + 1):
+        fj = f[j]
+        row = []
+        for n, zn in enumerate(zeta):
+            fjn = fj[n]
+            acc = 0.0 * one
+            for ell, zl in enumerate(zeta):
+                if ell != n:
+                    acc = acc + (fjn + fj[ell]) / (zn - zl)
+            row.append(acc)
+        g[j] = row
+    return f, g
+
+
+# Exclusion product of the q-family zero dynamics.  The shift `s` is q^p z_n
+# for the basic family (f_n(p, z) in the formulas) and z_n^(+-) for q-Racah.
+# `z` is a list of Python complex numbers, or of `Dual`s for the Jacobian.
+
+def basic_f(s, z, n: int):
+    """prod_{l != n} (s - z_l) / (z_n - z_l)."""
+    zn = z[n]
+    out = 1.0 + 0.0j
+    for ell, zl in enumerate(z):
+        if ell != n:
+            out *= (s - zl) / (zn - zl)
+    return out
+
 
 @lru_cache(maxsize=512)
 def _coeff_lists(elementary_coeffs, alphas: tuple, betas: tuple):
@@ -357,11 +390,12 @@ def nonlinear_rhs(spec: fam.FamilySpec, z) -> np.ndarray:
 
 
 def equilibrium_residual_per_zero(spec: fam.FamilySpec, zeros_natural) -> np.ndarray:
-    """Per-zero dynamics residual at natural-variable zeros, term-normalized."""
-    z = np.asarray(zeros_natural, dtype=complex).ravel()
-    if spec.family in fam.LIFTED_FAMILIES:
-        z = fam.lift_zero_variables(spec, ZeroSet(z, np.inf, 0.0)).zeros
-    terms = rhs_terms(spec, z)
+    """Per-zero dynamics residual at natural-variable zeros, term-normalized.
+
+    Zeros are equilibria of their dynamics, so this is each family's system of
+    algebraic identities for its zeros (`matrices.identity_residual`).
+    """
+    terms = rhs_terms(spec, to_dynamics_variable(spec, zeros_natural))
     scale = np.maximum(np.max(np.abs(terms), axis=1), _TINY)
     return terms.sum(axis=1) / scale
 
@@ -389,6 +423,8 @@ def integrate(spec: fam.FamilySpec, z0, t1: float, steps: int, record_every: int
 
     Returns (times, trajectory) where trajectory[k] is the state at times[k];
     states are recorded every `record_every` steps (first and last always).
+    A recorded state that is not finite (the step overflowed the dynamic
+    range of doubles) raises NonConvergence.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -405,6 +441,8 @@ def integrate(spec: fam.FamilySpec, z0, t1: float, steps: int, record_every: int
         z = z + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         _check_separation(z.tolist())
         if k % record_every == 0 or k == steps:
+            if not np.all(np.isfinite(z)):
+                raise NonConvergence(f"integration state not finite at t = {k * h:g}")
             times.append(k * h)
             traj.append(z.copy())
     return np.asarray(times), np.asarray(traj)

@@ -43,6 +43,7 @@ from .errors import (
     SingularSample,
 )
 from .numeric import (
+    EigenMultiset,
     Poly,
     ZeroSet,
     ddc,
@@ -117,6 +118,49 @@ def jacobi_to_ghyp(spec: FamilySpec) -> FamilySpec:
     """The ghyp instance whose zeros are 2/(1 - x_n) for Jacobi zeros x_n."""
     al, be = spec.alphas
     return make_spec(Family.GHYP, spec.N, alphas=(spec.N + al + be + 1.0,), betas=(al + 1.0,))
+
+
+def closed_form_spectrum(spec: FamilySpec) -> EigenMultiset:
+    """The closed-form eigenvalues lambda_1..lambda_N of the family's isospectral matrix.
+
+    They are also the diagonal of the coefficient system (`dynamics.c_system`)
+    and lambda_N is the eigenvalue of the defining equation.  The spec is not
+    validated, so a rate can be read where the construction itself degenerates.
+    """
+    if spec.family == Family.JACOBI:
+        return closed_form_spectrum(jacobi_to_ghyp(spec))
+    N, fam = spec.N, spec.family
+    if fam == Family.GBASIC:
+        q = spec.q
+        r, s = len(spec.alphas), len(spec.betas)
+        lam = []
+        for m in range(1, N + 1):
+            rate = -(q ** float((s - r) * (N - m))) * (q ** float(-m) - 1.0)
+            for al in spec.alphas:
+                rate *= al * q ** (N - m) - 1.0
+            lam.append(rate)
+        return EigenMultiset(values=np.array(lam, dtype=complex))
+    m = np.arange(1, N + 1, dtype=complex)
+    if fam == Family.GHYP:
+        lam = m.copy()
+        for be in spec.betas:
+            lam *= be - 1.0 + m
+    elif fam == Family.WILSON:
+        lam = m * (2 * N - m + sum(spec.alphas) - 1.0)
+    elif fam == Family.RACAH:
+        al, be = spec.alphas[0], spec.alphas[1]
+        lam = m * (m - 2 * N - al - be - 1.0)
+    elif fam == Family.AW:
+        q = spec.q
+        prod = np.prod(spec.alphas)
+        lam = q ** float(-N) * (1.0 - q**m) * (1.0 - prod * q ** (2 * N - 1 - m))
+    elif fam == Family.QRACAH:
+        q = spec.q
+        ab = spec.alphas[0] * spec.alphas[1]
+        lam = q ** float(-N) * (1.0 - q**m) * (1.0 - ab * q ** (2 * N - m + 1))
+    else:
+        raise InvalidParameters(f"no spectrum formula for {fam!r}")
+    return EigenMultiset(values=np.asarray(lam, dtype=complex))
 
 
 def validate_spec(spec: FamilySpec) -> None:
@@ -645,32 +689,29 @@ def defining_equation_residual(spec: FamilySpec, sample, poly: Optional[Poly] = 
         first, second = halves(spec, poly if poly is not None else build_polynomial(spec))
         return _normalized([first(s), -second(s)])
 
+    lam = closed_form_spectrum(spec).values[-1]
     if fam == Family.WILSON:
-        sig = sum(spec.alphas)
         w = lambda x: value(x * x)
         terms = [
             wilson_B(spec, -s) * (w(s) - w(s + 1j)),
             wilson_B(spec, s) * (w(s) - w(s - 1j)),
-            spec.N * (spec.N + sig - 1.0) * w(s),
+            lam * w(s),
         ]
         return _normalized(terms)
 
     if fam == Family.RACAH:
-        al, be = spec.alphas[0], spec.alphas[1]
         t2 = racah_theta(spec) ** 2
         qt = lambda y: value(y * y - t2)
         terms = [
             racah_Dtilde(spec, s) * (qt(s + 1.0) - qt(s)),
             racah_Dtilde(spec, -s) * (qt(s - 1.0) - qt(s)),
-            -spec.N * (spec.N + al + be + 1.0) * qt(s),
+            lam * qt(s),
         ]
         return _normalized(terms)
 
     if fam == Family.AW:
         q = spec.q
-        a, b, c, d = spec.alphas
         Q = lambda z: value((z * z + 1.0) / (2.0 * z))
-        lam = (q ** (-spec.N) - 1.0) * (1.0 - a * b * c * d * q ** (spec.N - 1))
         terms = [
             lam * Q(s),
             aw_D(spec, s) * (Q(s) - Q(q * s)),
@@ -679,9 +720,6 @@ def defining_equation_residual(spec: FamilySpec, sample, poly: Optional[Poly] = 
         return _normalized(terms)
 
     if fam == Family.QRACAH:
-        al, be = spec.alphas[:2]
-        q = spec.q
-        lam = (q ** (-spec.N) - 1.0) * (1.0 - al * be * q ** (spec.N + 1))
         zp = qracah_shift(spec, s, +1)
         zm = qracah_shift(spec, s, -1)
         terms = [

@@ -72,22 +72,6 @@ class Poly:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, scalar):
-        return Poly(self.coeffs / scalar)
-
-    def __add__(self, other):
-        if isinstance(other, Poly):
-            return Poly(npp.polyadd(self.coeffs, other.coeffs))
-        return NotImplemented
-
-    def __sub__(self, other):
-        if isinstance(other, Poly):
-            return Poly(npp.polysub(self.coeffs, other.coeffs))
-        return NotImplemented
-
-    def __neg__(self):
-        return Poly(-self.coeffs)
-
     def deriv(self) -> "Poly":
         if self.degree == 0:
             return Poly([0.0])
@@ -425,11 +409,6 @@ def dsqrt(x):
         r = cmath.sqrt(x.val)
         return Dual(r, x.eps / (2.0 * r))
     return cmath.sqrt(complex(x))
-
-
-def value_of(x):
-    """Plain complex value of a complex or Dual scalar."""
-    return x.val if isinstance(x, Dual) else complex(x)
 
 
 # ---------------------------------------------------------------------------

@@ -6,13 +6,15 @@ zero-dynamics kernels, with the helpers only they used.  They keep every
 formula literal and serve the tests as an independent reference for the
 Jacobian construction.  The "+[x_s -> -x_s]" (resp. "[z_s -> 1/z_s]")
 symmetrization symbols are realized as a second evaluation of the same
-expression with mapped arguments, added to the first.
+expression with mapped arguments, added to the first.  The explicit gbasic
+product identity, kept the same way, checks `identity_residual`.
 """
 
 import numpy as np
 
 from isospectra import families as fam
-from isospectra.matrices import DEFAULT_PAD_VALUES, basic_f, fg_jacobians
+from isospectra.dynamics import basic_f
+from isospectra.matrices import DEFAULT_PAD_VALUES, fg_jacobians
 from isospectra.numeric import Dual, ZeroSet, dsqrt, elementary_coeffs_basic, elementary_coeffs_hyp
 
 
@@ -353,3 +355,36 @@ def reference_matrix(spec, zs, pad_count=0):
     if f == fam.Family.AW:
         return L_aw(spec, zeta + np.sqrt(zeta * zeta - 1.0))
     return {fam.Family.JACOBI: L_jacobi, fam.Family.GBASIC: L_gbasic, fam.Family.QRACAH: L_qracah}[f](spec, zeta)
+
+
+def gbasic_product_identity(spec, zeta: np.ndarray) -> np.ndarray:
+    """Per-zero residuals of the basic family's explicit product identity.
+
+    The q-analogue of the b.f - a.g identity, written with the products
+    w(p) = prod_l (q^p zeta_n - zeta_l); each residual is normalized by its
+    largest term.  It is the same identity as the equilibrium of the gbasic
+    zero dynamics, written independently of the dynamics kernel.
+    """
+    q = spec.q
+    N = spec.N
+    r, s = len(spec.alphas), len(spec.betas)
+    a, b = elementary_coeffs_basic(spec.alphas, spec.betas)
+    out = np.zeros(len(zeta), dtype=complex)
+    for n in range(len(zeta)):
+        def w(p):
+            return complex(np.prod(zeta[n] * q ** float(p) - zeta))
+
+        terms = [-w(1)]
+        terms += [
+            (-1.0) ** k * q ** float(-k) * b[k - 1] * (w(k) - w(k + 1))
+            for k in range(1, s + 1)
+        ]
+        sign = -((-1.0) ** (r - s)) * zeta[n]
+        terms.append(sign * (w(s - r) - q ** float(-N) * w(s - r + 1)))
+        terms += [
+            sign * (-1.0) ** j * a[j - 1] * (w(s - r + j) - q ** float(-N) * w(s - r + j + 1))
+            for j in range(1, r + 1)
+        ]
+        terms = np.asarray(terms)
+        out[n] = terms.sum() / max(float(np.max(np.abs(terms))), 1e-300)
+    return out

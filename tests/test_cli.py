@@ -1,9 +1,12 @@
 """CLI surface: subcommands, JSON schema, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from isospectra import cli, families
 
@@ -167,7 +170,23 @@ class TestEvolve:
         assert report["max_deviation"] <= 1e-6
 
 
+    def test_overflowing_trajectory_exit_4(self, capsys):
+        # the RK4 state overflows to NaN at this horizon; the run must not pass
+        code, out = run(
+            capsys,
+            ["evolve", "--family", "wilson", "-N", "2", "--alphas", "1,1,1,1", "--t1", "1e300", "--steps", "3"],
+        )
+        assert code == 4 and out == ""
+
+
 class TestSweep:
+    @pytest.mark.parametrize("nmax", ["1", "0", "-1"])
+    def test_nmax_below_two_exit_2(self, capsys, nmax):
+        code = cli.main(["sweep", "--family", "ghyp11", "--draws", "1", "--nmax", nmax])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
     def test_small_sweep_passes(self, capsys):
         code, out = run(capsys, ["sweep", "--family", "ghyp11", "--draws", "3", "--seed", "5", "--nmax", "6"])
         report = json.loads(out)
@@ -335,3 +354,59 @@ class TestConsoleEntryPoint:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["pass"] is True
+
+
+# argv fuzz domain: every subcommand, valid and invalid families, degrees,
+# step counts and draw sizes around their limits, and malformed value tokens
+VALUE_TOKENS = ["nan", "1e300", "", "x", "1+1i", "0", "-1", "1.4", "1.7", "2.3,3.1",
+                "0.5,1.0", "0.7,1.1,1.6,2.2", "1.1,2.2,0.8,1.4"]
+FUZZ_FAMILIES = ["ghyp", "gbasic", "wilson", "racah", "aw", "askey-wilson", "qracah", "jacobi", "nope"]
+
+
+def _flag(name, values):
+    return st.one_of(st.just([]), values.map(lambda v: [name, str(v)]))
+
+
+@st.composite
+def cli_argv(draw):
+    command = draw(st.sampled_from(["zeros", "matrix", "verify", "evolve", "sweep"]))
+    tokens = st.sampled_from(VALUE_TOKENS)
+    if command == "sweep":
+        groups = [
+            _flag("--family", st.sampled_from([*cli.CONSTRUCTIONS, "all", "nope"])),
+            _flag("--draws", st.integers(-1, 1)),
+            _flag("--nmax", st.integers(-1, 4)),
+            _flag("--seed", st.integers(0, 3)),
+        ]
+    else:
+        groups = [
+            _flag("--family", st.sampled_from(FUZZ_FAMILIES)),
+            _flag("-N", st.integers(-1, 5)),
+            _flag("--alphas", tokens),
+            _flag("--betas", tokens),
+            _flag("--q", tokens),
+        ]
+        if command == "evolve":
+            # --steps is always given: the default 2000 steps is slow for a fuzz case
+            groups += [
+                st.integers(-1, 20).map(lambda v: ["--steps", str(v)]),
+                _flag("--record-every", st.integers(0, 7)),
+                _flag("--t1", tokens),
+                _flag("--perturb", tokens),
+            ]
+    return [command] + [tok for group in groups for tok in draw(group)]
+
+
+class TestArgvFuzz:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(argv=cli_argv())
+    def test_exit_code_is_documented(self, argv):
+        # any escaping exception other than argparse's SystemExit fails the test
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        assert code in (0, 1, 2, 3, 4), (argv, code)
+        assert "Traceback" not in err.getvalue(), argv

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import isospectra as iso
 import rhs_reference
-from isospectra import dynamics, families, matrices
+from isospectra import dynamics, families
 from isospectra.errors import Collision, DivideByZeroVariable, SingularA, SingularDenominator
 from isospectra.numeric import multiset_match
 
@@ -65,7 +65,7 @@ class TestCSystem:
         # that same condition degenerates the polynomial's leading coefficient,
         # so spec validation refuses to build the full system
         spec = iso.make_spec("aw", 1, [1.0, 1.0, 1.0, 1.0], q=2.0)
-        lam = matrices.closed_form_spectrum(spec)
+        lam = iso.closed_form_spectrum(spec)
         assert abs(lam.values[0]) < 1e-14
         with pytest.raises(iso.InvalidParameters):
             dynamics.c_system(spec)
@@ -309,7 +309,7 @@ class TestLinearization:
         zs = iso.compute_zeros(spec)
         zdyn = dynamics.to_dynamics_variable(spec, zs.zeros)
         jac = dynamics.linearization_matrix(spec, zdyn)
-        lam = matrices.closed_form_spectrum(spec).values
+        lam = iso.closed_form_spectrum(spec).values
         tf = TIME_FACTOR[spec.family.value]
         ev = iso.matrix_eigenvalues(jac)
         # exact Jacobian: worst is gbasic at 1.5e-11, set by its eigenvector

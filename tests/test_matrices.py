@@ -148,28 +148,22 @@ class TestFGJacobians:
 
 class TestClosedFormSpectrum:
     def test_ghyp(self):
-        lam = matrices.closed_form_spectrum(iso.make_spec("ghyp", 2, [1.0], [3.0]))
+        lam = iso.closed_form_spectrum(iso.make_spec("ghyp", 2, [1.0], [3.0]))
         np.testing.assert_allclose(lam.values, [3.0, 8.0])
 
     def test_jacobi(self):
-        lam = matrices.closed_form_spectrum(iso.make_spec("jacobi", 2, [0.0, 0.0]))
+        lam = iso.closed_form_spectrum(iso.make_spec("jacobi", 2, [0.0, 0.0]))
         np.testing.assert_allclose(lam.values, [1.0, 4.0])
 
     def test_gbasic_n1(self):
-        lam = matrices.closed_form_spectrum(iso.make_spec("gbasic", 1, [3.0], [5.0], q=2.0))
+        lam = iso.closed_form_spectrum(iso.make_spec("gbasic", 1, [3.0], [5.0], q=2.0))
         np.testing.assert_allclose(lam.values, [1.0])
 
-    def test_gbasic_matches_triangular_csystem(self):
-        spec = iso.make_spec("gbasic", 5, [1.7, 0.9], [2.3], q=1.6)
+    @pytest.mark.parametrize("spec", SAMPLE_SPECS[1:], ids=lambda s: s.family.value)
+    def test_matches_triangular_csystem(self, spec):
+        # c_system takes its diagonal from the closed form, for every family
         cs = dynamics.c_system(spec)
-        lam = matrices.closed_form_spectrum(spec)
-        assert multiset_match(np.diag(cs.A), lam) < 1e-14
-
-    def test_ghyp_matches_triangular_csystem(self):
-        spec = iso.make_spec("ghyp", 6, [1.7, 0.9], [2.3, 3.3], q=None)
-        cs = dynamics.c_system(spec)
-        lam = matrices.closed_form_spectrum(spec)
-        assert multiset_match(np.diag(cs.A), lam) < 1e-14
+        assert np.array_equal(np.diag(cs.A), iso.closed_form_spectrum(spec).values)
 
 
 class TestBuildMatrix:
@@ -306,6 +300,22 @@ class TestIdentityResidual:
     def test_named_families_delegate_to_equilibrium(self, spec):
         res = iso.identity_residual(spec, iso.compute_zeros(spec))
         assert np.max(np.abs(res)) <= 1e-8
+
+    @pytest.mark.parametrize("construction", ["gbasic11", "gbasic21", "gbasic22"])
+    def test_gbasic_matches_product_identity(self, construction):
+        # the equilibrium of the gbasic dynamics is the explicit product
+        # identity, zero by zero (measured worst difference 2.9e-15)
+        for spec, zs in reference_draws(construction):
+            got = np.abs(iso.identity_residual(spec, zs))
+            want = np.abs(matrix_reference.gbasic_product_identity(spec, zs.zeros))
+            assert np.max(np.abs(got - want)) <= 1e-13, spec
+
+    def test_jacobi_matches_ghyp_image(self):
+        # the jacobi identities are those of its ghyp image at z = 2/(1 - x)
+        for spec, zs in reference_draws("jacobi"):
+            got = np.abs(iso.identity_residual(spec, zs))
+            want = np.abs(iso.identity_residual(iso.jacobi_to_ghyp(spec), 2.0 / (1.0 - zs.zeros)))
+            assert np.max(np.abs(got - want)) <= 1e-13, spec
 
     def test_perturbed_zeros_detected(self):
         spec = iso.make_spec("ghyp", 5, [1.9, 0.8], [2.7, 3.4])
