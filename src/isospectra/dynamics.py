@@ -536,8 +536,12 @@ def algebraic_trajectory(spec: fam.FamilySpec, z0, times) -> np.ndarray:
     prev = z0
     prev_u = u0
     for k, t in enumerate(times):
-        c_t = solve_c(cs, c_full[1:], float(t))
-        coeffs = B @ np.concatenate([[c_full[0]], c_t])
+        with np.errstate(over="ignore", invalid="ignore"):
+            coeffs = B @ np.concatenate([[c_full[0]], solve_c(cs, c_full[1:], float(t))])
+        if not np.all(np.isfinite(coeffs)):
+            raise NonConvergence(
+                f"coefficient dynamic range exhausted at t = {t:g} (non-finite coefficient)"
+            )
         poly_t = Poly(coeffs)
         if poly_t.degree != len(z0):
             # exploding modes pushed the leading coefficient below trim level
@@ -545,7 +549,7 @@ def algebraic_trajectory(spec: fam.FamilySpec, z0, times) -> np.ndarray:
                 f"coefficient dynamic range exhausted at t = {t:g} "
                 f"(polynomial degree {poly_t.degree} < N = {len(z0)})"
             )
-        roots = poly_roots(poly_t, tol=1e-9, max_iter=400).zeros
+        roots = poly_roots(poly_t, tol=1e-9).zeros
         if lifted:
             u_t = _match_order(roots, prev_u)
             z_t = _sqrt_continuous(u_t, prev)

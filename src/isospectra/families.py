@@ -57,6 +57,7 @@ from .numeric import (
     ddc_q_pochhammer,
     ddc_to_complex,
     dsqrt,
+    min_separation,
     poly_roots,
 )
 
@@ -65,6 +66,8 @@ _DD_UNIT = 2.0**-104       # relative rounding of one double-double operation
 PARAM_POLE_TOL = 1e-10     # plain Pochhammer validity margin
 QPARAM_POLE_TOL = 1e-12    # q-Pochhammer validity margin
 ZERO_SEP_REL = 1e-8        # distinctness threshold, relative to zero scale
+ZERO_TOL = 1e-12           # largest accepted relative forward-error estimate of a zero
+REFINE_STEPS = 12          # Newton-step cap of the structured refinement
 BRANCH_TOL = 1e-10
 REAL_AXIS_REL = 8 * 2.0**-52  # Im below this share of the operands' size is rounding noise
 SINGULAR_RADIUS = 1e-3     # exclusion radius around defining-equation poles
@@ -409,30 +412,30 @@ def structured_eval(spec: FamilySpec, z):
     return value, dval, 3 * spec.N * _DD_UNIT * mag + 2.0**-53 * abs(value)
 
 
-def refine_zeros(spec: FamilySpec, roots: np.ndarray, steps: int = 12):
+def refine_zeros(spec: FamilySpec, roots: np.ndarray):
     """Newton-polish roots against the structured evaluation.
 
     Each root iterates until its relative Newton step |p/p'| / (1 + |z|)
     falls below rounding level in z (the root is then accurate to the last
     representable digit), or stops shrinking once it is within a few ulps
-    (the iterate then alternates between neighbouring doubles), or `steps`
-    steps are taken.  Returns the refined roots plus the worst relative
-    forward-error estimate: per root, the larger of that last step and the
-    evaluation's error bound carried to z, bound / |p'| / (1 + |z|).
+    (the iterate then alternates between neighbouring doubles), or
+    REFINE_STEPS steps are taken.  Returns the refined roots plus the worst
+    relative forward-error estimate: per root, the larger of that last step
+    and the evaluation's error bound carried to z, bound / |p'| / (1 + |z|).
     """
     out = np.array(roots, dtype=complex)
     worst = 0.0
     eps = np.finfo(float).eps
     for i, z in enumerate(out):
         prev = np.inf
-        for k in range(steps + 1):
+        for k in range(REFINE_STEPS + 1):
             val, dval, bound = structured_eval(spec, z)
             if abs(dval) < _TINY:
                 fe = np.inf
                 break
             step = val / dval
             fe = abs(step) / (1.0 + abs(z))
-            if k == steps or fe <= 0.25 * eps or (fe <= 2.0 * eps and fe > 0.5 * prev):
+            if k == REFINE_STEPS or fe <= 0.25 * eps or (fe <= 2.0 * eps and fe > 0.5 * prev):
                 fe = max(fe, bound / abs(dval) / (1.0 + abs(z)))
                 break
             z = z - step
@@ -442,39 +445,31 @@ def refine_zeros(spec: FamilySpec, roots: np.ndarray, steps: int = 12):
     return out, worst
 
 
-def compute_zeros(spec: FamilySpec, tol: float = 1e-12, max_iter: int = 200) -> ZeroSet:
+def compute_zeros(spec: FamilySpec) -> ZeroSet:
     """Zeros in the family's natural variable, sorted by (re, im).
 
-    Roots come from Aberth on the rounded coefficients, then are polished
-    against the structured sum (which keeps the digits the rounding
+    Roots come from `poly_roots` on the rounded coefficients, then are
+    polished against the structured sum (which keeps the digits the rounding
     cancels); max_poly_residual on the result is `refine_zeros`' worst
-    relative forward-error estimate, and above `tol` raises NonConvergence.
+    relative forward-error estimate, and above ZERO_TOL raises NonConvergence.
     Raises RepeatedZeros when the minimal pairwise separation drops below
     ZERO_SEP_REL times the zero scale; every downstream construction assumes
     distinct zeros.
     """
-    zs = poly_roots(build_polynomial(spec), tol=max(tol, 1e-9), max_iter=max_iter)
+    zs = poly_roots(build_polynomial(spec), tol=1e-9)
     refined, worst = refine_zeros(spec, zs.zeros)
-    if worst > tol:
+    if worst > ZERO_TOL:
         raise NonConvergence(
-            f"zero forward-error estimate {worst:.3e} > tol {tol:.1e} after refinement"
+            f"zero forward-error estimate {worst:.3e} > tol {ZERO_TOL:.1e} after refinement"
         )
     refined = refined[np.lexsort((refined.imag, refined.real))]
-    out = ZeroSet(zeros=refined, min_separation=_min_sep(refined), max_poly_residual=worst)
+    out = ZeroSet(zeros=refined, min_separation=min_separation(refined), max_poly_residual=worst)
     scale = max(1.0, float(np.max(np.abs(out.zeros))))
     if out.min_separation < ZERO_SEP_REL * scale:
         raise RepeatedZeros(
             f"min zero separation {out.min_separation:.3e} below {ZERO_SEP_REL:.0e} * scale"
         )
     return out
-
-
-def _min_sep(values: np.ndarray) -> float:
-    if len(values) < 2:
-        return float("inf")
-    diff = np.abs(values[:, None] - values[None, :])
-    np.fill_diagonal(diff, np.inf)
-    return float(diff.min())
 
 
 def _sqrt_off_noise(w: np.ndarray, scale: np.ndarray) -> np.ndarray:
@@ -518,7 +513,7 @@ def lift_zero_variables(spec: FamilySpec, zs: ZeroSet) -> ZeroSet:
         raise InvalidParameters(f"no lifted variable for family {fam.value}")
     return ZeroSet(
         zeros=lifted,
-        min_separation=_min_sep(lifted),
+        min_separation=min_separation(lifted),
         max_poly_residual=zs.max_poly_residual,
     )
 

@@ -176,7 +176,6 @@ def verify_matrix(
     ref = report.reference_spectrum
     report.computed_spectrum = ev
     report.spectral_residual = multiset_match(ev, ref)
-    ev.match_distance = report.spectral_residual
     lam_sum = complex(np.sum(ref.values))
     lam_prod = complex(np.prod(ref.values))
     report.trace_residual = abs(np.trace(report.L) - lam_sum) / max(1.0, abs(lam_sum))

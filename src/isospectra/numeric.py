@@ -1,14 +1,13 @@
 """Complex-arithmetic substrate.
 
 Dense polynomials (ascending coefficients), Pochhammer-family symbols,
-simultaneous Aberth-Ehrlich root finding, dense eigenvalues, multiset
-matching, forward-mode dual numbers and compensated (double-double) complex
-helpers.
+polynomial roots, dense eigenvalues, multiset matching, forward-mode dual
+numbers and compensated (double-double) complex helpers.
 
-All arithmetic is double-precision complex.  `poly_roots` stops as soon as
-every root's scaled backward error is at rounding level (or the corrections
-stop moving the roots); `matrix_eigenvalues` is LAPACK's QR algorithm through
-`numpy.linalg.eigvals` plus one Newton polish step, with no dimension cap.
+All arithmetic is double-precision complex.  Both eigenvalue routines use
+LAPACK's QR algorithm through `numpy.linalg.eigvals`, with no dimension cap:
+`poly_roots` on the companion matrix plus a guarded Newton polish on the
+coefficients, `matrix_eigenvalues` plus one Newton step on the determinant.
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Optional
 
 import numpy as np
 import numpy.polynomial.polynomial as npp
@@ -25,10 +23,7 @@ from .errors import CardinalityMismatch, DegenerateInput, NonConvergence
 
 TRIM_REL = 1e-14        # trailing |c| <= TRIM_REL * max|c| is treated as zero
 ROOT_TOL = 1e-12        # default scaled-residual tolerance for roots
-ROOT_MAX_ITER = 200
-BACKWARD_STOP = 2.0     # Aberth stops at backward error BACKWARD_STOP * eps * degree
 _TINY = 1e-300
-_EPS = float(np.finfo(float).eps)
 
 
 class Poly:
@@ -115,7 +110,6 @@ class EigenMultiset:
     """Eigenvalues with unordered (multiset) semantics."""
 
     values: np.ndarray
-    match_distance: Optional[float] = None
 
     def __len__(self):
         return len(self.values)
@@ -186,54 +180,26 @@ def _backward_error(c: np.ndarray, z: np.ndarray) -> np.ndarray:
     return np.abs(npp.polyval(z, c)) / (npp.polyval(np.abs(z), np.abs(c)) + _TINY)
 
 
-def poly_roots(p, tol: float = ROOT_TOL, max_iter: int = ROOT_MAX_ITER) -> ZeroSet:
-    """All roots of `p` by simultaneous Aberth-Ehrlich iteration.
+def poly_roots(p, tol: float = ROOT_TOL) -> ZeroSet:
+    """All roots of `p` as eigenvalues of its companion matrix.
 
-    Initial guesses sit on a circle whose radius is max(1, Fujiwara
-    coefficient-ratio bound), rotated by 0.42 rad so symmetric root
-    configurations do not stall the iteration.  The iteration stops once
-    every root's scaled backward error |p(z)| / sum |c_i| |z|^i is at
-    rounding level (BACKWARD_STOP * eps * degree, the size of Horner's own
-    evaluation error; Bini 1996), or once the corrections fall below rounding
-    level in z.  Every root then gets a guarded Newton polish (a step is kept
-    only if the scaled backward error improves).  Multiple roots converge
-    linearly and bottom out near sqrt(eps); that is inherent to double
-    precision, and all downstream constructions require distinct zeros
-    anyway.
+    The max-normalized coefficients go into `numpy.polynomial`'s companion
+    matrix, whose eigenvalues LAPACK's balanced QR algorithm finds backward
+    stably (Edelman & Murakami 1995).  Every root then gets a guarded Newton
+    polish on the coefficients: three steps, each kept only if the scaled
+    backward error |p(z)| / sum |c_i| |z|^i improves.  Multiple roots bottom
+    out near sqrt(eps); that is inherent to double precision, and all
+    downstream constructions require distinct zeros anyway.
 
     Raises DegenerateInput for the zero polynomial or degree < 1, and
     NonConvergence if the scaled residual still exceeds `tol` at the end.
     """
     c = (p if isinstance(p, Poly) else Poly(p)).coeffs
-    deg = len(c) - 1
-    if deg < 1:
+    if len(c) < 2:
         raise DegenerateInput("poly_roots needs degree >= 1")
     c = c / np.max(np.abs(c))
     dc = npp.polyder(c)
-    abs_c = np.abs(c)
-    at_rounding = BACKWARD_STOP * _EPS * deg
-
-    k = np.arange(deg, 0, -1, dtype=float)
-    ratios = np.abs(c[:-1] / c[-1]) ** (1.0 / k)
-    radius = max(1.0, 2.0 * float(ratios.max()))
-    angles = 2.0 * np.pi * np.arange(deg) / deg + 0.42
-    z = radius * np.exp(1j * angles)
-
-    for _ in range(max_iter):
-        pv = npp.polyval(z, c)
-        if np.all(np.abs(pv) <= at_rounding * npp.polyval(np.abs(z), abs_c)):
-            break
-        dv = npp.polyval(z, dc)
-        dv = np.where(np.abs(dv) < _TINY, _TINY, dv)
-        w = pv / dv
-        diff = z[:, None] - z[None, :]
-        np.fill_diagonal(diff, np.inf)
-        s = np.sum(1.0 / diff, axis=1)
-        denom = 1.0 - w * s
-        step = np.where(np.abs(denom) < 1e-12, w, w / denom)
-        z = z - step
-        if np.max(np.abs(step)) <= 1e-15 * (1.0 + np.max(np.abs(z))):
-            break
+    z = np.linalg.eigvals(npp.polycompanion(c))
 
     for _ in range(3):
         pv = npp.polyval(z, c)
@@ -246,17 +212,18 @@ def poly_roots(p, tol: float = ROOT_TOL, max_iter: int = ROOT_MAX_ITER) -> ZeroS
     res = _backward_error(c, z)
     worst = float(res.max())
     if worst > tol:
-        raise NonConvergence(
-            f"root residual {worst:.3e} > tol {tol:.1e} after {max_iter} iterations"
-        )
+        raise NonConvergence(f"root residual {worst:.3e} > tol {tol:.1e}")
     z = z[np.lexsort((z.imag, z.real))]
-    if deg > 1:
-        diff = np.abs(z[:, None] - z[None, :])
-        np.fill_diagonal(diff, np.inf)
-        min_sep = float(diff.min())
-    else:
-        min_sep = float("inf")
-    return ZeroSet(zeros=z, min_separation=min_sep, max_poly_residual=worst)
+    return ZeroSet(zeros=z, min_separation=min_separation(z), max_poly_residual=worst)
+
+
+def min_separation(values: np.ndarray) -> float:
+    """Smallest pairwise distance |v_i - v_j|, inf for fewer than two values."""
+    if len(values) < 2:
+        return float("inf")
+    diff = np.abs(values[:, None] - values[None, :])
+    np.fill_diagonal(diff, np.inf)
+    return float(diff.min())
 
 
 # ---------------------------------------------------------------------------

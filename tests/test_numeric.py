@@ -9,9 +9,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import isospectra as iso
+from isospectra import cli, dynamics
 from isospectra.errors import CardinalityMismatch, DegenerateInput, NonConvergence
 from isospectra.numeric import (
-    BACKWARD_STOP,
     Dual,
     _dd_add,
     _dd_mul,
@@ -32,6 +32,7 @@ from isospectra.numeric import (
     poly_roots,
     q_pochhammer,
 )
+from test_dynamics import DEMO_SPECS, perturbed_start
 
 finite_complex = st.complex_numbers(
     min_magnitude=0.0, max_magnitude=4.0, allow_nan=False, allow_infinity=False
@@ -249,26 +250,68 @@ class TestPolyRoots:
         with pytest.raises(DegenerateInput):
             poly_roots(Poly([3.0]))
 
-    def test_stops_at_rounding_level(self, monkeypatch):
-        # a safe-box racah draw on which the correction-size test alone never
-        # fires: the iteration used to run all ROOT_MAX_ITER = 200 iterations
+    def test_stops_at_rounding_level(self):
+        # a safe-box racah draw: every root's scaled backward error ends at
+        # 2 eps deg, the size of Horner's own evaluation error
         spec = iso.make_spec(
             "racah", 6, [2.6123844380864822, 1.041393051647385, 2.723188787953626, 1.7372567706639868]
         )
         c = iso.build_polynomial(spec).coeffs
-        evaluations = []
-        polyval = npp.polyval
-        monkeypatch.setattr(npp, "polyval", lambda *a: evaluations.append(1) or polyval(*a))
         zs = poly_roots(Poly(c))
-        monkeypatch.undo()
-        assert len(evaluations) < 150  # 3 per Aberth iteration, plus the Newton polish
         backward = np.abs(npp.polyval(zs.zeros, c)) / npp.polyval(np.abs(zs.zeros), np.abs(c))
-        assert np.all(backward <= BACKWARD_STOP * np.finfo(float).eps * 6)
+        assert np.all(backward <= 2 * np.finfo(float).eps * 6)
 
     def test_nonconvergence_flagged(self):
         coeffs = npp.polyfromroots(np.arange(1.0, 7.0))
         with pytest.raises(NonConvergence):
-            poly_roots(Poly(coeffs), max_iter=1)
+            poly_roots(Poly(coeffs), tol=1e-30)
+
+
+def oracle_polynomials(spec):
+    """The polynomials the algebraic oracle roots on t = 0, 0.05, ..., 0.5 from a perturbed start."""
+    polys = []
+
+    def recording(p, **kwargs):
+        polys.append(p.coeffs)
+        return poly_roots(p, **kwargs)
+
+    dynamics.poly_roots, saved = recording, dynamics.poly_roots
+    try:
+        dynamics.algebraic_trajectory(spec, perturbed_start(spec), np.linspace(0.0, 0.5, 11))
+    finally:
+        dynamics.poly_roots = saved
+    return polys
+
+
+def assert_matches_mpmath(c, bound):
+    mp = pytest.importorskip("mpmath")
+    got = poly_roots(c, tol=1e-9).zeros
+    with mp.workdps(50):
+        ref = mp.polyroots([mp.mpc(complex(x)) for x in c[::-1]], maxsteps=200, extraprec=100)
+    ref = np.array([complex(r) for r in ref])
+    for z in got:
+        nearest = ref[np.argmin(np.abs(ref - z))]
+        assert abs(z - nearest) <= bound * abs(nearest), (z, nearest)
+
+
+class TestPolyRootsAccuracy:
+    """poly_roots against 50-digit mpmath roots of the same double coefficients.
+
+    Each bound is 4x the worst per-root relative error that the Aberth-Ehrlich
+    iteration this replaced had on the same polynomials (6.2e-13 on the
+    oracle polynomials, 9.3e-12 on the N = 8 draws, both aw), so the tests
+    pin "no less accurate than Aberth".
+    """
+
+    @pytest.mark.parametrize("spec", DEMO_SPECS, ids=lambda s: s.family.value)
+    def test_oracle_polynomials(self, spec):
+        for c in oracle_polynomials(spec):
+            assert_matches_mpmath(c, 2.5e-12)
+
+    @pytest.mark.parametrize("index, name", enumerate(cli.CONSTRUCTIONS), ids=list(cli.CONSTRUCTIONS))
+    def test_n8_draw(self, index, name):
+        spec, _ = cli.draw_spec(name, 8, np.random.default_rng([2026, index]), nmin=8)
+        assert_matches_mpmath(iso.build_polynomial(spec).coeffs, 3.7e-11)
 
 
 class TestMatrixEigenvalues:
