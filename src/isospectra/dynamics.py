@@ -171,7 +171,10 @@ def solve_c(cs: CSystem, c0, t: float) -> np.ndarray:
 # loops beat masked N x N numpy arrays, whose fixed cost per call dominates
 # (README, "Zero-dynamics kernels").  Fed `Dual`s instead, the same kernels
 # return the exact Jacobian (`linearization_matrix`), which is the family's
-# isospectral matrix.
+# isospectral matrix.  The (q-)hypergeometric kernels take 1 / (z_n - z_l)
+# from one `pair_reciprocals` table, so the Jacobian pass pays for one `Dual`
+# reciprocal per unordered pair instead of one division per ordered pair and
+# factor.
 # ---------------------------------------------------------------------------
 
 def check_distinct(z: list) -> None:
@@ -180,55 +183,75 @@ def check_distinct(z: list) -> None:
         raise RepeatedZeros("zeros must be pairwise distinct")
 
 
+def pair_reciprocals(z: list) -> list:
+    """inv[n][l] = 1 / (z_n - z_l) for l != n; the diagonal is None.
+
+    Each unordered pair is inverted once and its mirror stores the negation,
+    so a kernel's pair terms need one reciprocal per pair and no division.
+    `z` is a list of Python complex numbers or of `Dual`s.
+    """
+    n_zeros = len(z)
+    inv = [[None] * n_zeros for _ in range(n_zeros)]
+    for n, zn in enumerate(z):
+        row = inv[n]
+        for ell in range(n + 1, n_zeros):
+            r = 1.0 / (zn - z[ell])
+            row[ell] = r
+            inv[ell][n] = -r
+    return inv
+
+
 def fg_recursion(zeta, J: int):
     """f, g tables over a list of scalars with field arithmetic (complex or Dual).
 
-    Returns lists f[j][n] (j = 1..J, f[0] is None) and g[j][n] (j = 0..J).
+    f^(j+1)_n = -f^(j)_n + sum_{l != n} (z_n f^(j)_l + z_l f^(j)_n) / (z_n - z_l) and
+    g^(j)_n = sum_{l != n} (f^(j)_n + f^(j)_l) / (z_n - z_l).  Both pair terms are
+    antisymmetric in (n, l), so each is formed once per unordered pair, added
+    to row n and subtracted from row l; every row still accumulates its terms
+    in ascending l.  Returns lists f[j][n] (j = 1..J, f[0] is None) and
+    g[j][n] (j = 0..J).
     """
     n_zeros = len(zeta)
-    one = 1.0 + 0.0j
-    if isinstance(zeta[0], Dual):
-        one = Dual(1.0, np.zeros_like(zeta[0].eps))
+    inv = pair_reciprocals(zeta)
+    zero = zeta[0] * 0.0
     f = [None] * (J + 1)
     g = [None] * (J + 1)
     f[1] = list(zeta)
-    g[0] = [one] * n_zeros
+    g[0] = [zero + 1.0] * n_zeros
     for j in range(1, J):
         fj = f[j]
-        nxt = []
+        acc = [-v for v in fj]
         for n, zn in enumerate(zeta):
-            fjn = fj[n]
-            acc = -fjn
-            for ell, zl in enumerate(zeta):
-                if ell != n:
-                    acc = acc + (zn * fj[ell] + zl * fjn) / (zn - zl)
-            nxt.append(acc)
-        f[j + 1] = nxt
+            fjn, inv_n = fj[n], inv[n]
+            for ell in range(n + 1, n_zeros):
+                t = (zn * fj[ell] + zeta[ell] * fjn) * inv_n[ell]
+                acc[n] = acc[n] + t
+                acc[ell] = acc[ell] - t
+        f[j + 1] = acc
     for j in range(1, J + 1):
         fj = f[j]
-        row = []
-        for n, zn in enumerate(zeta):
-            fjn = fj[n]
-            acc = 0.0 * one
-            for ell, zl in enumerate(zeta):
-                if ell != n:
-                    acc = acc + (fjn + fj[ell]) / (zn - zl)
-            row.append(acc)
-        g[j] = row
+        acc = [zero] * n_zeros
+        for n in range(n_zeros):
+            fjn, inv_n = fj[n], inv[n]
+            for ell in range(n + 1, n_zeros):
+                t = (fjn + fj[ell]) * inv_n[ell]
+                acc[n] = acc[n] + t
+                acc[ell] = acc[ell] - t
+        g[j] = acc
     return f, g
 
 
 # Exclusion product of the q-family zero dynamics.  The shift `s` is q^p z_n
 # for the basic family (f_n(p, z) in the formulas) and z_n^(+-) for q-Racah.
-# `z` is a list of Python complex numbers, or of `Dual`s for the Jacobian.
+# `z` is a list of Python complex numbers, or of `Dual`s for the Jacobian,
+# and `inv_n` is row n of `pair_reciprocals(z)`.
 
-def basic_f(s, z, n: int):
-    """prod_{l != n} (s - z_l) / (z_n - z_l)."""
-    zn = z[n]
+def basic_f(s, z, n: int, inv_n: list):
+    """prod_{l != n} (s - z_l) / (z_n - z_l), as products with inv_n[l] = 1 / (z_n - z_l)."""
     out = 1.0 + 0.0j
     for ell, zl in enumerate(z):
         if ell != n:
-            out *= (s - zl) / (zn - zl)
+            out = (s - zl) * inv_n[ell] * out
     return out
 
 
@@ -259,9 +282,10 @@ def _rhs_terms_gbasic(spec, z):
     qm1 = {p: v - 1.0 for p, v in qp.items()}
     cb = [sgn_s * b[k - 1] * (-1.0) ** k / q**k for k in range(1, s + 1)]
     ca = [a[j - 1] * (-1.0) ** j for j in range(1, r + 1)]
+    inv = pair_reciprocals(z)
     rows = []
     for n, zn in enumerate(z):
-        fn = {p: basic_f(v * zn, z, n) for p, v in qp.items()}
+        fn = {p: basic_f(v * zn, z, n, inv[n]) for p, v in qp.items()}
         sz = sgn_r * zn
         row = [sgn_s * (q - 1.0) * fn[1]]
         row += [c * (qm1[k + 1] * fn[k + 1] - qm1[k] * fn[k]) for k, c in enumerate(cb, 1)]
@@ -331,13 +355,14 @@ def _rhs_terms_aw(spec, x):
 
 
 def _rhs_terms_qracah(spec, z):
+    inv = pair_reciprocals(z)
     rows = []
     for n, zn in enumerate(z):
         zp = fam.qracah_shift(spec, zn, +1)
         zm = fam.qracah_shift(spec, zn, -1)
         rows.append([
-            fam.qracah_B(spec, zn) * (zp - zn) * basic_f(zp, z, n),
-            fam.qracah_D(spec, zn) * (zm - zn) * basic_f(zm, z, n),
+            fam.qracah_B(spec, zn) * (zp - zn) * basic_f(zp, z, n, inv[n]),
+            fam.qracah_D(spec, zn) * (zm - zn) * basic_f(zm, z, n, inv[n]),
         ])
     return rows
 
@@ -549,7 +574,7 @@ def algebraic_trajectory(spec: fam.FamilySpec, z0, times) -> np.ndarray:
                 f"coefficient dynamic range exhausted at t = {t:g} "
                 f"(polynomial degree {poly_t.degree} < N = {len(z0)})"
             )
-        roots = poly_roots(poly_t, tol=1e-9).zeros
+        roots = poly_roots(poly_t).zeros
         if lifted:
             u_t = _match_order(roots, prev_u)
             z_t = _sqrt_continuous(u_t, prev)
@@ -593,9 +618,12 @@ def linearization_matrix(spec: fam.FamilySpec, z) -> np.ndarray:
     """Exact Jacobian of the dynamics RHS at `z`, in the dynamics variable.
 
     The family's kernel runs once on `Dual.seed(z)`, so each entry is the
-    derivative of the RHS formula itself, not a difference quotient.  The
-    collision guard of `nonlinear_rhs` is not applied: it protects
-    trajectories, and `build_matrix` checks distinctness at its own threshold.
+    derivative of the RHS formula itself, not a difference quotient: one
+    forward pass whose `Dual`s carry all N partials as a list.  A division
+    by zero inside the pass raises before any inf/nan is formed and becomes
+    `SingularDenominator` (`_kernel_rows`).  The collision guard of
+    `nonlinear_rhs` is not applied: it protects trajectories, and
+    `build_matrix` checks distinctness at its own threshold.
     """
     z = np.asarray(z, dtype=complex).ravel()
     return np.array([sum(row).eps for row in _kernel_rows(spec, Dual.seed(z))], dtype=complex)

@@ -456,7 +456,7 @@ def compute_zeros(spec: FamilySpec) -> ZeroSet:
     ZERO_SEP_REL times the zero scale; every downstream construction assumes
     distinct zeros.
     """
-    zs = poly_roots(build_polynomial(spec), tol=1e-9)
+    zs = poly_roots(build_polynomial(spec))
     refined, worst = refine_zeros(spec, zs.zeros)
     if worst > ZERO_TOL:
         raise NonConvergence(

@@ -2,7 +2,8 @@
 
 Dense polynomials (ascending coefficients), Pochhammer-family symbols,
 polynomial roots, dense eigenvalues, multiset matching, forward-mode dual
-numbers and compensated (double-double) complex helpers.
+numbers (a value plus a list of partials) and compensated (double-double)
+complex helpers.
 
 All arithmetic is double-precision complex.  Both eigenvalue routines use
 LAPACK's QR algorithm through `numpy.linalg.eigvals`, with no dimension cap:
@@ -22,7 +23,7 @@ import numpy.polynomial.polynomial as npp
 from .errors import CardinalityMismatch, DegenerateInput, NonConvergence
 
 TRIM_REL = 1e-14        # trailing |c| <= TRIM_REL * max|c| is treated as zero
-ROOT_TOL = 1e-12        # default scaled-residual tolerance for roots
+ROOT_TOL = 1e-9         # default scaled-residual tolerance for roots
 _TINY = 1e-300
 
 
@@ -301,64 +302,77 @@ def pairwise_close(values: list, rel: float) -> bool:
 # ---------------------------------------------------------------------------
 
 class Dual:
-    """Scalar forward-mode dual: a value plus a vector of partials.
+    """Scalar forward-mode dual: a value plus a list of partials.
 
     Supports +, -, *, /, integer powers, and principal sqrt (via `dsqrt`);
     that is all the zero-dynamics kernels need to return their own Jacobian.
     `abs` is the magnitude of the value, for the kernels' guards.
+
+    The partials are a Python list of `complex`, and every operation builds
+    its result's list in one comprehension (a product's tangent is
+    `[u*b + v*a ...]`).  At the kernels' sizes this is faster than numpy
+    vectors, whose per-operation temporaries cost more than the arithmetic
+    (README, "Matrices are Jacobians").  Results are built by `_dual`, which
+    trusts its arguments; lists are never mutated, so an operation with a
+    constant may share its operand's list.
     """
 
     __slots__ = ("val", "eps")
 
     def __init__(self, val, eps):
         self.val = complex(val)
-        self.eps = np.asarray(eps, dtype=complex)
+        self.eps = [complex(e) for e in eps]
 
     @staticmethod
     def seed(values):
         """One dual per value, with identity partials (d v_i / d v_j = delta_ij)."""
-        values = np.asarray(values, dtype=complex)
         n = len(values)
-        eye = np.eye(n, dtype=complex)
-        return [Dual(values[i], eye[i]) for i in range(n)]
+        return [
+            _dual(complex(v), [0j] * i + [1.0 + 0j] + [0j] * (n - 1 - i)) for i, v in enumerate(values)
+        ]
 
     def __add__(self, other):
         if isinstance(other, Dual):
-            return Dual(self.val + other.val, self.eps + other.eps)
-        return Dual(self.val + other, self.eps)
+            return _dual(self.val + other.val, [a + b for a, b in zip(self.eps, other.eps)])
+        return _dual(self.val + other, self.eps)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Dual(-self.val, -self.eps)
+        return _dual(-self.val, [-a for a in self.eps])
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, Dual) else -complex(other))
+        if isinstance(other, Dual):
+            return _dual(self.val - other.val, [a - b for a, b in zip(self.eps, other.eps)])
+        return _dual(self.val - other, self.eps)
 
     def __rsub__(self, other):
-        return (-self) + other
+        return _dual(other - self.val, [-a for a in self.eps])
 
     def __mul__(self, other):
         if isinstance(other, Dual):
-            return Dual(self.val * other.val, self.val * other.eps + other.val * self.eps)
-        return Dual(self.val * other, self.eps * other)
+            u, v = self.val, other.val
+            return _dual(u * v, [u * b + v * a for a, b in zip(self.eps, other.eps)])
+        return _dual(self.val * other, [a * other for a in self.eps])
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, Dual):
             inv = 1.0 / other.val
-            return Dual(self.val * inv, (self.eps - self.val * inv * other.eps) * inv)
-        return Dual(self.val / other, self.eps / other)
+            w = self.val * inv
+            return _dual(w, [(a - w * b) * inv for a, b in zip(self.eps, other.eps)])
+        return _dual(self.val / other, [a / other for a in self.eps])
 
     def __rtruediv__(self, other):
         inv = 1.0 / self.val
-        return Dual(other * inv, -other * inv * inv * self.eps)
+        c = -other * inv * inv
+        return _dual(other * inv, [c * a for a in self.eps])
 
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
             raise ValueError("Dual powers restricted to nonnegative integers")
-        out = Dual(1.0, np.zeros_like(self.eps))
+        out = _dual(1.0 + 0j, [0j] * len(self.eps))
         for _ in range(k):
             out = out * self
         return out
@@ -370,11 +384,24 @@ class Dual:
         return f"Dual({self.val!r}, {self.eps!r})"
 
 
+def _dual(val, eps) -> Dual:
+    """A Dual from a complex value and a list of complex partials, unconverted."""
+    d = object.__new__(Dual)
+    d.val = val
+    d.eps = eps
+    return d
+
+
 def dsqrt(x):
-    """Principal square root for complex scalars or Duals."""
+    """Principal square root for complex scalars or Duals.
+
+    A Dual at a zero root raises ZeroDivisionError from its tangent 1/(2r),
+    before any inf or nan is formed.
+    """
     if isinstance(x, Dual):
         r = cmath.sqrt(x.val)
-        return Dual(r, x.eps / (2.0 * r))
+        c = 1.0 / (2.0 * r)
+        return _dual(r, [a * c for a in x.eps])
     return cmath.sqrt(complex(x))
 
 

@@ -7,15 +7,17 @@ formula literal and serve the tests as an independent reference for the
 Jacobian construction.  The "+[x_s -> -x_s]" (resp. "[z_s -> 1/z_s]")
 symmetrization symbols are realized as a second evaluation of the same
 expression with mapped arguments, added to the first.  The explicit gbasic
-product identity, kept the same way, checks `identity_residual`.
+product identity, kept the same way, checks `identity_residual`.  The f/g
+recursion and the exclusion product are the division-per-pair copies in
+`rhs_reference`, so no reference matrix goes through the kernels' pair tables.
 """
 
 import numpy as np
 
 from isospectra import families as fam
-from isospectra.dynamics import basic_f
-from isospectra.matrices import DEFAULT_PAD_VALUES, fg_jacobians
+from isospectra.matrices import DEFAULT_PAD_VALUES
 from isospectra.numeric import Dual, ZeroSet, dsqrt, elementary_coeffs_basic, elementary_coeffs_hyp
+from rhs_reference import basic_f, fg_recursion
 
 
 def basic_f_exc(s, z, n: int, m: int):
@@ -56,13 +58,13 @@ def L_ghyp(spec: fam.FamilySpec, zeta: np.ndarray, pad_values=()):
     betas = tuple(spec.betas) + tuple(pad_values)
     a, b = elementary_coeffs_hyp(alphas, betas)
     p, qn = len(alphas), len(betas)
-    jac = fg_jacobians(zeta, max(qn + 1, max(p, 1)))
+    f, g = fg_recursion(Dual.seed(zeta), max(qn + 1, max(p, 1)))
     n_zeros = len(zeta)
     L = np.zeros((n_zeros, n_zeros), dtype=complex)
     for k in range(1, qn + 2):
-        L += b[k - 1] * jac.df[k]
+        L += b[k - 1] * np.array([v.eps for v in f[k]])
     for j in range(1, p + 1):
-        L -= a[j] * jac.dg[j]
+        L -= a[j] * np.array([v.eps for v in g[j]])
     return L
 
 
@@ -225,7 +227,7 @@ def racah_core(spec: fam.FamilySpec, y: np.ndarray):
         ring = [1.0 + (1.0 + 2.0 * y[n]) / (y2[n] - y2[ell]) for ell in range(n_zeros) if ell != n]
         full = np.prod(ring) if ring else 1.0
         dt = fam.racah_Dtilde(spec, y[n])
-        dtp = fam.racah_Dtilde(spec, Dual(y[n], np.ones(1))).eps[0]
+        dtp = fam.racah_Dtilde(spec, Dual(y[n], [1.0])).eps[0]
         acc = ((dt / y2[n] - dtp / y[n]) * (1.0 + 2.0 * y[n]) - 2.0 * dt / y[n]) * full
         for m in range(n_zeros):
             if m == n:
@@ -274,7 +276,7 @@ def aw_core(spec: fam.FamilySpec, z: np.ndarray):
     for n in range(n_zeros):
         kprod = np.prod([fam.aw_K(q, z[n], z[ell]) for ell in range(n_zeros) if ell != n]) if n_zeros > 1 else 1.0
         g = fam.aw_G(spec, z[n])
-        gp = fam.aw_G(spec, Dual(z[n], np.ones(1))).eps[0]
+        gp = fam.aw_G(spec, Dual(z[n], [1.0])).eps[0]
         chain_n = 2.0 * z[n] ** 2 / (z[n] ** 2 - 1.0)
         ssum = 0.0 + 0.0j
         for m in range(n_zeros):
@@ -315,8 +317,8 @@ def L_qracah(spec: fam.FamilySpec, z: np.ndarray):
     zm = np.array([fam.qracah_shift(spec, v, -1) for v in z])
     bv = np.array([fam.qracah_B(spec, v) for v in z])
     dv = np.array([fam.qracah_D(spec, v) for v in z])
-    bp = np.array([fam.qracah_B(spec, Dual(v, np.ones(1))).eps[0] for v in z])
-    dp = np.array([fam.qracah_D(spec, Dual(v, np.ones(1))).eps[0] for v in z])
+    bp = np.array([fam.qracah_B(spec, Dual(v, [1.0])).eps[0] for v in z])
+    dp = np.array([fam.qracah_D(spec, Dual(v, [1.0])).eps[0] for v in z])
     cp = np.array([qracah_C(spec, v, +1) for v in z])
     cm = np.array([qracah_C(spec, v, -1) for v in z])
 

@@ -3,7 +3,10 @@
 These are the seven per-family term builders as they were written before the
 right-hand sides moved to Python scalars (`isospectra.dynamics`).  They keep
 every formula literal and serve the tests as an independent reference for the
-rewritten builders and for RK4 trajectories.
+rewritten builders and for RK4 trajectories.  The f/g recursion and the
+exclusion product are kept in the same literal form, one division per ordered
+pair, as the reference for the pair-symmetric `dynamics.fg_recursion` and
+`dynamics.basic_f`.
 """
 
 import numpy as np
@@ -11,29 +14,59 @@ import numpy as np
 from isospectra import families as fam
 from isospectra.dynamics import X_GUARD
 from isospectra.errors import DivideByZeroVariable
-from isospectra.matrices import fg_tables
-from isospectra.numeric import elementary_coeffs_basic, elementary_coeffs_hyp
+from isospectra.numeric import Dual, elementary_coeffs_basic, elementary_coeffs_hyp
 
 
-def basic_f(q, p, z, n):
-    """f_n(p, z) = prod_{l != n} (q^p z_n - z_l) / (z_n - z_l)."""
-    qp = q ** float(p)
+def fg_recursion(zeta, J):
+    """f[j][n] (j = 1..J) and g[j][n] (j = 0..J) over a list of complex or Dual scalars."""
+    n_zeros = len(zeta)
+    one = 1.0 + 0.0j
+    if isinstance(zeta[0], Dual):
+        one = Dual(1.0, [0.0] * n_zeros)
+    f = [None] * (J + 1)
+    g = [None] * (J + 1)
+    f[1] = list(zeta)
+    g[0] = [one] * n_zeros
+    for j in range(1, J):
+        fj = f[j]
+        nxt = []
+        for n, zn in enumerate(zeta):
+            acc = -fj[n]
+            for ell, zl in enumerate(zeta):
+                if ell != n:
+                    acc = acc + (zn * fj[ell] + zl * fj[n]) / (zn - zl)
+            nxt.append(acc)
+        f[j + 1] = nxt
+    for j in range(1, J + 1):
+        fj = f[j]
+        row = []
+        for n, zn in enumerate(zeta):
+            acc = 0.0 * one
+            for ell, zl in enumerate(zeta):
+                if ell != n:
+                    acc = acc + (fj[n] + fj[ell]) / (zn - zl)
+            row.append(acc)
+        g[j] = row
+    return f, g
+
+
+def basic_f(s, z, n):
+    """prod_{l != n} (s - z_l) / (z_n - z_l)."""
     out = 1.0 + 0.0j
     for ell, zl in enumerate(z):
-        if ell == n:
-            continue
-        out *= (qp * z[n] - zl) / (z[n] - zl)
+        if ell != n:
+            out *= (s - zl) / (z[n] - zl)
     return out
 
 
 def rhs_terms_ghyp(spec, z):
     a, b = elementary_coeffs_hyp(spec.alphas, spec.betas)
     p, qn = len(spec.alphas), len(spec.betas)
-    tab = fg_tables(z, max(qn + 1, max(p, 1)))
+    f, g = fg_recursion(list(z), max(qn + 1, max(p, 1)))
     terms = []
     for n in range(len(z)):
-        row = [b[k - 1] * tab.f[k, n] for k in range(1, qn + 2)]
-        row += [-a[j] * tab.g[j, n] for j in range(0, p + 1)]
+        row = [b[k - 1] * f[k][n] for k in range(1, qn + 2)]
+        row += [-a[j] * g[j][n] for j in range(0, p + 1)]
         terms.append(row)
     return np.asarray(terms, dtype=complex)
 
@@ -48,7 +81,7 @@ def rhs_terms_gbasic(spec, z):
     sgn_r = (-1.0) ** r
     terms = []
     for n in range(len(z)):
-        fn = lambda p: basic_f(q, p, z, n)  # noqa: E731
+        fn = lambda p: basic_f(q ** float(p) * z[n], z, n)  # noqa: E731
         row = [sgn_s * (q - 1.0) * fn(1)]
         row += [
             sgn_s

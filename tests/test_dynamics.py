@@ -10,7 +10,7 @@ import isospectra as iso
 import rhs_reference
 from isospectra import dynamics, families
 from isospectra.errors import Collision, DivideByZeroVariable, SingularA, SingularDenominator
-from isospectra.numeric import multiset_match
+from isospectra.numeric import Dual, multiset_match
 
 DYNAMICS_SPECS = [
     iso.make_spec("ghyp", 4, [1.7], [2.3]),
@@ -317,25 +317,103 @@ class TestLinearization:
         assert multiset_match(ev, tf * lam) <= 1e-8
 
 
+def spiral(n, scale, turn, jitter):
+    """n points on a jittered spiral with radii 0.25 * scale apart: every pair stays separated."""
+    return [scale * ((1 + 0.25 * k) * cmath.exp(1j * (turn + 2.4 * k)) + jitter[k]) for k in range(n)]
+
+
+def parts(v):
+    """A complex scalar as [v], a Dual as [value, *partials]."""
+    return np.array([v.val, *v.eps] if isinstance(v, Dual) else [v], dtype=complex)
+
+
+def assert_within_terms(got, want, terms, rel=1e-13):
+    """|got - want| <= rel * the largest |term|, in the value and in every partial."""
+    scale = np.max(np.abs([parts(t) for t in terms]), axis=0)
+    assert np.all(np.abs(parts(got) - parts(want)) <= rel * scale), (got, want)
+
+
+spiral_args = dict(
+    scale=st.floats(0.3, 1.0),
+    turn=st.floats(0.0, 2 * np.pi),
+    jitter=st.lists(st.complex_numbers(max_magnitude=0.05), min_size=12, max_size=12),
+)
+
+
+class TestPairPrimitives:
+    """The pair-symmetric recursion and exclusion product against the
+    division-per-ordered-pair copies in rhs_reference, on complex and on
+    Dual.seed inputs; N = 1 has an empty pair table."""
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_pair_reciprocals(self, n):
+        z = spiral(n, 0.7, 0.3, [0.01j] * 12)
+        inv = dynamics.pair_reciprocals(z)
+        for i in range(n):
+            assert inv[i][i] is None
+            for ell in range(n):
+                if ell != i:
+                    assert inv[i][ell] == -inv[ell][i]
+                    want = 1.0 / (z[i] - z[ell])
+                    assert abs(inv[i][ell] - want) <= 2 * np.finfo(float).eps * abs(want)
+
+    @pytest.mark.parametrize("dual", [False, True], ids=["complex", "dual"])
+    @pytest.mark.parametrize("n", range(1, 13))
+    @settings(max_examples=5, deadline=None)
+    @given(**spiral_args)
+    def test_fg_recursion_matches_reference(self, n, dual, scale, turn, jitter):
+        z = spiral(n, scale, turn, jitter)
+        zeta = Dual.seed(z) if dual else z
+        J = 4
+        got_f, got_g = dynamics.fg_recursion(zeta, J)
+        want_f, want_g = rhs_reference.fg_recursion(zeta, J)
+        for j in range(1, J + 1):
+            fj = want_f[j]
+            for i, zi in enumerate(zeta):
+                if j < J:
+                    terms = [-fj[i]] + [
+                        (zi * fj[ell] + zl * fj[i]) / (zi - zl) for ell, zl in enumerate(zeta) if ell != i
+                    ]
+                    assert_within_terms(got_f[j + 1][i], want_f[j + 1][i], terms)
+                terms = [0.0 * zi] + [(fj[i] + fj[ell]) / (zi - zl) for ell, zl in enumerate(zeta) if ell != i]
+                assert_within_terms(got_g[j][i], want_g[j][i], terms)
+
+    @pytest.mark.parametrize("dual", [False, True], ids=["complex", "dual"])
+    @pytest.mark.parametrize("n", range(1, 13))
+    @settings(max_examples=5, deadline=None)
+    @given(**spiral_args, q=st.floats(1.3, 2.5))
+    def test_basic_f_matches_reference(self, n, dual, scale, turn, jitter, q):
+        # the product's terms, for the partials, are the product rule's:
+        # P * d(log factor_l), one per factor
+        z = spiral(n, scale, turn, jitter)
+        zeta = Dual.seed(z) if dual else z
+        inv = dynamics.pair_reciprocals(zeta)
+        for i, zi in enumerate(zeta):
+            for s in (q * zi, zi / q, q * q * zi, 0.3 + 0.2j):
+                want = rhs_reference.basic_f(s, zeta, i)
+                got = dynamics.basic_f(s, zeta, i, inv[i])
+                if not isinstance(want, Dual):  # complex inputs, or the empty product
+                    assert abs(got - want) <= 1e-13 * abs(want)
+                    continue
+                factors = [(s - zl) / (zi - zl) for ell, zl in enumerate(zeta) if ell != i]
+                log_derivs = [[e / fl.val for e in fl.eps] for fl in factors]
+                eps_scale = abs(want.val) * np.max(np.abs(log_derivs), axis=0)
+                assert abs(got.val - want.val) <= 1e-13 * abs(want.val)
+                assert np.all(np.abs(np.subtract(got.eps, want.eps)) <= 1e-13 * eps_scale)
+
+
 class TestScalarKernels:
     """The Python-scalar builders against the loop-over-numpy reference copies."""
 
     @pytest.mark.parametrize("n", [1, 2, 4, 8, 12])
     @pytest.mark.parametrize("base", DEMO_SPECS, ids=lambda s: s.family.value)
     @settings(max_examples=25, deadline=None)
-    @given(
-        scale=st.floats(0.3, 1.0),
-        turn=st.floats(0.0, 2 * np.pi),
-        jitter=st.lists(st.complex_numbers(max_magnitude=0.05), min_size=12, max_size=12),
-    )
+    @given(**spiral_args)
     def test_terms_match_reference(self, base, n, scale, turn, jitter):
         spec = iso.make_spec(base.family, n, base.alphas, base.betas, base.q)
-        # a jittered spiral with radii 0.25 * scale apart, so every pair stays
-        # separated; radii stay below 4 because the aw lift x + sqrt(x^2 - 1)
-        # cancels like |x|^2 for Re x < 0, which both versions inherit
-        z = np.array(
-            [scale * ((1 + 0.25 * k) * cmath.exp(1j * (turn + 2.4 * k)) + jitter[k]) for k in range(n)]
-        )
+        # radii stay below 4 because the aw lift x + sqrt(x^2 - 1) cancels
+        # like |x|^2 for Re x < 0, which both versions inherit
+        z = np.array(spiral(n, scale, turn, jitter))
         assume(spec.family != families.Family.JACOBI or np.min(np.abs(1.0 - z)) > 0.05)
         with np.errstate(all="ignore"):
             want = rhs_reference.rhs_terms(spec, z)

@@ -216,7 +216,9 @@ class TestEvaluationBound:
 class TestRefineZeros:
     @pytest.mark.parametrize("spec", SAMPLE_SPECS, ids=lambda s: s.family.value)
     def test_stops_at_rounding_level(self, spec, monkeypatch):
-        roots = poly_roots(iso.build_polynomial(spec)).zeros
+        zs = poly_roots(iso.build_polynomial(spec))
+        assert zs.max_poly_residual <= 1e-12
+        roots = zs.zeros
         evaluations = []
         structured_eval = families.structured_eval
         monkeypatch.setattr(

@@ -1,12 +1,13 @@
 """Core numeric substrate: symbols, polynomials, roots, eigenvalues, duals."""
 
+import cmath
 import math
 from fractions import Fraction
 
 import numpy as np
 import numpy.polynomial.polynomial as npp
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import isospectra as iso
 from isospectra import cli, dynamics
@@ -215,16 +216,19 @@ class TestPoly:
 class TestPolyRoots:
     def test_symmetric_pair(self):
         zs = poly_roots(Poly([-1.0, 0.0, 1.0]))
+        assert zs.max_poly_residual <= 1e-12
         np.testing.assert_allclose(np.sort(zs.zeros.real), [-1.0, 1.0], atol=1e-12)
 
     def test_imaginary_pair(self):
         zs = poly_roots(Poly([1.0, 0.0, 1.0]))
+        assert zs.max_poly_residual <= 1e-12
         assert multiset_match(zs.zeros, [1j, -1j]) < 1e-12
 
     def test_cubic_oracle(self):
         # oracle: multiply out (z-1)(z-2)(z-3)
         coeffs = npp.polyfromroots([1.0, 2.0, 3.0])
         zs = poly_roots(Poly(coeffs))
+        assert zs.max_poly_residual <= 1e-12
         assert multiset_match(zs.zeros, [1.0, 2.0, 3.0]) < 1e-12
 
     def test_planted_roots_recovered(self):
@@ -240,6 +244,7 @@ class TestPolyRoots:
                 if d.min() >= 0.1:
                     break
             zs = poly_roots(Poly(npp.polyfromroots(roots)))
+            assert zs.max_poly_residual <= 1e-12
             assert multiset_match(zs.zeros, roots) <= 1e-9
 
     def test_zero_polynomial_rejected(self):
@@ -258,6 +263,7 @@ class TestPolyRoots:
         )
         c = iso.build_polynomial(spec).coeffs
         zs = poly_roots(Poly(c))
+        assert zs.max_poly_residual <= 1e-12
         backward = np.abs(npp.polyval(zs.zeros, c)) / npp.polyval(np.abs(zs.zeros), np.abs(c))
         assert np.all(backward <= 2 * np.finfo(float).eps * 6)
 
@@ -391,10 +397,62 @@ class TestMultisetMatch:
         assert multiset_match(values, shuffled) <= 1e-12 * max(1.0, np.max(np.abs(values)))
 
 
+# Each Dual operation as f(x, y) with its exact partials (df/dx, df/dy).
+DUAL_OPS = {
+    "add": (lambda x, y: x + y, lambda x, y: (1.0, 1.0)),
+    "radd": (lambda x, y: y + x, lambda x, y: (1.0, 1.0)),
+    "sub": (lambda x, y: x - y, lambda x, y: (1.0, -1.0)),
+    "rsub": (lambda x, y: y - x, lambda x, y: (-1.0, 1.0)),
+    "mul": (lambda x, y: x * y, lambda x, y: (y, x)),
+    "rmul": (lambda x, y: y * x, lambda x, y: (y, x)),
+    "div": (lambda x, y: x / y, lambda x, y: (1.0 / y, -x / (y * y))),
+    "rdiv": (lambda x, y: y / x, lambda x, y: (-y / (x * x), 1.0 / x)),
+}
+PARTNERS = ("dual", "complex", "float")
+away_from_zero = st.complex_numbers(
+    min_magnitude=0.25, max_magnitude=4.0, allow_nan=False, allow_infinity=False
+)
+
+
+def central_difference(f, x, h=1e-6):
+    """df/dx of a complex-analytic scalar function along the real axis."""
+    return (f(x + h) - f(x - h)) / (2.0 * h)
+
+
 class TestDual:
     def test_seed_identity(self):
         d = Dual.seed([2.0, 3.0])
-        assert d[0].val == 2.0 and d[0].eps.tolist() == [1.0, 0.0]
+        assert d[0].val == 2.0 and d[0].eps == [1.0, 0.0]
+        assert type(d[1].eps) is list and d[1].eps == [0.0, 1.0]
+
+    @pytest.mark.parametrize("partner", PARTNERS)
+    @pytest.mark.parametrize("op", DUAL_OPS)
+    @given(x=away_from_zero, y=away_from_zero)
+    def test_operation_derivatives(self, op, partner, x, y):
+        f, exact = DUAL_OPS[op]
+        if partner == "float":
+            y = y.real
+            assume(abs(y) >= 0.25)
+        dx, dy = exact(x, y)
+        if partner == "dual":
+            xd, yd = Dual.seed([x, y])
+            want = [dx, dy]
+        else:
+            (xd,), yd = Dual.seed([x]), y
+            want = [dx]
+        out = f(xd, yd)
+        assert isinstance(out, Dual) and type(out.eps) is list and len(out.eps) == len(want)
+        # quotients multiply by the reciprocal, so their value may differ from
+        # the complex quotient in the last bits
+        assert abs(out.val - f(x, y)) <= 4 * np.finfo(float).eps * abs(f(x, y))
+        scale = max(1.0, abs(dx), abs(dy))
+        for got, w in zip(out.eps, want):
+            assert abs(got - w) <= 8 * np.finfo(float).eps * scale
+        fd = central_difference(lambda v: f(v, y), x)
+        assert abs(out.eps[0] - fd) <= 1e-6 * scale
+        if partner == "dual":
+            fd = central_difference(lambda v: f(x, v), y)
+            assert abs(out.eps[1] - fd) <= 1e-6 * scale
 
     def test_product_rule(self):
         x, y = Dual.seed([1.5 + 0.5j, -0.7 + 2.0j])
@@ -417,6 +475,39 @@ class TestDual:
         p = x**3
         assert abs(p.val - (1.2 - 0.4j) ** 3) < 1e-14
         assert abs(p.eps[0] - 3 * (1.2 - 0.4j) ** 2) < 1e-12
+
+    @pytest.mark.parametrize("k", range(6))
+    @given(x=away_from_zero)
+    def test_integer_power_derivatives(self, k, x):
+        (xd,) = Dual.seed([x])
+        p = xd**k
+        assert abs(p.val - x**k) <= 8 * np.finfo(float).eps * abs(x) ** k
+        exact = k * x ** (k - 1) if k else 0.0
+        scale = max(1.0, abs(exact))
+        assert abs(p.eps[0] - exact) <= 8 * k * np.finfo(float).eps * scale
+        assert abs(p.eps[0] - central_difference(lambda v: v**k, x)) <= 1e-6 * scale
+
+    def test_negative_power_rejected(self):
+        (x,) = Dual.seed([1.5])
+        with pytest.raises(ValueError):
+            x ** -1
+
+    @given(x=away_from_zero)
+    def test_sqrt_derivatives(self, x):
+        (xd,) = Dual.seed([x])
+        r = dsqrt(xd)
+        assert r.val == cmath.sqrt(x)
+        exact = 0.5 / cmath.sqrt(x)
+        assert abs(r.eps[0] - exact) <= 4 * np.finfo(float).eps * abs(exact)
+        assume(abs(x.imag) > 1e-3 or x.real > 0)  # the difference must not straddle the cut
+        assert abs(r.eps[0] - central_difference(cmath.sqrt, x)) <= 1e-6 * abs(exact)
+
+    def test_sqrt_at_zero_raises_before_inf(self):
+        # the tangent 1/(2r) divides in Python, so no inf/nan (and no numpy
+        # warning) is formed; the kernels map this to SingularDenominator
+        (x,) = Dual.seed([0.0])
+        with pytest.raises(ZeroDivisionError):
+            dsqrt(x)
 
 
 class TestCompensatedArithmetic:
