@@ -358,7 +358,9 @@ def cmd_sweep(args) -> int:
 # Entry point
 # ---------------------------------------------------------------------------
 
-def _add_spec_flags(p: argparse.ArgumentParser) -> None:
+def _spec_flags() -> argparse.ArgumentParser:
+    """The spec flags `zeros`, `matrix`, `verify` and `evolve` share, as a parent parser."""
+    p = argparse.ArgumentParser(add_help=False)
     p.add_argument("--family", help="ghyp|gbasic|wilson|racah|aw|qracah|jacobi")
     p.add_argument("-N", "--N", type=int, default=None, help="polynomial degree")
     p.add_argument("--alphas", default=None, help="comma-separated complex list")
@@ -368,19 +370,18 @@ def _add_spec_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol-spectral", type=float, default=1e-6, dest="tol_spectral")
     p.add_argument("--tol-identity", type=float, default=1e-8, dest="tol_identity")
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="isospectra", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
+    spec_flags = [_spec_flags()]  # built once: each add_argument makes a formatter
 
     for name, fn in (("zeros", cmd_zeros), ("matrix", cmd_matrix), ("verify", cmd_verify)):
-        p = sub.add_parser(name)
-        _add_spec_flags(p)
-        p.set_defaults(func=fn)
+        sub.add_parser(name, parents=spec_flags).set_defaults(func=fn)
 
-    p = sub.add_parser("evolve")
-    _add_spec_flags(p)
+    p = sub.add_parser("evolve", parents=spec_flags)
     p.add_argument("--t1", type=float, default=0.5)
     p.add_argument("--steps", type=int, default=2000)
     p.add_argument("--perturb", type=float, default=1e-3)

@@ -1,8 +1,9 @@
 """Polynomial families and their defining equations.
 
-Each family's explicit finite sum is written once, in `_term_table`, as
-terms pref * prod_s (A_s + B_s z) held in complex double-double, and
-multiplied out once per spec into unrounded monomial coefficients.
+Each family's explicit finite sum is written once, in `_term_table`, in
+nested form sum_d w_d prod_{s<d} (A_s + B_s z) held in complex
+double-double, and multiplied out once per spec into unrounded monomial
+coefficients.
 `build_polynomial` rounds them; the structured evaluation (zero refinement,
 defining-equation residuals) runs double-double Horner on them with an
 error bound, so a sum that cancels past double-double precision (aw and
@@ -30,7 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Optional
 
 import numpy as np
@@ -52,9 +53,10 @@ from .numeric import (
     ddc_expand,
     ddc_mul,
     ddc_neg,
-    ddc_pochhammer,
+    ddc_pochhammers,
     ddc_powi,
-    ddc_q_pochhammer,
+    ddc_products,
+    ddc_q_pochhammers,
     ddc_to_complex,
     dsqrt,
     min_separation,
@@ -261,128 +263,119 @@ def build_polynomial(spec: FamilySpec) -> Poly:
 
 
 def _term_table(spec: FamilySpec):
-    """Per-term (prefactor, linear factors) of the family sum, in compensated form.
+    """(weights, factors) of the family sum in nested form, in compensated arithmetic.
 
-    Every term of each explicit sum is pref * prod_s (A_s + B_s * z) for
-    family-specific constants; the table holds them as complex double-doubles
-    so evaluation keeps ~30 significant digits through the cancellation.
+    Every explicit sum here is sum_d w_d prod_{s<d} (A_s + B_s z): term d is
+    a prefactor times the first d factors of one shared (q-)Pochhammer
+    product, so the table holds the N + 1 weights and the N factor pairs
+    once, as complex double-doubles (~30 significant digits through the
+    cancellation).  Pochhammer symbols and powers of q are running products,
+    and the tails (u + k)_{N-k} and (a u q^m; q)_{N-m} running products
+    from the end: O(N) operations per table.
     """
     N = spec.N
     fam = spec.family
     one = ddc(1.0)
+    bare_z = ((ddc(0.0), one),) * N
 
-    table = []
-    if fam == Family.GHYP:
-        for m in range(N + 1):
-            num = ddc_pochhammer(ddc(-N), m)
-            for al in spec.alphas:
-                num = ddc_mul(num, ddc_pochhammer(ddc(al), m))
-            den = ddc(float(math.factorial(m)))
-            for be in spec.betas:
-                den = ddc_mul(den, ddc_pochhammer(ddc(be), m))
-            table.append((ddc_div(num, den), ((ddc(0.0), one),) * (N - m)))
-    elif fam == Family.GBASIC:
+    if fam in Q_FAMILIES:
         qd = ddc(spec.q)
-        r, s = len(spec.alphas), len(spec.betas)
-        for m in range(N + 1):
-            num = ddc_q_pochhammer(ddc_powi(qd, -N), qd, m)
-            for al in spec.alphas:
-                num = ddc_mul(num, ddc_q_pochhammer(ddc(al), qd, m))
-            den = ddc_q_pochhammer(qd, qd, m)
-            for be in spec.betas:
-                den = ddc_mul(den, ddc_q_pochhammer(ddc(be), qd, m))
-            pref = ddc_div(num, den)
-            sign = (-1.0) ** (m * (s - r))
-            pref = ddc_mul(pref, ddc(sign))
-            pref = ddc_mul(pref, ddc_powi(qd, (m * (m - 1) // 2) * (s - r)))
-            table.append((pref, ((ddc(0.0), one),) * m))
-    elif fam == Family.WILSON:
+        qp = ddc_products([qd] * (2 * N))  # q^0 .. q^(2N)
+        q_minus_n = ddc_q_pochhammers(ddc_div(one, qp[N]), qd, N)
+        qq = ddc_q_pochhammers(qd, qd, N)
+        if fam == Family.GBASIC:
+            r, s = len(spec.alphas), len(spec.betas)
+            nums = [q_minus_n] + [ddc_q_pochhammers(ddc(al), qd, N) for al in spec.alphas]
+            dens = [qq] + [ddc_q_pochhammers(ddc(be), qd, N) for be in spec.betas]
+            signs = [ddc((-1.0) ** (m * (s - r))) for m in range(N + 1)]
+            # q^((s-r) m(m-1)/2) = prod_{j<m} (q^(s-r))^j
+            gauss = ddc_products(ddc_products([ddc_powi(qd, s - r)] * N)[:N])
+            return _weights(nums, dens, [signs, gauss]), bare_z
+        if fam == Family.AW:
+            a, b, c, d = spec.alphas
+            add = ddc(a)
+            a2 = ddc_mul(add, add)
+            prod = ddc_mul(ddc_mul(add, ddc(b)), ddc_mul(ddc(c), ddc(d)))
+            nums = [qp, q_minus_n, ddc_q_pochhammers(ddc_mul(prod, qp[N - 1]), qd, N)]
+            a_pow = [ddc_powi(add, -N)] * (N + 1)
+            tails = [  # (a u q^m; q)_{N-m}
+                _tails([ddc_add(one, ddc_neg(ddc_mul(au, qp[i]))) for i in range(N)])
+                for au in (ddc_mul(add, ddc(u)) for u in (b, c, d))
+            ]
+            factors = tuple(
+                (ddc_add(one, ddc_mul(a2, ddc_mul(qj, qj))), ddc_mul(ddc(-2.0), ddc_mul(add, qj)))
+                for qj in qp[:N]
+            )
+            return _weights(nums, [qq], [a_pow] + tails), factors
+        al, be, ga, de = spec.alphas  # q-Racah
+        gd = ddc_mul(ddc(ga), ddc(de))
+        ab_q = ddc_mul(ddc_mul(ddc(al), ddc(be)), qp[N + 1])
+        nums = [qp, q_minus_n, ddc_q_pochhammers(ab_q, qd, N)]
+        dens = [qq] + [
+            ddc_q_pochhammers(ddc_mul(u, qd), qd, N)
+            for u in (ddc(al), ddc_mul(ddc(be), ddc(de)), ddc(ga))
+        ]
+        factors = tuple((ddc_add(one, ddc_mul(gd, qp[2 * s + 1])), ddc_neg(qp[s])) for s in range(N))
+        return _weights(nums, dens), factors
+
+    facts = [ddc(float(math.factorial(m))) for m in range(N + 1)]
+    minus_n = ddc_pochhammers(ddc(-N), N)
+    if fam == Family.GHYP:
+        nums = [minus_n] + [ddc_pochhammers(ddc(al), N) for al in spec.alphas]
+        dens = [facts] + [ddc_pochhammers(ddc(be), N) for be in spec.betas]
+        return _weights(nums, dens)[::-1], bare_z
+    if fam == Family.WILSON:
         a, b, c, d = spec.alphas
         sig = ddc_add(ddc_add(ddc(a), ddc(b)), ddc_add(ddc(c), ddc(d)))
-        pair_sums = [ddc_add(ddc(a), ddc(u)) for u in (b, c, d)]
-        for k in range(N + 1):
-            pref = ddc_mul(ddc_pochhammer(ddc(-N), k), ddc_pochhammer(ddc_add(sig, ddc(N - 1)), k))
-            pref = ddc_div(pref, ddc(float(math.factorial(k))))
-            for u in pair_sums:
-                pref = ddc_mul(pref, ddc_pochhammer(ddc_add(u, ddc(k)), N - k))
-            factors = []
-            for i in range(k):
-                t = ddc_add(ddc(a), ddc(i))
-                factors.append((ddc_mul(t, t), one))
-            table.append((pref, tuple(factors)))
-    elif fam == Family.RACAH:
+        nums = [minus_n, ddc_pochhammers(ddc_add(sig, ddc(N - 1)), N)]
+        tails = [  # (a + u + k)_{N-k}
+            _tails([ddc_add(ddc_add(ddc(a), ddc(u)), ddc(i)) for i in range(N)]) for u in (b, c, d)
+        ]
+        factors = []
+        for i in range(N):
+            t = ddc_add(ddc(a), ddc(i))
+            factors.append((ddc_mul(t, t), one))
+        return _weights(nums, [facts], tails), tuple(factors)
+    if fam == Family.RACAH:
         al, be, ga, de = spec.alphas
         gd1 = ddc_add(ddc_add(ddc(ga), ddc(de)), one)
         nab1 = ddc_add(ddc_add(ddc(al), ddc(be)), ddc(N + 1))
-        dens = (
-            ddc_add(ddc(al), one),
-            ddc_add(ddc_add(ddc(be), ddc(de)), one),
-            ddc_add(ddc(ga), one),
+        dens = [facts] + [
+            ddc_pochhammers(u, N)
+            for u in (ddc_add(ddc(al), one), ddc_add(ddc_add(ddc(be), ddc(de)), one), ddc_add(ddc(ga), one))
+        ]
+        factors = tuple(
+            (ddc_add(ddc_mul(ddc(float(s)), gd1), ddc(float(s * s))), ddc(-1.0)) for s in range(N)
         )
-        for n in range(N + 1):
-            num = ddc_mul(ddc_pochhammer(ddc(-N), n), ddc_pochhammer(nab1, n))
-            den = ddc(float(math.factorial(n)))
-            for u in dens:
-                den = ddc_mul(den, ddc_pochhammer(u, n))
-            factors = []
-            for s in range(n):
-                a_s = ddc_add(ddc_mul(ddc(float(s)), gd1), ddc(float(s * s)))
-                factors.append((a_s, ddc(-1.0)))
-            table.append((ddc_div(num, den), tuple(factors)))
-    elif fam == Family.AW:
-        qd = ddc(spec.q)
-        a, b, c, d = spec.alphas
-        add = ddc(a)
-        prod = ddc_mul(ddc_mul(add, ddc(b)), ddc_mul(ddc(c), ddc(d)))
-        a_pow = ddc_powi(add, -N)
-        for m in range(N + 1):
-            num = ddc_mul(ddc_powi(qd, m), ddc_q_pochhammer(ddc_powi(qd, -N), qd, m))
-            num = ddc_mul(num, ddc_q_pochhammer(ddc_mul(prod, ddc_powi(qd, N - 1)), qd, m))
-            pref = ddc_mul(ddc_div(num, ddc_q_pochhammer(qd, qd, m)), a_pow)
-            qm = ddc_powi(qd, m)
-            for u in (ddc(b), ddc(c), ddc(d)):
-                pref = ddc_mul(pref, ddc_q_pochhammer(ddc_mul(ddc_mul(add, u), qm), qd, N - m))
-            factors = []
-            for j in range(m):
-                qj = ddc_powi(qd, j)
-                a_j = ddc_add(one, ddc_mul(ddc_mul(add, add), ddc_mul(qj, qj)))
-                b_j = ddc_mul(ddc(-2.0), ddc_mul(add, qj))
-                factors.append((a_j, b_j))
-            table.append((pref, tuple(factors)))
-    elif fam == Family.QRACAH:
-        qd = ddc(spec.q)
-        al, be, ga, de = spec.alphas
-        gd = ddc_mul(ddc(ga), ddc(de))
-        for m in range(N + 1):
-            num = ddc_mul(ddc_powi(qd, m), ddc_q_pochhammer(ddc_powi(qd, -N), qd, m))
-            ab_q = ddc_mul(ddc_mul(ddc(al), ddc(be)), ddc_powi(qd, N + 1))
-            num = ddc_mul(num, ddc_q_pochhammer(ab_q, qd, m))
-            den = ddc_q_pochhammer(qd, qd, m)
-            for u in (ddc(al), ddc_mul(ddc(be), ddc(de)), ddc(ga)):
-                den = ddc_mul(den, ddc_q_pochhammer(ddc_mul(u, qd), qd, m))
-            factors = []
-            for s in range(m):
-                a_s = ddc_add(one, ddc_mul(gd, ddc_powi(qd, 2 * s + 1)))
-                factors.append((a_s, ddc_neg(ddc_powi(qd, s))))
-            table.append((ddc_div(num, den), tuple(factors)))
-    elif fam == Family.JACOBI:
+        return _weights([minus_n, ddc_pochhammers(nab1, N)], dens), factors
+    if fam == Family.JACOBI:
         al, be = spec.alphas
-        half = (ddc(0.5), ddc(-0.5))
         nab1 = ddc_add(ddc_add(ddc(al), ddc(be)), ddc(N + 1))
-        for m in range(N + 1):
-            num = ddc_mul(ddc_pochhammer(ddc(-N), m), ddc_pochhammer(nab1, m))
-            num = ddc_mul(num, ddc_pochhammer(ddc_add(ddc(al), ddc(m + 1)), N - m))
-            den = ddc(float(math.factorial(m) * math.factorial(N)))
-            table.append((ddc_div(num, den), (half,) * m))
-    else:
-        raise InvalidParameters(f"no structured evaluation for {fam!r}")
-    return tuple(table)
+        tail = _tails([ddc_add(ddc(al), ddc(i + 1)) for i in range(N)])  # (al + m + 1)_{N-m}
+        dens = [ddc(float(math.factorial(m) * math.factorial(N))) for m in range(N + 1)]
+        half = ((ddc(0.5), ddc(-0.5)),) * N
+        return _weights([minus_n, ddc_pochhammers(nab1, N), tail], [dens]), half
+    raise InvalidParameters(f"no structured evaluation for {fam!r}")
+
+
+def _weights(nums, dens, after=()):
+    """Per index m: prod_j nums[j][m] / prod_k dens[k][m], times each after[l][m] in turn."""
+    out = []
+    for m in range(len(dens[0])):
+        w = ddc_div(reduce(ddc_mul, [p[m] for p in nums]), reduce(ddc_mul, [p[m] for p in dens]))
+        out.append(reduce(ddc_mul, [p[m] for p in after], w))
+    return out
+
+
+def _tails(factors):
+    """prod(factors[k:]) for k = 0..len(factors), one running product from the end."""
+    return ddc_products(factors[::-1])[::-1]
 
 
 @lru_cache(maxsize=512)
 def _expansion(spec: FamilySpec):
     """(double-double coefficients, their rounded doubles, magnitudes M_k) of the sum."""
-    coeffs, mags = ddc_expand(_term_table(spec), spec.N)
+    coeffs, mags = ddc_expand(*_term_table(spec))
     return tuple(coeffs), tuple(ddc_to_complex(c) for c in coeffs), tuple(mags)
 
 
@@ -394,10 +387,12 @@ def structured_eval(spec: FamilySpec, z):
     coefficients gives the derivative, which only steers Newton.  The bound
     on |value - sum| is compensated Horner's (Graillat, Langlois & Louvet
     2005): c 2^-104 sum_k M_k |z|^k, M_k from `ddc_expand`, plus 2^-53 |value|
-    for the final rounding.  c = 3N counts a coefficient's roundings: N
-    factor products and N + 1 term sums, then N Horner steps.  Near the
-    zeros of 384 safe-box draws at N = 9..12, c = 1 came within 1.15x of the
-    true error (120-digit reference) and c = 3N stayed 36x above it.
+    for the final rounding.  c = 3N counts a coefficient's roundings: at
+    most 2N in the nested multiplication (a product and a sum per factor),
+    then N Horner steps.  Near the zeros of 384 safe-box draws at
+    N = 9..12, c = 1 came within 1.15x of the true error (120-digit
+    reference) and c = 3N stayed 36x above it (measured on the per-term
+    expansion the nested one replaced).
     """
     coeffs, rounded, mags = _expansion(spec)
     z = complex(z)
@@ -782,8 +777,9 @@ def q_to_one_limit_check(spec: FamilySpec, q_near_1: float) -> float:
 
     `spec` is a ghyp-style instance whose alphas/betas act as exponents: the
     basic side uses parameters q^alpha_j, q^beta_k and argument scaled by
-    (q-1)^(s-r).  Both sides are the term-table prefactors of the ghyp and
-    gbasic sums.  Returns max_m |phi_m - F_m| / max(1, max|F_m|), which is
+    (q-1)^(s-r).  Both sides are the term-table weights of the ghyp and
+    gbasic sums, taken in the order of m (ghyp's weight of z^(N-m), gbasic's
+    of z^m).  Returns max_m |phi_m - F_m| / max(1, max|F_m|), which is
     O(|q-1|).  N = 0 is allowed here (both sides are the constant 1).
     """
     if not (0.0 < abs(q_near_1 - 1.0) <= 0.01):
@@ -793,11 +789,11 @@ def q_to_one_limit_check(spec: FamilySpec, q_near_1: float) -> float:
     q = float(q_near_1)
     basic_alphas = [q ** complex(a) for a in spec.alphas]
     basic_betas = [q ** complex(b) for b in spec.betas]
-    plain = _term_table(make_spec(Family.GHYP, N, spec.alphas, spec.betas))
-    basic = _term_table(make_spec(Family.GBASIC, N, basic_alphas, basic_betas, q))
-    f_side = np.array([ddc_to_complex(pref) for pref, _ in plain])
+    plain, _ = _term_table(make_spec(Family.GHYP, N, spec.alphas, spec.betas))
+    basic, _ = _term_table(make_spec(Family.GBASIC, N, basic_alphas, basic_betas, q))
+    f_side = np.array([ddc_to_complex(w) for w in plain[::-1]])  # ghyp weights run from z^0
     phi_side = np.array(
-        [ddc_to_complex(pref) * (q - 1.0) ** ((s - r) * m) for m, (pref, _) in enumerate(basic)]
+        [ddc_to_complex(w) * (q - 1.0) ** ((s - r) * m) for m, w in enumerate(basic)]
     )
     dev = np.max(np.abs(phi_side - f_side))
     return float(dev / max(1.0, float(np.max(np.abs(f_side)))))

@@ -139,7 +139,7 @@ def q_pochhammer(gamma, q, m: int):
     """
     if m < 0:
         raise ValueError("q-pochhammer order must be >= 0")
-    return ddc_to_complex(ddc_q_pochhammer(ddc(gamma), ddc(q), m))
+    return ddc_to_complex(ddc_q_pochhammers(ddc(gamma), ddc(q), m)[-1])
 
 
 def elementary_coeffs_hyp(alphas, betas):
@@ -202,15 +202,17 @@ def poly_roots(p, tol: float = ROOT_TOL) -> ZeroSet:
     dc = npp.polyder(c)
     z = np.linalg.eigvals(npp.polycompanion(c))
 
+    res = _backward_error(c, z)  # carried with z: a root that did not move keeps its error
     for _ in range(3):
         pv = npp.polyval(z, c)
         dv = npp.polyval(z, dc)
         dv = np.where(np.abs(dv) < _TINY, _TINY, dv)
         cand = z - pv / dv
-        better = _backward_error(c, cand) < _backward_error(c, z)
+        cand_res = _backward_error(c, cand)
+        better = cand_res < res
         z = np.where(better, cand, z)
+        res = np.where(better, cand_res, res)
 
-    res = _backward_error(c, z)
     worst = float(res.max())
     if worst > tol:
         raise NonConvergence(f"root residual {worst:.3e} > tol {tol:.1e}")
@@ -541,22 +543,31 @@ def ddc_div(x, y):
     return (rhi, rlo, ihi, ilo)
 
 
-def ddc_pochhammer(a, m: int):
-    """(a)_m for a complex double-double `a`."""
-    out = ddc(1.0)
-    for i in range(m):
-        out = ddc_mul(out, ddc_add(a, ddc(i)))
+def ddc_products(factors):
+    """Running products [1, f_0, f_0 f_1, ..., prod f] of complex double-doubles.
+
+    Each entry is the one before it times the next factor, so entry m of a
+    Pochhammer list costs one product, not m.
+    """
+    out = [ddc(1.0)]
+    for f in factors:
+        out.append(ddc_mul(out[-1], f))
     return out
 
 
-def ddc_q_pochhammer(g, qd, m: int):
-    """(g; q)_m for complex double-doubles `g` and `qd`."""
+def ddc_pochhammers(a, m: int):
+    """[(a)_0, ..., (a)_m] for a complex double-double `a`."""
+    return ddc_products([ddc_add(a, ddc(i)) for i in range(m)])
+
+
+def ddc_q_pochhammers(g, qd, m: int):
+    """[(g; q)_0, ..., (g; q)_m] for complex double-doubles `g` and `qd`."""
     one = ddc(1.0)
-    out = one
+    factors = []
     for _ in range(m):
-        out = ddc_mul(out, ddc_add(one, ddc_neg(g)))
+        factors.append(ddc_add(one, ddc_neg(g)))
         g = ddc_mul(g, qd)
-    return out
+    return ddc_products(factors)
 
 
 def ddc_powi(x, k: int):
@@ -574,34 +585,32 @@ def ddc_powi(x, k: int):
     return out
 
 
-def ddc_expand(terms, degree: int):
-    """Unrounded ascending monomial coefficients of sum_t pref_t * prod_s (A_s + B_s z).
+def ddc_expand(weights, factors):
+    """Unrounded ascending monomial coefficients of sum_d w_d prod_{s<d} (A_s + B_s z).
 
-    `terms` holds (pref, ((A_s, B_s), ...)) pairs of complex double-doubles
-    with at most `degree` factors per term.  Each product is multiplied out
-    by synthetic multiplication and every coefficient is accumulated in
-    double-double.  Returns (coeffs, mags): the complex double-double
-    coefficients, and per coefficient the plain-double size M_k of what it
-    summed, (sum_t |pref_t| prod_s (|A_s| + |B_s| z))_k, which scales every
+    `weights` holds w_0..w_D and `factors` the D pairs (A_s, B_s), all complex
+    double-doubles: term d is a weight times the first d factors of one
+    shared product.  The sum is multiplied out in its nested form,
+    S = w_D, then S = w_d + (A_d + B_d z) S for d = D-1 .. 0, in O(D^2)
+    double-double operations; a bare z (A = 0, B = 1) is a shift.  Returns
+    (coeffs, mags): the complex double-double coefficients, and per
+    coefficient the plain-double size M_k of what it summed, the same
+    recursion on |w_d|, |A_d| and |B_d| (equal to
+    (sum_d |w_d| prod_{s<d} (|A_s| + |B_s| z))_k), which scales every
     rounding error in it however much the sum cancels.
     """
     zero, one = ddc(0.0), ddc(1.0)
-    acc = [zero] * (degree + 1)
-    mags = [0.0] * (degree + 1)
-    for pref, factors in terms:
-        c = [pref]
-        m = [abs(ddc_to_complex(pref))]
-        for a, b in factors:
-            if a == zero and b == one:  # a bare z (every ghyp/gbasic factor) is a shift
-                c = [zero] + c
-                m = [0.0] + m
-                continue
-            ma, mb = abs(ddc_to_complex(a)), abs(ddc_to_complex(b))
-            c = ([ddc_mul(a, c[0])]
-                 + [ddc_add(ddc_mul(a, ci), ddc_mul(b, cl)) for ci, cl in zip(c[1:], c)]
-                 + [ddc_mul(b, c[-1])])
-            m = [ma * m[0]] + [ma * mi + mb * ml for mi, ml in zip(m[1:], m)] + [mb * m[-1]]
-        for i, ci in enumerate(c):
-            acc[i] = ddc_add(acc[i], ci)
-            mags[i] += m[i]
-    return acc, mags
+    c = [weights[-1]]
+    m = [abs(ddc_to_complex(weights[-1]))]
+    for w, (a, b) in zip(weights[-2::-1], factors[::-1]):
+        mw = abs(ddc_to_complex(w))
+        if a == zero and b == one:  # a bare z (every ghyp/gbasic factor) is a shift
+            c = [w] + c
+            m = [mw] + m
+            continue
+        ma, mb = abs(ddc_to_complex(a)), abs(ddc_to_complex(b))
+        c = ([ddc_add(w, ddc_mul(a, c[0]))]
+             + [ddc_add(ddc_mul(a, ci), ddc_mul(b, cl)) for ci, cl in zip(c[1:], c)]
+             + [ddc_mul(b, c[-1])])
+        m = [mw + ma * m[0]] + [ma * mi + mb * ml for mi, ml in zip(m[1:], m)] + [mb * m[-1]]
+    return c, m

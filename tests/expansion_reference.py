@@ -1,0 +1,196 @@
+"""Reference term table and expansion: one term at a time.
+
+These are the family sums as they were written before the nested form
+(`isospectra.families._term_table` and `isospectra.numeric.ddc_expand`):
+every term's prefactor is built from its own Pochhammer symbols and powers,
+every term carries its own copy of the factor rows, and each term is
+multiplied out separately, O(N^3) double-double operations in all.  They
+keep every formula literal and serve the tests as an independent reference
+for the nested table and its expansion.
+"""
+
+import math
+
+from isospectra.errors import InvalidParameters
+from isospectra.families import Family, FamilySpec
+from isospectra.numeric import (
+    ddc,
+    ddc_add,
+    ddc_div,
+    ddc_mul,
+    ddc_neg,
+    ddc_powi,
+    ddc_to_complex,
+)
+
+
+def ddc_pochhammer(a, m: int):
+    """(a)_m for a complex double-double `a`."""
+    out = ddc(1.0)
+    for i in range(m):
+        out = ddc_mul(out, ddc_add(a, ddc(i)))
+    return out
+
+
+def ddc_q_pochhammer(g, qd, m: int):
+    """(g; q)_m for complex double-doubles `g` and `qd`."""
+    one = ddc(1.0)
+    out = one
+    for _ in range(m):
+        out = ddc_mul(out, ddc_add(one, ddc_neg(g)))
+        g = ddc_mul(g, qd)
+    return out
+
+
+
+
+def term_table(spec: FamilySpec):
+    """Per-term (prefactor, linear factors) of the family sum, in compensated form.
+
+    Every term of each explicit sum is pref * prod_s (A_s + B_s * z) for
+    family-specific constants; the table holds them as complex double-doubles
+    so evaluation keeps ~30 significant digits through the cancellation.
+    """
+    N = spec.N
+    fam = spec.family
+    one = ddc(1.0)
+
+    table = []
+    if fam == Family.GHYP:
+        for m in range(N + 1):
+            num = ddc_pochhammer(ddc(-N), m)
+            for al in spec.alphas:
+                num = ddc_mul(num, ddc_pochhammer(ddc(al), m))
+            den = ddc(float(math.factorial(m)))
+            for be in spec.betas:
+                den = ddc_mul(den, ddc_pochhammer(ddc(be), m))
+            table.append((ddc_div(num, den), ((ddc(0.0), one),) * (N - m)))
+    elif fam == Family.GBASIC:
+        qd = ddc(spec.q)
+        r, s = len(spec.alphas), len(spec.betas)
+        for m in range(N + 1):
+            num = ddc_q_pochhammer(ddc_powi(qd, -N), qd, m)
+            for al in spec.alphas:
+                num = ddc_mul(num, ddc_q_pochhammer(ddc(al), qd, m))
+            den = ddc_q_pochhammer(qd, qd, m)
+            for be in spec.betas:
+                den = ddc_mul(den, ddc_q_pochhammer(ddc(be), qd, m))
+            pref = ddc_div(num, den)
+            sign = (-1.0) ** (m * (s - r))
+            pref = ddc_mul(pref, ddc(sign))
+            pref = ddc_mul(pref, ddc_powi(qd, (m * (m - 1) // 2) * (s - r)))
+            table.append((pref, ((ddc(0.0), one),) * m))
+    elif fam == Family.WILSON:
+        a, b, c, d = spec.alphas
+        sig = ddc_add(ddc_add(ddc(a), ddc(b)), ddc_add(ddc(c), ddc(d)))
+        pair_sums = [ddc_add(ddc(a), ddc(u)) for u in (b, c, d)]
+        for k in range(N + 1):
+            pref = ddc_mul(ddc_pochhammer(ddc(-N), k), ddc_pochhammer(ddc_add(sig, ddc(N - 1)), k))
+            pref = ddc_div(pref, ddc(float(math.factorial(k))))
+            for u in pair_sums:
+                pref = ddc_mul(pref, ddc_pochhammer(ddc_add(u, ddc(k)), N - k))
+            factors = []
+            for i in range(k):
+                t = ddc_add(ddc(a), ddc(i))
+                factors.append((ddc_mul(t, t), one))
+            table.append((pref, tuple(factors)))
+    elif fam == Family.RACAH:
+        al, be, ga, de = spec.alphas
+        gd1 = ddc_add(ddc_add(ddc(ga), ddc(de)), one)
+        nab1 = ddc_add(ddc_add(ddc(al), ddc(be)), ddc(N + 1))
+        dens = (
+            ddc_add(ddc(al), one),
+            ddc_add(ddc_add(ddc(be), ddc(de)), one),
+            ddc_add(ddc(ga), one),
+        )
+        for n in range(N + 1):
+            num = ddc_mul(ddc_pochhammer(ddc(-N), n), ddc_pochhammer(nab1, n))
+            den = ddc(float(math.factorial(n)))
+            for u in dens:
+                den = ddc_mul(den, ddc_pochhammer(u, n))
+            factors = []
+            for s in range(n):
+                a_s = ddc_add(ddc_mul(ddc(float(s)), gd1), ddc(float(s * s)))
+                factors.append((a_s, ddc(-1.0)))
+            table.append((ddc_div(num, den), tuple(factors)))
+    elif fam == Family.AW:
+        qd = ddc(spec.q)
+        a, b, c, d = spec.alphas
+        add = ddc(a)
+        prod = ddc_mul(ddc_mul(add, ddc(b)), ddc_mul(ddc(c), ddc(d)))
+        a_pow = ddc_powi(add, -N)
+        for m in range(N + 1):
+            num = ddc_mul(ddc_powi(qd, m), ddc_q_pochhammer(ddc_powi(qd, -N), qd, m))
+            num = ddc_mul(num, ddc_q_pochhammer(ddc_mul(prod, ddc_powi(qd, N - 1)), qd, m))
+            pref = ddc_mul(ddc_div(num, ddc_q_pochhammer(qd, qd, m)), a_pow)
+            qm = ddc_powi(qd, m)
+            for u in (ddc(b), ddc(c), ddc(d)):
+                pref = ddc_mul(pref, ddc_q_pochhammer(ddc_mul(ddc_mul(add, u), qm), qd, N - m))
+            factors = []
+            for j in range(m):
+                qj = ddc_powi(qd, j)
+                a_j = ddc_add(one, ddc_mul(ddc_mul(add, add), ddc_mul(qj, qj)))
+                b_j = ddc_mul(ddc(-2.0), ddc_mul(add, qj))
+                factors.append((a_j, b_j))
+            table.append((pref, tuple(factors)))
+    elif fam == Family.QRACAH:
+        qd = ddc(spec.q)
+        al, be, ga, de = spec.alphas
+        gd = ddc_mul(ddc(ga), ddc(de))
+        for m in range(N + 1):
+            num = ddc_mul(ddc_powi(qd, m), ddc_q_pochhammer(ddc_powi(qd, -N), qd, m))
+            ab_q = ddc_mul(ddc_mul(ddc(al), ddc(be)), ddc_powi(qd, N + 1))
+            num = ddc_mul(num, ddc_q_pochhammer(ab_q, qd, m))
+            den = ddc_q_pochhammer(qd, qd, m)
+            for u in (ddc(al), ddc_mul(ddc(be), ddc(de)), ddc(ga)):
+                den = ddc_mul(den, ddc_q_pochhammer(ddc_mul(u, qd), qd, m))
+            factors = []
+            for s in range(m):
+                a_s = ddc_add(one, ddc_mul(gd, ddc_powi(qd, 2 * s + 1)))
+                factors.append((a_s, ddc_neg(ddc_powi(qd, s))))
+            table.append((ddc_div(num, den), tuple(factors)))
+    elif fam == Family.JACOBI:
+        al, be = spec.alphas
+        half = (ddc(0.5), ddc(-0.5))
+        nab1 = ddc_add(ddc_add(ddc(al), ddc(be)), ddc(N + 1))
+        for m in range(N + 1):
+            num = ddc_mul(ddc_pochhammer(ddc(-N), m), ddc_pochhammer(nab1, m))
+            num = ddc_mul(num, ddc_pochhammer(ddc_add(ddc(al), ddc(m + 1)), N - m))
+            den = ddc(float(math.factorial(m) * math.factorial(N)))
+            table.append((ddc_div(num, den), (half,) * m))
+    else:
+        raise InvalidParameters(f"no structured evaluation for {fam!r}")
+    return tuple(table)
+
+
+def ddc_expand(terms, degree: int):
+    """Unrounded ascending monomial coefficients of sum_t pref_t * prod_s (A_s + B_s z).
+
+    `terms` holds (pref, ((A_s, B_s), ...)) pairs of complex double-doubles
+    with at most `degree` factors per term.  Each product is multiplied out
+    by synthetic multiplication and every coefficient is accumulated in
+    double-double.  Returns (coeffs, mags): the complex double-double
+    coefficients, and per coefficient the plain-double size M_k of what it
+    summed, (sum_t |pref_t| prod_s (|A_s| + |B_s| z))_k, which scales every
+    rounding error in it however much the sum cancels.
+    """
+    zero, one = ddc(0.0), ddc(1.0)
+    acc = [zero] * (degree + 1)
+    mags = [0.0] * (degree + 1)
+    for pref, factors in terms:
+        c = [pref]
+        m = [abs(ddc_to_complex(pref))]
+        for a, b in factors:
+            if a == zero and b == one:  # a bare z (every ghyp/gbasic factor) is a shift
+                c = [zero] + c
+                m = [0.0] + m
+                continue
+            ma, mb = abs(ddc_to_complex(a)), abs(ddc_to_complex(b))
+            c = ([ddc_mul(a, c[0])]
+                 + [ddc_add(ddc_mul(a, ci), ddc_mul(b, cl)) for ci, cl in zip(c[1:], c)]
+                 + [ddc_mul(b, c[-1])])
+            m = [ma * m[0]] + [ma * mi + mb * ml for mi, ml in zip(m[1:], m)] + [mb * m[-1]]
+        for i, ci in enumerate(c):
+            acc[i] = ddc_add(acc[i], ci)
+            mags[i] += m[i]
+    return acc, mags

@@ -64,19 +64,15 @@ SPECS = [
 ]
 
 
-def _mp_q_pochhammer(g, q, m):
-    out = mp.mpc(1)
-    for _ in range(m):
-        out *= 1 - g
-        g *= q
+def _mp_products(factors):
+    out = [mp.mpc(1)]
+    for f in factors:
+        out.append(out[-1] * f)
     return out
 
 
-def _mp_pochhammer(a, m):
-    out = mp.mpc(1)
-    for i in range(m):
-        out *= a + i
-    return out
+def _mp_q_pochhammers(g, q, m):
+    return _mp_products([1 - g * q**i for i in range(m)])
 
 
 MP_HELPERS = {
@@ -86,22 +82,21 @@ MP_HELPERS = {
     "ddc_div": lambda x, y: x / y,
     "ddc_neg": lambda x: -x,
     "ddc_powi": lambda x, k: x**k,
-    "ddc_pochhammer": _mp_pochhammer,
-    "ddc_q_pochhammer": _mp_q_pochhammer,
+    "ddc_products": _mp_products,
+    "ddc_pochhammers": lambda a, m: _mp_products([a + i for i in range(m)]),
+    "ddc_q_pochhammers": _mp_q_pochhammers,
 }
 
 
 def reference_coefficients(spec, dps=DPS):
     """Ascending coefficients of the family sum of `spec`, in mpmath at `dps` digits."""
     with mp.workdps(dps), mock.patch.multiple(families, **MP_HELPERS):
-        coeffs = [mp.mpc(0)] * (spec.N + 1)
-        for pref, factors in families._term_table(spec):
-            c = [pref]
-            for a, b in factors:
-                c = [a * c[0]] + [a * ci + b * cl for ci, cl in zip(c[1:], c)] + [b * c[-1]]
-            for i, ci in enumerate(c):
-                coeffs[i] += ci
-        return coeffs
+        weights, factors = families._term_table(spec)
+        # the nested form: c = w_N, then c <- w_d + (A_d + B_d z) c
+        c = [weights[-1]]
+        for w, (a, b) in zip(weights[-2::-1], factors[::-1]):
+            c = [w + a * c[0]] + [a * ci + b * cl for ci, cl in zip(c[1:], c)] + [b * c[-1]]
+        return c
 
 
 def reference_zeros(spec, dps=DPS):

@@ -5,10 +5,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+import expansion_reference
 import isospectra as iso
-from isospectra import families
+from isospectra import cli, families
 from isospectra.errors import (
     BranchPoint,
     InvalidParameters,
@@ -16,7 +17,7 @@ from isospectra.errors import (
     SingularSample,
 )
 from isospectra.families import Family, FamilySpec
-from isospectra.numeric import Poly, ZeroSet, poly_roots
+from isospectra.numeric import Poly, ZeroSet, ddc_expand, ddc_to_complex, poly_roots
 
 # frozen (see test_cli): Wilson parameters at a discriminant cusp -> double zero
 WILSON_DEGENERATE = (-0.8580553427452533, -0.33251962240715427, 1.5, 2.0)
@@ -110,23 +111,23 @@ def _exact(x):
 
 
 def _exact_expansion(table, degree):
-    """Monomial coefficients of the term table in exact rational arithmetic."""
-    zero = (Fraction(0), Fraction(0))
-    acc = [zero] * (degree + 1)
-    for pref, factors in table:
-        c = [_exact(pref)]
-        for a, b in factors:
-            (ar, ai), (br, bi) = _exact(a), _exact(b)
-            nxt = [zero] * (len(c) + 1)
-            for i, (cr, ci) in enumerate(c):
-                r, m = nxt[i]
-                nxt[i] = (r + ar * cr - ai * ci, m + ar * ci + ai * cr)
-                r, m = nxt[i + 1]
-                nxt[i + 1] = (r + br * cr - bi * ci, m + br * ci + bi * cr)
-            c = nxt
+    """Monomial coefficients of the nested term table in exact rational arithmetic."""
+    weights, factors = table
+    assert len(weights) == degree + 1 and len(factors) == degree
+    c = [_exact(weights[-1])]
+    for w, (a, b) in zip(weights[-2::-1], factors[::-1]):
+        # c <- w + (a + b z) c
+        (ar, ai), (br, bi) = _exact(a), _exact(b)
+        nxt = [(Fraction(0), Fraction(0))] * (len(c) + 1)
         for i, (cr, ci) in enumerate(c):
-            acc[i] = (acc[i][0] + cr, acc[i][1] + ci)
-    return acc
+            r, m = nxt[i]
+            nxt[i] = (r + ar * cr - ai * ci, m + ar * ci + ai * cr)
+            r, m = nxt[i + 1]
+            nxt[i + 1] = (r + br * cr - bi * ci, m + br * ci + bi * cr)
+        wr, wi = _exact(w)
+        nxt[0] = (nxt[0][0] + wr, nxt[0][1] + wi)
+        c = nxt
+    return c
 
 
 class TestExpansionExact:
@@ -211,6 +212,45 @@ class TestEvaluationBound:
                 er, ei = _exact_value(coeffs, z)
                 dr, di = Fraction(val.real) - er, Fraction(val.imag) - ei
                 assert dr * dr + di * di <= Fraction(bound) ** 2, (n, z, val, float(er))
+
+
+def _safe_box_spec(construction, n, draw):
+    """A spec of `construction` with parameters drawn by hypothesis from the CLI's safe box."""
+    family, n_alpha, n_beta = cli.CONSTRUCTIONS[construction]
+    alphas = draw(st.lists(st.floats(*cli.ALPHA_BOX), min_size=n_alpha, max_size=n_alpha))
+    betas = draw(st.lists(st.floats(*cli.BETA_BOX), min_size=n_beta, max_size=n_beta))
+    q = draw(st.floats(*cli.Q_BOX)) if family in families.Q_FAMILIES else None
+    return iso.make_spec(family, n, alphas, betas, q)
+
+
+class TestNestedExpansion:
+    """The nested term table and its expansion against the per-term reference."""
+
+    @pytest.mark.parametrize("construction", list(cli.CONSTRUCTIONS))
+    @given(n=st.integers(min_value=1, max_value=12), data=st.data())
+    @settings(deadline=None, max_examples=40)
+    def test_matches_per_term_reference(self, construction, n, data):
+        spec = _safe_box_spec(construction, n, data.draw)
+        try:
+            families.validate_spec(spec)
+        except InvalidParameters:
+            assume(False)
+        got, got_mags = ddc_expand(*families._term_table(spec))
+        want, mags = expansion_reference.ddc_expand(expansion_reference.term_table(spec), n)
+        assert len(got) == len(want) == n + 1
+        for k, (g, w, m) in enumerate(zip(got, want, mags)):
+            (gr, gi), (wr, wi) = _exact(g), _exact(w)
+            tol = Fraction(4 * n * 2.0**-104 * m)
+            assert (gr - wr) ** 2 + (gi - wi) ** 2 <= tol**2, (k, float(gr - wr), float(gi - wi), m)
+            # the same magnitudes, summed in another order
+            assert abs(got_mags[k] - m) <= 4 * n * np.finfo(float).eps * m
+
+    @pytest.mark.parametrize("family,alphas,betas,q", EXACT_PARAMS, ids=[p[0] for p in EXACT_PARAMS])
+    def test_rounded_coefficients_equal_reference(self, family, alphas, betas, q):
+        for n in range(1, 9):
+            spec = spec_of(family, n, alphas, betas, q)
+            want, _ = expansion_reference.ddc_expand(expansion_reference.term_table(spec), n)
+            assert list(families._expansion(spec)[1]) == [ddc_to_complex(c) for c in want], n
 
 
 class TestRefineZeros:

@@ -9,6 +9,7 @@ import numpy.polynomial.polynomial as npp
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+import expansion_reference
 import isospectra as iso
 from isospectra import cli, dynamics
 from isospectra.errors import CardinalityMismatch, DegenerateInput, NonConvergence
@@ -22,7 +23,10 @@ from isospectra.numeric import (
     ddc_div,
     ddc_expand,
     ddc_mul,
+    ddc_pochhammers,
     ddc_powi,
+    ddc_products,
+    ddc_q_pochhammers,
     ddc_to_complex,
     dsqrt,
     elementary_coeffs_basic,
@@ -93,10 +97,30 @@ class TestQPochhammer:
         assert err <= 1e-14 * max(1.0, math.hypot(float(direct[0]), float(direct[1])))
 
 
+class TestRunningProducts:
+    """The running Pochhammer lists against the per-symbol loops they replace."""
+
+    @given(a=finite_complex, m=st.integers(min_value=0, max_value=12))
+    def test_pochhammers_bit_identical(self, a, m):
+        got = ddc_pochhammers(ddc(a), m)
+        assert len(got) == m + 1
+        assert got == [expansion_reference.ddc_pochhammer(ddc(a), j) for j in range(m + 1)]
+
+    @given(g=finite_complex, q=finite_complex, m=st.integers(min_value=0, max_value=12))
+    def test_q_pochhammers_bit_identical(self, g, q, m):
+        got = ddc_q_pochhammers(ddc(g), ddc(q), m)
+        assert got == [expansion_reference.ddc_q_pochhammer(ddc(g), ddc(q), j) for j in range(m + 1)]
+
+    def test_products(self):
+        got = ddc_products([ddc(2.0), ddc(1j), ddc(-3.0)])
+        assert [ddc_to_complex(p) for p in got] == [1.0, 2.0, 2j, -6j]
+
+
 def expand_product(factors):
     """prod (A + B z) over (A, B) in `factors`, multiplied out by `ddc_expand` and rounded."""
-    term = (ddc(1.0), tuple((ddc(a), ddc(b)) for a, b in factors))
-    return np.array([ddc_to_complex(c) for c in ddc_expand((term,), len(factors))[0]])
+    weights = [ddc(0.0)] * len(factors) + [ddc(1.0)]  # the one term of full length
+    pairs = [(ddc(a), ddc(b)) for a, b in factors]
+    return np.array([ddc_to_complex(c) for c in ddc_expand(weights, pairs)[0]])
 
 
 def wilson_factors(a, k):
