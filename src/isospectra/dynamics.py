@@ -25,6 +25,7 @@ complex throughout; no realness is assumed anywhere.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -121,20 +122,21 @@ def c_system(spec: fam.FamilySpec) -> CSystem:
     return CSystem(A=A, h=h, time_factor=time_factor(spec), diagonal=False)
 
 
-def solve_c(cs: CSystem, c0, t: float) -> np.ndarray:
-    """Exact solution of cdot = time_factor (A c + h) at time t.
+def c_flow(cs: CSystem, c0):
+    """The exact flow t -> c(t) of cdot = time_factor (A c + h) from c(0) = c0.
 
     Diagonal systems exponentiate componentwise.  Triangular systems use the
     modal expansion (exact while the diagonal is pairwise distinct), with the
     particular solution c_p = -A^(-1) h; near-confluent diagonals fall back to
-    dense RK4 at a fixed small step.
+    dense RK4 at a fixed small step.  Everything that does not depend on t
+    (the modal basis V, c_p and the modal amplitudes) is formed here, once.
     """
     c0 = np.asarray(c0, dtype=complex).ravel()
     n = len(c0)
     tau = cs.time_factor
     lam = np.diag(cs.A)
     if cs.diagonal:
-        return c0 * np.exp(tau * lam * t)
+        return lambda t: c0 * np.exp(tau * lam * t)
 
     if np.any(np.abs(lam) < 1e-14) and np.any(np.abs(cs.h) > 0):
         raise SingularA("triangular A is singular while h != 0")
@@ -148,19 +150,28 @@ def solve_c(cs: CSystem, c0, t: float) -> np.ndarray:
             for i in range(k + 1, n):
                 V[i, k] = (cs.A[i, :i] @ V[:i, k]) / (lam[k] - lam[i])
         eta = np.linalg.solve(V, c0 - cp)
-        return cp + V @ (eta * np.exp(tau * lam * t))
+        return lambda t: cp + V @ (eta * np.exp(tau * lam * t))
 
-    steps = max(1, int(np.ceil(abs(t) / RK4_FALLBACK_STEP)))
-    h_step = t / steps
-    c = c0.copy()
     rhs = lambda v: tau * (cs.A @ v + cs.h)
-    for _ in range(steps):
-        k1 = rhs(c)
-        k2 = rhs(c + 0.5 * h_step * k1)
-        k3 = rhs(c + 0.5 * h_step * k2)
-        k4 = rhs(c + h_step * k3)
-        c = c + (h_step / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-    return c
+
+    def rk4(t):
+        steps = max(1, int(np.ceil(abs(t) / RK4_FALLBACK_STEP)))
+        h_step = t / steps
+        c = c0.copy()
+        for _ in range(steps):
+            k1 = rhs(c)
+            k2 = rhs(c + 0.5 * h_step * k1)
+            k3 = rhs(c + 0.5 * h_step * k2)
+            k4 = rhs(c + h_step * k3)
+            c = c + (h_step / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        return c
+
+    return rk4
+
+
+def solve_c(cs: CSystem, c0, t: float) -> np.ndarray:
+    """Exact solution of cdot = time_factor (A c + h) at time t (`c_flow` at one time)."""
+    return c_flow(cs, c0)(t)
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +185,10 @@ def solve_c(cs: CSystem, c0, t: float) -> np.ndarray:
 # isospectral matrix.  The (q-)hypergeometric kernels take 1 / (z_n - z_l)
 # from one `pair_reciprocals` table, so the Jacobian pass pays for one `Dual`
 # reciprocal per unordered pair instead of one division per ordered pair and
-# factor.
+# factor.  A kernel binds its family's constants once per call, outside the
+# per-zero loops (cached per parameter set where forming them costs
+# arithmetic), and calls the `families` helpers that take them unpacked;
+# every floating-point operation keeps its order, so none of this moves a bit.
 # ---------------------------------------------------------------------------
 
 def check_distinct(z: list) -> None:
@@ -271,29 +285,47 @@ def _rhs_terms_ghyp(spec, z):
     ]
 
 
-def _rhs_terms_gbasic(spec, z):
-    q = spec.q
-    r, s = len(spec.alphas), len(spec.betas)
-    a, b = _coeff_lists(elementary_coeffs_basic, spec.alphas, spec.betas)
-    qn = q ** float(-spec.N)
+@lru_cache(maxsize=512)
+def _gbasic_constants(q, N: int, alphas: tuple, betas: tuple):
+    """The gbasic kernel's constants, once per parameter set.
+
+    Returns (shifts, c1, beta_terms, alpha_terms, sgn_r).  `shifts` lists
+    (p, q^p) for the exclusion products f_n(p, z) = basic_f(q^p z_n, ...)
+    that a row needs, except p = 0: f_n(0, z) only appears times
+    q^0 - 1 = 0, so it stands in as 0 and is never formed.  Row n is
+    c1 f_n(1, z), then c (u f_n(hi, z) - v f_n(lo, z)) for each
+    (c, u, hi, v, lo) of beta_terms, then the same times sgn_r z_n for each
+    of alpha_terms.
+    """
+    r, s = len(alphas), len(betas)
+    a, b = _coeff_lists(elementary_coeffs_basic, alphas, betas)
+    qn = q ** float(-N)
     sgn_s = (-1.0) ** (s + 1)
-    sgn_r = (-1.0) ** r
     qp = {p: q ** float(p) for p in range(min(1, s - r), s + 2)}  # every shift q^p used
     qm1 = {p: v - 1.0 for p, v in qp.items()}
     cb = [sgn_s * b[k - 1] * (-1.0) ** k / q**k for k in range(1, s + 1)]
-    ca = [a[j - 1] * (-1.0) ** j for j in range(1, r + 1)]
+    ca = [1.0] + [a[j - 1] * (-1.0) ** j for j in range(1, r + 1)]
+    beta_terms = [(c, qm1[k + 1], k + 1, qm1[k], k) for k, c in enumerate(cb, 1)]
+    alpha_terms = [(c, qn * qm1[p + 1], p + 1, qm1[p], p) for p, c in enumerate(ca, s - r)]
+    shifts = [(p, v) for p, v in qp.items() if p != 0]
+    return shifts, sgn_s * (q - 1.0), beta_terms, alpha_terms, (-1.0) ** r
+
+
+def _rhs_terms_gbasic(spec, z):
+    shifts, c1, beta_terms, alpha_terms, sgn_r = _gbasic_constants(
+        spec.q, spec.N, spec.alphas, spec.betas
+    )
     inv = pair_reciprocals(z)
     rows = []
     for n, zn in enumerate(z):
-        fn = {p: basic_f(v * zn, z, n, inv[n]) for p, v in qp.items()}
+        inv_n = inv[n]
+        fn = {0: 0j}
+        for p, qp in shifts:
+            fn[p] = basic_f(qp * zn, z, n, inv_n)
         sz = sgn_r * zn
-        row = [sgn_s * (q - 1.0) * fn[1]]
-        row += [c * (qm1[k + 1] * fn[k + 1] - qm1[k] * fn[k]) for k, c in enumerate(cb, 1)]
-        row.append(sz * (qn * qm1[s - r + 1] * fn[s - r + 1] - qm1[s - r] * fn[s - r]))
-        row += [
-            sz * c * (qn * qm1[j + s + 1 - r] * fn[j + s + 1 - r] - qm1[j + s - r] * fn[j + s - r])
-            for j, c in enumerate(ca, 1)
-        ]
+        row = [c1 * fn[1]]
+        row += [c * (u * fn[hi] - v * fn[lo]) for c, u, hi, v, lo in beta_terms]
+        row += [sz * c * (u * fn[hi] - v * fn[lo]) for c, u, hi, v, lo in alpha_terms]
         rows.append(row)
     return rows
 
@@ -301,18 +333,22 @@ def _rhs_terms_gbasic(spec, z):
 def _rhs_terms_wilson(spec, x):
     if any(abs(v) < X_GUARD for v in x):
         raise DivideByZeroVariable("wilson dynamics needs |x_n| > 0")
+    s1, s2, s3, s4 = fam.wilson_sym(spec)
+    quartic = fam.wilson_quartic
     x2 = [v * v for v in x]
     rows = []
     for n, xn in enumerate(x):
+        x2n = x2[n]
         pref = -1j / (2.0 * xn)
         row = []
         for xs in (xn, -xn):
+            t = 2j * xs
             prod = 1.0
             for m, x2m in enumerate(x2):
                 if m != n:
-                    d = x2[n] - x2m
-                    prod *= (d - 1.0 - 2j * xs) / d
-            row.append(pref * (fam.wilson_D(spec, xs) / (2j * xs) * prod))
+                    d = x2n - x2m
+                    prod *= (d - 1.0 - t) / d
+            row.append(pref * (quartic(s1, s2, s3, s4, xs) / t * prod))
         rows.append(row)
     return rows
 
@@ -320,23 +356,30 @@ def _rhs_terms_wilson(spec, x):
 def _rhs_terms_racah(spec, y):
     if any(abs(v) < X_GUARD for v in y):
         raise DivideByZeroVariable("racah dynamics needs |y_n| > 0")
+    al, be, ga, de = spec.alphas
+    al2, be2 = 2.0 * al, 2.0 * be
+    dtilde = fam.racah_dtilde
     y2 = [v * v for v in y]
     rows = []
     for n, yn in enumerate(y):
+        y2n = y2[n]
         pref = -1j / (2.0 * yn)
         row = []
         for ys in (yn, -yn):
+            w = 1.0 + 2.0 * ys
             prod = 1.0
             for m, y2m in enumerate(y2):
                 if m != n:
-                    prod *= 1.0 + (1.0 + 2.0 * ys) / (y2[n] - y2m)
-            row.append(pref * (fam.racah_Dtilde(spec, ys) * (2.0 * ys + 1.0) * prod))
+                    prod *= 1.0 + w / (y2n - y2m)
+            row.append(pref * (dtilde(al2, be2, ga, de, ys) * w * prod))
         rows.append(row)
     return rows
 
 
 def _rhs_terms_aw(spec, x):
     q = spec.q
+    a, b, c, d = spec.alphas
+    g = fam.aw_g
     pref = (q - 1.0) / (2.0 * q ** float(spec.N))
     z = [v + dsqrt(v * v - 1.0) for v in x]
     z_inv = [1.0 / v for v in z]
@@ -345,24 +388,26 @@ def _rhs_terms_aw(spec, x):
         row = []
         for zv in (z, z_inv):
             zn = zv[n]
+            qzn = q * zn
             prod = 1.0
             for m, zm in enumerate(zv):
-                if m != n:
-                    prod *= fam.aw_K(q, zn, zm)
-            row.append(pref * (fam.aw_G(spec, zn) * prod))
+                if m != n:  # K(z_n, z_m)
+                    prod *= ((zm - qzn) * (qzn * zm - 1.0)) / ((zm - zn) * (zn * zm - 1.0))
+            row.append(pref * (g(a, b, c, d, q, zn) * prod))
         rows.append(row)
     return rows
 
 
 def _rhs_terms_qracah(spec, z):
+    k = fam.qracah_constants(spec)
+    companions = fam.qracah_companions
     inv = pair_reciprocals(z)
     rows = []
     for n, zn in enumerate(z):
-        zp = fam.qracah_shift(spec, zn, +1)
-        zm = fam.qracah_shift(spec, zn, -1)
+        zp, zm, B, D = companions(k, zn)
         rows.append([
-            fam.qracah_B(spec, zn) * (zp - zn) * basic_f(zp, z, n, inv[n]),
-            fam.qracah_D(spec, zn) * (zm - zn) * basic_f(zm, z, n, inv[n]),
+            B * (zp - zn) * basic_f(zp, z, n, inv[n]),
+            D * (zm - zn) * basic_f(zm, z, n, inv[n]),
         ])
     return rows
 
@@ -446,31 +491,46 @@ def to_dynamics_variable(spec: fam.FamilySpec, zeros_natural: np.ndarray) -> np.
 def integrate(spec: fam.FamilySpec, z0, t1: float, steps: int, record_every: int = 1):
     """Classical RK4 at fixed step h = t1/steps, with collision guards.
 
-    Returns (times, trajectory) where trajectory[k] is the state at times[k];
-    states are recorded every `record_every` steps (first and last always).
-    A recorded state that is not finite (the step overflowed the dynamic
-    range of doubles) raises NonConvergence.
+    Returns (times, trajectory) as arrays, where trajectory[k] is the state
+    at times[k]; states are recorded every `record_every` steps (first and
+    last always).  The state is a list of Python complex numbers and each
+    stage is one comprehension, in the operation order of the vector form
+    z + (h/6) (k1 + 2 k2 + 2 k3 + k4), so trajectories equal those of RK4
+    on numpy vectors over `nonlinear_rhs` bit for bit.  Every state the
+    right-hand side is evaluated at, and the final state, is checked for
+    collisions (Collision) once: a step's new state is the next step's first
+    stage.  A recorded state that is not finite (the step overflowed the
+    dynamic range of doubles) raises NonConvergence.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    z = np.asarray(z0, dtype=complex).ravel().copy()
+    z = np.asarray(z0, dtype=complex).ravel().tolist()
     h = t1 / steps
+    hh, h6 = 0.5 * h, h / 6.0
     times = [0.0]
-    traj = [z.copy()]
-    rhs = lambda v: nonlinear_rhs(spec, v)
+    traj = [z]
+
+    def rhs(state):
+        return [sum(row) for row in _kernel_rows(spec, state)]
+
+    def checked_rhs(state):
+        _check_separation(state)
+        return rhs(state)
+
+    _check_separation(z)
     for k in range(1, steps + 1):
         k1 = rhs(z)
-        k2 = rhs(z + 0.5 * h * k1)
-        k3 = rhs(z + 0.5 * h * k2)
-        k4 = rhs(z + h * k3)
-        z = z + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        _check_separation(z.tolist())
+        k2 = checked_rhs([v + hh * d for v, d in zip(z, k1)])
+        k3 = checked_rhs([v + hh * d for v, d in zip(z, k2)])
+        k4 = checked_rhs([v + h * d for v, d in zip(z, k3)])
+        z = [v + h6 * (a + 2 * b + 2 * c + d) for v, a, b, c, d in zip(z, k1, k2, k3, k4)]
+        _check_separation(z)
         if k % record_every == 0 or k == steps:
-            if not np.all(np.isfinite(z)):
+            if not all(map(cmath.isfinite, z)):
                 raise NonConvergence(f"integration state not finite at t = {k * h:g}")
             times.append(k * h)
-            traj.append(z.copy())
-    return np.asarray(times), np.asarray(traj)
+            traj.append(z)
+    return np.asarray(times), np.array(traj, dtype=complex)
 
 
 # ---------------------------------------------------------------------------
@@ -556,13 +616,14 @@ def algebraic_trajectory(spec: fam.FamilySpec, z0, times) -> np.ndarray:
     if spec.family in (fam.Family.AW, fam.Family.QRACAH):
         target = target * B[spec.N, 0]  # match the basis head's leading coefficient
     c_full = _expand_on_basis(B, target)
-    cs = c_system(spec)
+    with np.errstate(over="ignore", invalid="ignore"):
+        flow = c_flow(c_system(spec), c_full[1:])
     out = np.empty((len(times), len(z0)), dtype=complex)
     prev = z0
     prev_u = u0
     for k, t in enumerate(times):
         with np.errstate(over="ignore", invalid="ignore"):
-            coeffs = B @ np.concatenate([[c_full[0]], solve_c(cs, c_full[1:], float(t))])
+            coeffs = B @ np.concatenate([[c_full[0]], flow(float(t))])
         if not np.all(np.isfinite(coeffs)):
             raise NonConvergence(
                 f"coefficient dynamic range exhausted at t = {t:g} (non-finite coefficient)"

@@ -32,7 +32,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache, reduce
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -498,12 +498,11 @@ def lift_zero_variables(spec: FamilySpec, zs: ZeroSet) -> ZeroSet:
     elif fam == Family.AW:
         lifted = z + np.sqrt(z * z - 1.0)
     elif fam == Family.QRACAH:
-        gdq4 = 4.0 * spec.alphas[2] * spec.alphas[3] * spec.q
-        if np.any(np.abs(z * z - gdq4) < BRANCH_TOL):
+        k = qracah_constants(spec)
+        if np.any(np.abs(z * z - k.four_gdq) < BRANCH_TOL):
             raise BranchPoint("qracah shift hits the square-root branch point")
-        zp = np.array([qracah_shift(spec, v, +1) for v in z])
-        zm = np.array([qracah_shift(spec, v, -1) for v in z])
-        lifted = np.concatenate([zp, zm])
+        shifts = [qracah_shifts(k, v) for v in z]
+        lifted = np.array([s[1] for s in shifts] + [s[2] for s in shifts])
     else:
         raise InvalidParameters(f"no lifted variable for family {fam.value}")
     return ZeroSet(
@@ -529,10 +528,13 @@ def wilson_sym(spec: FamilySpec):
     return s1, s2, s3, s4
 
 
-def wilson_D(spec: FamilySpec, x):
-    """Quartic D(x) = s4 + i s3 x - s2 x^2 - i s1 x^3 + x^4."""
-    s1, s2, s3, s4 = wilson_sym(spec)
+def wilson_quartic(s1, s2, s3, s4, x):
+    """Quartic D(x) = s4 + i s3 x - s2 x^2 - i s1 x^3 + x^4 on the `wilson_sym`."""
     return s4 + 1j * s3 * x - s2 * x * x - 1j * s1 * x**3 + x**4
+
+
+def wilson_D(spec: FamilySpec, x):
+    return wilson_quartic(*wilson_sym(spec), x)
 
 
 def wilson_B(spec: FamilySpec, x):
@@ -540,66 +542,119 @@ def wilson_B(spec: FamilySpec, x):
     return wilson_D(spec, x) / (2j * x * (2j * x + 1.0))
 
 
+def racah_dtilde(al2, be2, ga, de, y):
+    """D~(y) of the Racah difference equation, with al2 = 2 alpha and be2 = 2 beta."""
+    y2 = 2.0 * y
+    num = (y2 + ga + de + 1.0) * (y2 + ga - de + 1.0) * (y2 + al2 - ga - de + 1.0) * (
+        y2 + be2 - ga + de + 1.0
+    )
+    return num / (32.0 * y * (y2 + 1.0))
+
+
 def racah_Dtilde(spec: FamilySpec, y):
     al, be, ga, de = spec.alphas
-    num = (
-        (2.0 * y + ga + de + 1.0)
-        * (2.0 * y + ga - de + 1.0)
-        * (2.0 * y + 2.0 * al - ga - de + 1.0)
-        * (2.0 * y + 2.0 * be - ga + de + 1.0)
-    )
-    return num / (32.0 * y * (2.0 * y + 1.0))
+    return racah_dtilde(2.0 * al, 2.0 * be, ga, de, y)
 
 
-def aw_D(spec: FamilySpec, z):
-    a, b, c, d = spec.alphas
-    q = spec.q
+def aw_d(a, b, c, d, q, z):
+    """D(z) of the Askey-Wilson q-difference equation, from the unpacked parameters."""
     z2 = z * z
     return ((1.0 - a * z) * (1.0 - b * z) * (1.0 - c * z) * (1.0 - d * z)) / (
         (1.0 - z2) * (1.0 - q * z2)
     )
 
 
+def aw_g(a, b, c, d, q, z):
+    """G(z) = D(z) (q z - 1/z), from the unpacked parameters."""
+    return aw_d(a, b, c, d, q, z) * (q * z - 1.0 / z)
+
+
+def aw_D(spec: FamilySpec, z):
+    return aw_d(*spec.alphas, spec.q, z)
+
+
 def aw_G(spec: FamilySpec, z):
-    return aw_D(spec, z) * (spec.q * z - 1.0 / z)
+    return aw_g(*spec.alphas, spec.q, z)
 
 
-def aw_K(q, zn, zm):
-    return ((zm - q * zn) * (q * zn * zm - 1.0)) / ((zm - zn) * (zn * zm - 1.0))
+class QRacahConstants(NamedTuple):
+    """Per-spec constants of the q-Racah coefficient functions (`qracah_constants`)."""
+
+    four_gdq: complex  # 4 gamma delta q, the root's offset
+    two_gdq: complex   # 2 gamma delta q, Z's denominator
+    q_up: complex      # z^+ = q_up z + c_up (z - root)
+    c_up: complex
+    q_down: complex    # z^- = q_down z + c_down (z - root)
+    c_down: complex
+    alq: complex       # B's factors
+    bedq: complex
+    gaq: complex
+    gdq: complex
+    gdqq: complex
+    q: complex         # D's factors
+    al: complex
+    be: complex
+    ga: complex
+    de: complex
+    gd: complex
 
 
-def qracah_Z(spec: FamilySpec, z):
-    """Z = q^x = (z + sqrt(z^2 - 4 gamma delta q)) / (2 gamma delta q)."""
-    gd = spec.alphas[2] * spec.alphas[3]
-    return (z + dsqrt(z * z - 4.0 * gd * spec.q)) / (2.0 * gd * spec.q)
+@lru_cache(maxsize=512)
+def qracah_constants(spec: FamilySpec) -> QRacahConstants:
+    al, be, ga, de = spec.alphas
+    q = spec.q
+    gd = ga * de
+    return QRacahConstants(
+        4.0 * gd * q, 2.0 * gd * q,
+        q ** 1.0, 1 * (1.0 - q * q) / (2.0 * q),
+        q ** -1.0, -1 * (1.0 - q * q) / (2.0 * q),
+        al * q, be * de * q, ga * q, gd * q, gd * q * q,
+        q, al, be, ga, de, gd,
+    )
+
+
+def qracah_shifts(k: QRacahConstants, z):
+    """(root, z^+, z^-) with root = sqrt(z^2 - 4 gamma delta q) and the companions
+    z^(+-) = z(x +- 1) = q^(+-1) z +- (1-q^2)/(2q) [z - root]."""
+    root = dsqrt(z * z - k.four_gdq)
+    return root, k.q_up * z + k.c_up * (z - root), k.q_down * z + k.c_down * (z - root)
+
+
+def qracah_Z(k: QRacahConstants, z, root):
+    """Z = q^x = (z + root) / (2 gamma delta q), root from `qracah_shifts`."""
+    return (z + root) / k.two_gdq
+
+
+def qracah_companions(k: QRacahConstants, z):
+    """(z^+, z^-, B(z), D(z)) at z, from one square root.
+
+    B and D, the coefficients of the q-Racah q-difference equation, are
+    rational in Z = q^x.
+    """
+    _, _, _, _, _, _, alq, bedq, gaq, gdq, gdqq, q, al, be, ga, de, gd = k
+    root, zp, zm = qracah_shifts(k, z)
+    Z = qracah_Z(k, z, root)
+    Z2 = Z * Z
+    B = (1.0 - alq * Z) * (1.0 - bedq * Z) * (1.0 - gaq * Z) * (1.0 - gdq * Z) / (
+        (1.0 - gdq * Z2) * (1.0 - gdqq * Z2)
+    )
+    D = q * (1.0 - Z) * (1.0 - de * Z) * (be - ga * Z) * (al - gd * Z) / (
+        (1.0 - gd * Z2) * (1.0 - gdq * Z2)
+    )
+    return zp, zm, B, D
 
 
 def qracah_B(spec: FamilySpec, z):
-    al, be, ga, de = spec.alphas
-    q = spec.q
-    Z = qracah_Z(spec, z)
-    Z2 = Z * Z
-    gd = ga * de
-    num = (1.0 - al * q * Z) * (1.0 - be * de * q * Z) * (1.0 - ga * q * Z) * (1.0 - gd * q * Z)
-    return num / ((1.0 - gd * q * Z2) * (1.0 - gd * q * q * Z2))
+    return qracah_companions(qracah_constants(spec), z)[2]
 
 
 def qracah_D(spec: FamilySpec, z):
-    al, be, ga, de = spec.alphas
-    q = spec.q
-    Z = qracah_Z(spec, z)
-    Z2 = Z * Z
-    gd = ga * de
-    num = q * (1.0 - Z) * (1.0 - de * Z) * (be - ga * Z) * (al - gd * Z)
-    return num / ((1.0 - gd * Z2) * (1.0 - gd * q * Z2))
+    return qracah_companions(qracah_constants(spec), z)[3]
 
 
 def qracah_shift(spec: FamilySpec, z, sign: int):
     """z^(+-) = z(x +- 1) = q^(+-1) z +- (1-q^2)/(2q) [z - sqrt(z^2 - 4 gamma delta q)]."""
-    q = spec.q
-    gd = spec.alphas[2] * spec.alphas[3]
-    root = dsqrt(z * z - 4.0 * gd * q)
-    return q ** float(sign) * z + sign * (1.0 - q * q) / (2.0 * q) * (z - root)
+    return qracah_shifts(qracah_constants(spec), z)[1 if sign > 0 else 2]
 
 
 # ---------------------------------------------------------------------------
@@ -710,11 +765,10 @@ def defining_equation_residual(spec: FamilySpec, sample, poly: Optional[Poly] = 
         return _normalized(terms)
 
     if fam == Family.QRACAH:
-        zp = qracah_shift(spec, s, +1)
-        zm = qracah_shift(spec, s, -1)
+        zp, zm, B, D = qracah_companions(qracah_constants(spec), s)
         terms = [
-            qracah_B(spec, s) * (value(zp) - value(s)),
-            qracah_D(spec, s) * (value(zm) - value(s)),
+            B * (value(zp) - value(s)),
+            D * (value(zm) - value(s)),
             -lam * value(s),
         ]
         return _normalized(terms)
@@ -747,14 +801,12 @@ def _probe_singular(spec: FamilySpec, s: complex) -> None:
             [abs(s), abs(s * s - 1.0), abs(q * s * s - 1.0), abs(s * s - q)], "askey-wilson D(z)"
         )
     elif fam == Family.QRACAH:
-        ga, de = spec.alphas[2], spec.alphas[3]
-        gd = ga * de
-        q = spec.q
-        if abs(s * s - 4.0 * gd * q) < SINGULAR_RADIUS:
+        k = qracah_constants(spec)
+        if abs(s * s - k.four_gdq) < SINGULAR_RADIUS:
             raise SingularSample("sample at the q-racah square-root branch point")
-        Z2 = qracah_Z(spec, s) ** 2
+        Z2 = qracah_Z(k, s, qracah_shifts(k, s)[0]) ** 2
         _check_not_singular(
-            [abs(1.0 - gd * q * Z2), abs(1.0 - gd * q * q * Z2), abs(1.0 - gd * Z2)], "q-racah B/D"
+            [abs(1.0 - k.gdq * Z2), abs(1.0 - k.gdqq * Z2), abs(1.0 - k.gd * Z2)], "q-racah B/D"
         )
 
 

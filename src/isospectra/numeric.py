@@ -296,7 +296,10 @@ def pairwise_close(values: list, rel: float) -> bool:
     if len(values) < 2:
         return False
     tol = rel * max(1.0, max(map(abs, values)))
-    return any(abs(a - b) < tol for a, b in combinations(values, 2))
+    for a, b in combinations(values, 2):  # a loop, not any(<genexpr>): it runs per RK4 stage
+        if abs(a - b) < tol:
+            return True
+    return False
 
 
 # ---------------------------------------------------------------------------

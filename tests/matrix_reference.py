@@ -17,7 +17,7 @@ import numpy as np
 from isospectra import families as fam
 from isospectra.matrices import DEFAULT_PAD_VALUES
 from isospectra.numeric import Dual, ZeroSet, dsqrt, elementary_coeffs_basic, elementary_coeffs_hyp
-from rhs_reference import basic_f, fg_recursion
+from rhs_reference import aw_K, basic_f, fg_recursion
 
 
 def basic_f_exc(s, z, n: int, m: int):
@@ -274,7 +274,7 @@ def aw_core(spec: fam.FamilySpec, z: np.ndarray):
     diag = np.zeros(n_zeros, dtype=complex)
     off = np.zeros((n_zeros, n_zeros), dtype=complex)
     for n in range(n_zeros):
-        kprod = np.prod([fam.aw_K(q, z[n], z[ell]) for ell in range(n_zeros) if ell != n]) if n_zeros > 1 else 1.0
+        kprod = np.prod([aw_K(q, z[n], z[ell]) for ell in range(n_zeros) if ell != n]) if n_zeros > 1 else 1.0
         g = fam.aw_G(spec, z[n])
         gp = fam.aw_G(spec, Dual(z[n], [1.0])).eps[0]
         chain_n = 2.0 * z[n] ** 2 / (z[n] ** 2 - 1.0)

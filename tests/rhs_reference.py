@@ -11,7 +11,7 @@ pair, as the reference for the pair-symmetric `dynamics.fg_recursion` and
 
 import numpy as np
 
-from isospectra import families as fam
+from isospectra import dynamics, families as fam
 from isospectra.dynamics import X_GUARD
 from isospectra.errors import DivideByZeroVariable
 from isospectra.numeric import Dual, elementary_coeffs_basic, elementary_coeffs_hyp
@@ -159,6 +159,11 @@ def rhs_terms_racah(spec, y):
     return np.stack([pref * e_plus, pref * e_minus], axis=1)
 
 
+def aw_K(q, zn, zm):
+    """The Askey-Wilson pair factor, written inline in `dynamics`' aw kernel."""
+    return ((zm - q * zn) * (q * zn * zm - 1.0)) / ((zm - zn) * (zn * zm - 1.0))
+
+
 def rhs_terms_aw(spec, x):
     q = spec.q
     z = x + np.sqrt(x * x - 1.0)
@@ -167,7 +172,7 @@ def rhs_terms_aw(spec, x):
         out = np.zeros(len(x), dtype=complex)
         for n in range(len(x)):
             prod = np.prod(
-                [fam.aw_K(q, zv[n], zv[m]) for m in range(len(x)) if m != n]
+                [aw_K(q, zv[n], zv[m]) for m in range(len(x)) if m != n]
             ) if len(x) > 1 else 1.0
             out[n] = fam.aw_G(spec, zv[n]) * prod
         return out
@@ -228,6 +233,26 @@ def integrate(spec, z0, t1, steps, record_every=1):
         k3 = rhs(z + 0.5 * h * k2)
         k4 = rhs(z + h * k3)
         z = z + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        if k % record_every == 0 or k == steps:
+            traj.append(z.copy())
+    return np.asarray(traj)
+
+
+def integrate_vectors(spec, z0, t1, steps, record_every=1):
+    """RK4 on numpy vectors over `dynamics.nonlinear_rhs`, the library's own
+    right-hand side, with its collision guard after every step; `dynamics.integrate`
+    runs the same arithmetic on Python lists."""
+    z = np.asarray(z0, dtype=complex).ravel().copy()
+    h = t1 / steps
+    traj = [z.copy()]
+    rhs = lambda v: dynamics.nonlinear_rhs(spec, v)  # noqa: E731
+    for k in range(1, steps + 1):
+        k1 = rhs(z)
+        k2 = rhs(z + 0.5 * h * k1)
+        k3 = rhs(z + 0.5 * h * k2)
+        k4 = rhs(z + h * k3)
+        z = z + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        dynamics._check_separation(z.tolist())
         if k % record_every == 0 or k == steps:
             traj.append(z.copy())
     return np.asarray(traj)

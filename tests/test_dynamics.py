@@ -213,11 +213,11 @@ class TestNonlinearRHS:
             out = np.zeros(len(zv), dtype=complex)
             for n in range(len(zv)):
                 prod_a = np.prod(
-                    [families.aw_K(spec.q, zv[n], zv[m]) for m in range(len(zv)) if m != n]
+                    [rhs_reference.aw_K(spec.q, zv[n], zv[m]) for m in range(len(zv)) if m != n]
                 )
                 prod_b = np.prod(
                     [
-                        families.aw_K(spec.q, 1 / zv[n], 1 / zv[m])
+                        rhs_reference.aw_K(spec.q, 1 / zv[n], 1 / zv[m])
                         for m in range(len(zv))
                         if m != n
                     ]
@@ -241,8 +241,26 @@ class TestNonlinearRHS:
         with pytest.raises(DivideByZeroVariable):
             dynamics.nonlinear_rhs(spec, [1e-9, 1.0])
 
+    def test_racah_axis_guard(self):
+        spec = iso.make_spec("racah", 2, [1.1, 2.2, 0.8, 1.4])
+        with pytest.raises(DivideByZeroVariable):
+            dynamics.nonlinear_rhs(spec, [1.0, 1e-9j])
+
 
 class TestIntegrate:
+    def test_collision_on_last_step(self, monkeypatch):
+        # zdot = (1, -z_1): one RK4 step of h = 1 from (2, 8) moves z_0 to 3 and
+        # z_1 to 8 R(-1) = 3, R(x) = 1 + x + x^2/2 + x^3/6 + x^4/24 being RK4's
+        # stability polynomial.  The stage states (2, 8), (2.5, 4), (2.5, 6) and
+        # (3, 2) are well apart, so only the check on the final state sees it.
+        kernel = lambda spec, z: [[1.0 + 0j], [-z[1]]]  # noqa: E731
+        monkeypatch.setitem(dynamics._RHS_TERMS, families.Family.GHYP, kernel)
+        spec = iso.make_spec("ghyp", 2, [1.7], [2.3])
+        with pytest.raises(Collision):
+            dynamics.integrate(spec, [2.0, 8.0], 1.0, 1)
+        _, traj = dynamics.integrate(spec, [2.0, 8.5], 1.0, 1)
+        np.testing.assert_allclose(traj[-1], [3.0, 8.5 * 0.375], rtol=1e-15)
+
     def test_zero_horizon(self):
         spec = iso.make_spec("ghyp", 3, [1.7], [2.3])
         z0 = perturbed_start(spec)
@@ -435,6 +453,15 @@ class TestScalarKernels:
         # the reference returns inf/nan here; the scalar kernels raise instead
         with pytest.raises(SingularDenominator):
             dynamics.nonlinear_rhs(spec, z)
+
+    @pytest.mark.parametrize("spec", DEMO_SPECS, ids=lambda s: s.family.value)
+    def test_trajectory_equals_vector_rk4(self, spec):
+        # the list RK4 keeps the vector form's operation order
+        z0 = perturbed_start(spec)
+        times, got = dynamics.integrate(spec, z0, 0.5, 2000, record_every=20)
+        want = rhs_reference.integrate_vectors(spec, z0, 0.5, 2000, record_every=20)
+        assert isinstance(times, np.ndarray) and isinstance(got, np.ndarray)
+        assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("spec", DEMO_SPECS, ids=lambda s: s.family.value)
     def test_trajectory_matches_reference(self, spec):
