@@ -573,10 +573,6 @@ def aw_D(spec: FamilySpec, z):
     return aw_d(*spec.alphas, spec.q, z)
 
 
-def aw_G(spec: FamilySpec, z):
-    return aw_g(*spec.alphas, spec.q, z)
-
-
 class QRacahConstants(NamedTuple):
     """Per-spec constants of the q-Racah coefficient functions (`qracah_constants`)."""
 
@@ -642,19 +638,6 @@ def qracah_companions(k: QRacahConstants, z):
         (1.0 - gd * Z2) * (1.0 - gdq * Z2)
     )
     return zp, zm, B, D
-
-
-def qracah_B(spec: FamilySpec, z):
-    return qracah_companions(qracah_constants(spec), z)[2]
-
-
-def qracah_D(spec: FamilySpec, z):
-    return qracah_companions(qracah_constants(spec), z)[3]
-
-
-def qracah_shift(spec: FamilySpec, z, sign: int):
-    """z^(+-) = z(x +- 1) = q^(+-1) z +- (1-q^2)/(2q) [z - sqrt(z^2 - 4 gamma delta q)]."""
-    return qracah_shifts(qracah_constants(spec), z)[1 if sign > 0 else 2]
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ import numpy as np
 from isospectra import families as fam
 from isospectra.matrices import DEFAULT_PAD_VALUES
 from isospectra.numeric import Dual, ZeroSet, dsqrt, elementary_coeffs_basic, elementary_coeffs_hyp
-from rhs_reference import aw_K, basic_f, fg_recursion
+from rhs_reference import aw_G, aw_K, basic_f, fg_recursion, qracah_B, qracah_D, qracah_shift
 
 
 def basic_f_exc(s, z, n: int, m: int):
@@ -275,8 +275,8 @@ def aw_core(spec: fam.FamilySpec, z: np.ndarray):
     off = np.zeros((n_zeros, n_zeros), dtype=complex)
     for n in range(n_zeros):
         kprod = np.prod([aw_K(q, z[n], z[ell]) for ell in range(n_zeros) if ell != n]) if n_zeros > 1 else 1.0
-        g = fam.aw_G(spec, z[n])
-        gp = fam.aw_G(spec, Dual(z[n], [1.0])).eps[0]
+        g = aw_G(spec, z[n])
+        gp = aw_G(spec, Dual(z[n], [1.0])).eps[0]
         chain_n = 2.0 * z[n] ** 2 / (z[n] ** 2 - 1.0)
         ssum = 0.0 + 0.0j
         for m in range(n_zeros):
@@ -313,12 +313,12 @@ def L_aw(spec: fam.FamilySpec, z: np.ndarray):
 def L_qracah(spec: fam.FamilySpec, z: np.ndarray):
     n_zeros = len(z)
     L = np.zeros((n_zeros, n_zeros), dtype=complex)
-    zp = np.array([fam.qracah_shift(spec, v, +1) for v in z])
-    zm = np.array([fam.qracah_shift(spec, v, -1) for v in z])
-    bv = np.array([fam.qracah_B(spec, v) for v in z])
-    dv = np.array([fam.qracah_D(spec, v) for v in z])
-    bp = np.array([fam.qracah_B(spec, Dual(v, [1.0])).eps[0] for v in z])
-    dp = np.array([fam.qracah_D(spec, Dual(v, [1.0])).eps[0] for v in z])
+    zp = np.array([qracah_shift(spec, v, +1) for v in z])
+    zm = np.array([qracah_shift(spec, v, -1) for v in z])
+    bv = np.array([qracah_B(spec, v) for v in z])
+    dv = np.array([qracah_D(spec, v) for v in z])
+    bp = np.array([qracah_B(spec, Dual(v, [1.0])).eps[0] for v in z])
+    dp = np.array([qracah_D(spec, Dual(v, [1.0])).eps[0] for v in z])
     cp = np.array([qracah_C(spec, v, +1) for v in z])
     cm = np.array([qracah_C(spec, v, -1) for v in z])
 

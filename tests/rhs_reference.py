@@ -6,7 +6,10 @@ every formula literal and serve the tests as an independent reference for the
 rewritten builders and for RK4 trajectories.  The f/g recursion and the
 exclusion product are kept in the same literal form, one division per ordered
 pair, as the reference for the pair-symmetric `dynamics.fg_recursion` and
-`dynamics.basic_f`.
+`dynamics.basic_f`, and so are the Askey-Wilson and q-Racah coefficient
+functions as they were before the kernels took their constants once per call
+(`aw_K`, `aw_G`, `qracah_B`, `qracah_D`, `qracah_shift`).  `integrate_vectors`
+is RK4 on numpy vectors over the library's own right-hand side.
 """
 
 import numpy as np
@@ -14,7 +17,7 @@ import numpy as np
 from isospectra import dynamics, families as fam
 from isospectra.dynamics import X_GUARD
 from isospectra.errors import DivideByZeroVariable
-from isospectra.numeric import Dual, elementary_coeffs_basic, elementary_coeffs_hyp
+from isospectra.numeric import Dual, dsqrt, elementary_coeffs_basic, elementary_coeffs_hyp
 
 
 def fg_recursion(zeta, J):
@@ -164,6 +167,44 @@ def aw_K(q, zn, zm):
     return ((zm - q * zn) * (q * zn * zm - 1.0)) / ((zm - zn) * (zn * zm - 1.0))
 
 
+def aw_G(spec, z):
+    return fam.aw_D(spec, z) * (spec.q * z - 1.0 / z)
+
+
+def qracah_Z(spec, z):
+    """Z = q^x = (z + sqrt(z^2 - 4 gamma delta q)) / (2 gamma delta q)."""
+    gd = spec.alphas[2] * spec.alphas[3]
+    return (z + dsqrt(z * z - 4.0 * gd * spec.q)) / (2.0 * gd * spec.q)
+
+
+def qracah_B(spec, z):
+    al, be, ga, de = spec.alphas
+    q = spec.q
+    Z = qracah_Z(spec, z)
+    Z2 = Z * Z
+    gd = ga * de
+    num = (1.0 - al * q * Z) * (1.0 - be * de * q * Z) * (1.0 - ga * q * Z) * (1.0 - gd * q * Z)
+    return num / ((1.0 - gd * q * Z2) * (1.0 - gd * q * q * Z2))
+
+
+def qracah_D(spec, z):
+    al, be, ga, de = spec.alphas
+    q = spec.q
+    Z = qracah_Z(spec, z)
+    Z2 = Z * Z
+    gd = ga * de
+    num = q * (1.0 - Z) * (1.0 - de * Z) * (be - ga * Z) * (al - gd * Z)
+    return num / ((1.0 - gd * Z2) * (1.0 - gd * q * Z2))
+
+
+def qracah_shift(spec, z, sign):
+    """z^(+-) = z(x +- 1) = q^(+-1) z +- (1-q^2)/(2q) [z - sqrt(z^2 - 4 gamma delta q)]."""
+    q = spec.q
+    gd = spec.alphas[2] * spec.alphas[3]
+    root = dsqrt(z * z - 4.0 * gd * q)
+    return q ** float(sign) * z + sign * (1.0 - q * q) / (2.0 * q) * (z - root)
+
+
 def rhs_terms_aw(spec, x):
     q = spec.q
     z = x + np.sqrt(x * x - 1.0)
@@ -174,7 +215,7 @@ def rhs_terms_aw(spec, x):
             prod = np.prod(
                 [aw_K(q, zv[n], zv[m]) for m in range(len(x)) if m != n]
             ) if len(x) > 1 else 1.0
-            out[n] = fam.aw_G(spec, zv[n]) * prod
+            out[n] = aw_G(spec, zv[n]) * prod
         return out
 
     pref = (q - 1.0) / (2.0 * q ** float(spec.N))
@@ -184,16 +225,16 @@ def rhs_terms_aw(spec, x):
 def rhs_terms_qracah(spec, z):
     out = np.zeros((len(z), 2), dtype=complex)
     for n in range(len(z)):
-        zp = fam.qracah_shift(spec, z[n], +1)
-        zm = fam.qracah_shift(spec, z[n], -1)
+        zp = qracah_shift(spec, z[n], +1)
+        zm = qracah_shift(spec, z[n], -1)
         prod_p = np.prod(
             [(zp - z[m]) / (z[n] - z[m]) for m in range(len(z)) if m != n]
         ) if len(z) > 1 else 1.0
         prod_m = np.prod(
             [(zm - z[m]) / (z[n] - z[m]) for m in range(len(z)) if m != n]
         ) if len(z) > 1 else 1.0
-        out[n, 0] = fam.qracah_B(spec, z[n]) * (zp - z[n]) * prod_p
-        out[n, 1] = fam.qracah_D(spec, z[n]) * (zm - z[n]) * prod_m
+        out[n, 0] = qracah_B(spec, z[n]) * (zp - z[n]) * prod_p
+        out[n, 1] = qracah_D(spec, z[n]) * (zm - z[n]) * prod_m
     return out
 
 

@@ -223,8 +223,8 @@ class TestNonlinearRHS:
                     ]
                 )
                 out[n] = pref * (
-                    families.aw_G(spec, zv[n]) * prod_a
-                    + families.aw_G(spec, 1 / zv[n]) * prod_b
+                    rhs_reference.aw_G(spec, zv[n]) * prod_a
+                    + rhs_reference.aw_G(spec, 1 / zv[n]) * prod_b
                 )
             return out
 
