@@ -49,6 +49,7 @@ from .numeric import (
     elementary_coeffs_basic,
     elementary_coeffs_hyp,
     dsqrt,
+    multiset_match,
     pairwise_close,
     poly_roots,
 )
@@ -579,13 +580,18 @@ def _expand_on_basis(B: np.ndarray, target: np.ndarray) -> np.ndarray:
 
 
 def _match_order(candidates: np.ndarray, previous: np.ndarray) -> np.ndarray:
-    """Order `candidates` by greedy nearest-neighbor continuity with `previous`."""
-    cand = list(candidates)
-    out = np.empty(len(previous), dtype=complex)
-    for i, p in enumerate(previous):
-        j = int(np.argmin([abs(cv - p) for cv in cand]))
-        out[i] = cand.pop(j)
-    return out
+    """Order `candidates` by greedy nearest-neighbor continuity with `previous`.
+
+    Each previous value takes its nearest remaining candidate, the first in
+    `candidates` order on a tie; on Python complex scalars, as in
+    `multiset_match`.
+    """
+    cand = candidates.tolist()
+    out = []
+    for p in previous.tolist():
+        d = [abs(cv - p) for cv in cand]
+        out.append(cand.pop(d.index(min(d))))
+    return np.array(out, dtype=complex)
 
 
 def _sqrt_continuous(u: np.ndarray, previous: np.ndarray) -> np.ndarray:
@@ -665,8 +671,6 @@ def evolve_compare(
     max(1, oracle magnitude), as in `multiset_match`); max_deviation is its
     maximum over the recorded grid.
     """
-    from .numeric import multiset_match
-
     times, ode = integrate(spec, z0, t1, steps, record_every=record_every)
     oracle = algebraic_trajectory(spec, z0, times)
     dev = max(multiset_match(ode[k], oracle[k]) for k in range(len(times)))

@@ -8,7 +8,8 @@ complex helpers.
 All arithmetic is double-precision complex.  Both eigenvalue routines use
 LAPACK's QR algorithm through `numpy.linalg.eigvals`, with no dimension cap:
 `poly_roots` on the companion matrix plus a guarded Newton polish on the
-coefficients, `matrix_eigenvalues` plus one Newton step on the determinant.
+coefficients, one Horner pass per step on Python complex scalars, and
+`matrix_eigenvalues` plus one Newton step on the determinant.
 """
 
 from __future__ import annotations
@@ -176,9 +177,31 @@ def elementary_coeffs_basic(alphas, betas):
 # Root finding
 # ---------------------------------------------------------------------------
 
-def _backward_error(c: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """|p(z)| relative to the evaluation scale sum_i |c_i| |z|^i."""
-    return np.abs(npp.polyval(z, c)) / (npp.polyval(np.abs(z), np.abs(c)) + _TINY)
+def _newton_point(c: list, ac: list, z: complex) -> tuple[complex, float]:
+    """Newton step p(z)/p'(z) and scaled backward error |p(z)| / sum |c_i| |z|^i.
+
+    One Horner pass over `c`, the coefficients in descending powers, and
+    `ac`, their moduli, in Python complex arithmetic.  A derivative below
+    _TINY is clamped to _TINY.  Python's `abs` raises OverflowError where
+    numpy returns inf; such a point gets an infinite error, so it is never
+    kept.
+    """
+    p, d, s = c[0], 0j, ac[0]
+    try:
+        az = abs(z)
+        for ci, aci in zip(c[1:], ac[1:]):
+            d = d * z + p
+            p = p * z + ci
+            s = s * az + aci
+        res = abs(p) / (s + _TINY)
+        return p / (_TINY if abs(d) < _TINY else d), res
+    except OverflowError:
+        return 0j, float("inf")
+
+
+def _re_im(v: complex) -> tuple[float, float]:
+    """Sort key: real part, then imaginary part (numpy's lexsort order)."""
+    return v.real, v.imag
 
 
 def poly_roots(p, tol: float = ROOT_TOL) -> ZeroSet:
@@ -187,10 +210,15 @@ def poly_roots(p, tol: float = ROOT_TOL) -> ZeroSet:
     The max-normalized coefficients go into `numpy.polynomial`'s companion
     matrix, whose eigenvalues LAPACK's balanced QR algorithm finds backward
     stably (Edelman & Murakami 1995).  Every root then gets a guarded Newton
-    polish on the coefficients: three steps, each kept only if the scaled
-    backward error |p(z)| / sum |c_i| |z|^i improves.  Multiple roots bottom
-    out near sqrt(eps); that is inherent to double precision, and all
-    downstream constructions require distinct zeros anyway.
+    polish on the coefficients, on Python complex scalars: up to three
+    steps, each kept only if the scaled backward error
+    |p(z)| / sum |c_i| |z|^i improves.  A root stops at its first rejected
+    step, since a rejected step leaves z, p(z) and p'(z) as they were and
+    every later step would propose the same candidate again; an accepted
+    candidate carries its own evaluation into the next step, so each step
+    costs one Horner pass.  Multiple roots bottom out near sqrt(eps); that
+    is inherent to double precision, and all downstream constructions
+    require distinct zeros anyway.
 
     Raises DegenerateInput for the zero polynomial or degree < 1, and
     NonConvergence if the scaled residual still exceeds `tol` at the end.
@@ -199,24 +227,25 @@ def poly_roots(p, tol: float = ROOT_TOL) -> ZeroSet:
     if len(c) < 2:
         raise DegenerateInput("poly_roots needs degree >= 1")
     c = c / np.max(np.abs(c))
-    dc = npp.polyder(c)
-    z = np.linalg.eigvals(npp.polycompanion(c))
+    desc = c[::-1].tolist()
+    mods = [abs(ci) for ci in desc]
 
-    res = _backward_error(c, z)  # carried with z: a root that did not move keeps its error
-    for _ in range(3):
-        pv = npp.polyval(z, c)
-        dv = npp.polyval(z, dc)
-        dv = np.where(np.abs(dv) < _TINY, _TINY, dv)
-        cand = z - pv / dv
-        cand_res = _backward_error(c, cand)
-        better = cand_res < res
-        z = np.where(better, cand, z)
-        res = np.where(better, cand_res, res)
+    roots, worst = [], 0.0
+    for z in np.linalg.eigvals(npp.polycompanion(c)).tolist():
+        step, res = _newton_point(desc, mods, z)
+        for _ in range(3):
+            cand = z - step
+            cand_step, cand_res = _newton_point(desc, mods, cand)
+            if not cand_res < res:
+                break
+            z, step, res = cand, cand_step, cand_res
+        roots.append(z)
+        worst = max(worst, res)
 
-    worst = float(res.max())
     if worst > tol:
         raise NonConvergence(f"root residual {worst:.3e} > tol {tol:.1e}")
-    z = z[np.lexsort((z.imag, z.real))]
+    roots.sort(key=_re_im)
+    z = np.array(roots, dtype=complex)
     return ZeroSet(zeros=z, min_separation=min_separation(z), max_poly_residual=worst)
 
 
@@ -269,26 +298,28 @@ def multiset_match(a, b) -> float:
     """Greedy matched distance between two equal-size multisets.
 
     Both sides are sorted by (re, im); each element of the first is paired
-    with its nearest unused partner in the second.  The max pairwise
-    distance is returned, normalized by max(1, max |b|).
+    with its nearest unused partner in the second, the first such partner
+    in sorted order on a tie.  The max pairwise distance is returned,
+    normalized by max(1, max |b|).  The pairing runs on Python complex
+    scalars: at the sizes used here (N <= 12) numpy's cost per call exceeds
+    the arithmetic.
     """
-    va = np.asarray(a.values if isinstance(a, EigenMultiset) else a, dtype=complex).ravel()
-    vb = np.asarray(b.values if isinstance(b, EigenMultiset) else b, dtype=complex).ravel()
+    va = np.asarray(a.values if isinstance(a, EigenMultiset) else a, dtype=complex).ravel().tolist()
+    vb = np.asarray(b.values if isinstance(b, EigenMultiset) else b, dtype=complex).ravel().tolist()
     if len(va) != len(vb):
         raise CardinalityMismatch(f"multiset sizes {len(va)} != {len(vb)}")
-    if len(va) == 0:
+    if not va:
         return 0.0
-    va = va[np.lexsort((va.imag, va.real))]
-    vb = vb[np.lexsort((vb.imag, vb.real))]
-    used = np.zeros(len(vb), dtype=bool)
+    scale = max(1.0, max(map(abs, vb)))
+    va.sort(key=_re_im)
+    vb.sort(key=_re_im)
     worst = 0.0
     for x in va:
-        d = np.abs(vb - x)
-        d[used] = np.inf
-        j = int(np.argmin(d))
-        used[j] = True
-        worst = max(worst, float(d[j]))
-    return worst / max(1.0, float(np.max(np.abs(vb))))
+        d = [abs(v - x) for v in vb]
+        nearest = min(d)
+        worst = max(worst, nearest)
+        del vb[d.index(nearest)]
+    return worst / scale
 
 
 def pairwise_close(values: list, rel: float) -> bool:

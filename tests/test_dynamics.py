@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import isospectra as iso
 import rhs_reference
+import roots_reference
 from isospectra import dynamics, families
 from isospectra.errors import Collision, DivideByZeroVariable, SingularA, SingularDenominator
 from isospectra.numeric import Dual, multiset_match
@@ -305,6 +306,23 @@ class TestAlgebraicSolution:
         spec = iso.make_spec("jacobi", 3, [0.5, 1.0])
         rec = dynamics.evolve_compare(spec, perturbed_start(spec), 0.5, 2000, record_every=40)
         assert rec.max_deviation <= 1e-6
+
+    def test_match_order_tie_takes_first_candidate(self):
+        # 0 is as near to 1 as to -1 and takes the first candidate
+        for cand in ([1.0, -1.0], [-1.0, 1.0]):
+            got = dynamics._match_order(np.array(cand, dtype=complex), np.array([0.0, 0.5]))
+            assert got.tolist() == cand
+
+    @given(
+        n=st.integers(1, 12),
+        seed=st.integers(0, 2**32 - 1),
+        spread=st.sampled_from([1e-12, 1e-6, 1e-2, 1.0]),
+    )
+    @settings(deadline=None)
+    def test_match_order_matches_numpy_form(self, n, seed, spread):
+        previous, candidates = roots_reference.shuffled_neighbors(n, seed, spread)
+        got = dynamics._match_order(candidates, previous)
+        assert np.array_equal(got, roots_reference.match_order_numpy(candidates, previous))
 
 
 LINEARIZATION_SPECS = [

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -11,12 +12,14 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 import expansion_reference
 import isospectra as iso
+import roots_reference
 from isospectra import cli, dynamics
 from isospectra.errors import CardinalityMismatch, DegenerateInput, NonConvergence
 from isospectra.numeric import (
     Dual,
     _dd_add,
     _dd_mul,
+    _newton_point,
     Poly,
     ddc,
     ddc_add,
@@ -296,6 +299,32 @@ class TestPolyRoots:
         with pytest.raises(NonConvergence):
             poly_roots(Poly(coeffs), tol=1e-30)
 
+    def test_zero_derivative_clamped(self):
+        # z^2: p'(0) = 0 is clamped to _TINY, the step is 0 and is rejected
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            zs = poly_roots(Poly([0.0, 0.0, 1.0]))
+        assert zs.zeros.tolist() == [0j, 0j]
+        assert zs.max_poly_residual == 0.0
+
+    def test_overflowing_point_never_kept(self):
+        # |z| is finite in each part but above DBL_MAX: Python's abs raises
+        # OverflowError there, and the point gets an infinite error instead
+        big = complex(1.5e308, 1.5e308)
+        with pytest.raises(OverflowError):
+            abs(big)
+        c = [1.0 + 0j, 0j, -1.0 + 0j]
+        assert _newton_point(c, [abs(x) for x in c], big)[1] == math.inf
+
+    def test_overflowing_start_is_nonconvergence(self, monkeypatch):
+        # a start whose evaluation overflows keeps an infinite error: every
+        # candidate is rejected and the call ends in NonConvergence
+        monkeypatch.setattr(
+            np.linalg, "eigvals", lambda a: np.array([complex(1.5e308, 1.5e308), 1.0])
+        )
+        with pytest.raises(NonConvergence, match="inf"):
+            poly_roots(Poly([-1.0, 0.0, 1.0]))
+
 
 def oracle_polynomials(spec):
     """The polynomials the algebraic oracle roots on t = 0, 0.05, ..., 0.5 from a perturbed start."""
@@ -311,6 +340,12 @@ def oracle_polynomials(spec):
     finally:
         dynamics.poly_roots = saved
     return polys
+
+
+def n8_draw_polynomial(index, name):
+    """The N = 8 draw of `TestPolyRootsAccuracy::test_n8_draw`."""
+    spec, _ = cli.draw_spec(name, 8, np.random.default_rng([2026, index]), nmin=8)
+    return iso.build_polynomial(spec).coeffs
 
 
 def assert_matches_mpmath(c, bound):
@@ -340,8 +375,27 @@ class TestPolyRootsAccuracy:
 
     @pytest.mark.parametrize("index, name", enumerate(cli.CONSTRUCTIONS), ids=list(cli.CONSTRUCTIONS))
     def test_n8_draw(self, index, name):
-        spec, _ = cli.draw_spec(name, 8, np.random.default_rng([2026, index]), nmin=8)
-        assert_matches_mpmath(iso.build_polynomial(spec).coeffs, 3.7e-11)
+        assert_matches_mpmath(n8_draw_polynomial(index, name), 3.7e-11)
+
+
+class TestPolishStop:
+    """Stopping a root at its first rejected step equals running all three steps."""
+
+    @staticmethod
+    def assert_same_as_full_loop(c):
+        zs = poly_roots(c, tol=1e-9)
+        zeros, worst = roots_reference.poly_roots_full_loop(c)
+        assert np.array_equal(zs.zeros, zeros)
+        assert zs.max_poly_residual == worst
+
+    @pytest.mark.parametrize("spec", DEMO_SPECS, ids=lambda s: s.family.value)
+    def test_oracle_polynomials(self, spec):
+        for c in oracle_polynomials(spec):
+            self.assert_same_as_full_loop(c)
+
+    @pytest.mark.parametrize("index, name", enumerate(cli.CONSTRUCTIONS), ids=list(cli.CONSTRUCTIONS))
+    def test_n8_draw(self, index, name):
+        self.assert_same_as_full_loop(n8_draw_polynomial(index, name))
 
 
 class TestMatrixEigenvalues:
@@ -419,6 +473,22 @@ class TestMultisetMatch:
         rng = np.random.default_rng(0)
         shuffled = np.array(values)[rng.permutation(len(values))]
         assert multiset_match(values, shuffled) <= 1e-12 * max(1.0, np.max(np.abs(values)))
+
+    def test_tie_takes_first_in_sorted_order(self):
+        # 0 is as near to -1 as to 1 and takes -1, which sorts first; 5 then takes 1
+        assert multiset_match([5.0, 0.0], [1.0, -1.0]) == 4.0
+        assert roots_reference.multiset_match_numpy([5.0, 0.0], [1.0, -1.0]) == 4.0
+
+    @given(
+        n=st.integers(1, 12),
+        seed=st.integers(0, 2**32 - 1),
+        spread=st.sampled_from([1e-12, 1e-6, 1e-2, 1.0]),
+    )
+    @settings(deadline=None)
+    def test_matches_numpy_form(self, n, seed, spread):
+        a, b = roots_reference.shuffled_neighbors(n, seed, spread)
+        want = roots_reference.multiset_match_numpy(a, b)
+        assert abs(multiset_match(a, b) - want) <= 4 * np.finfo(float).eps * want
 
 
 # Each Dual operation as f(x, y) with its exact partials (df/dx, df/dy).
