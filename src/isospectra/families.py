@@ -51,6 +51,7 @@ from .numeric import (
     ddc_add,
     ddc_div,
     ddc_expand,
+    ddc_horner,
     ddc_mul,
     ddc_neg,
     ddc_pochhammers,
@@ -65,6 +66,7 @@ from .numeric import (
 
 _TINY = 1e-300
 _DD_UNIT = 2.0**-104       # relative rounding of one double-double operation
+_EPS = 2.0**-52            # double machine epsilon
 PARAM_POLE_TOL = 1e-10     # plain Pochhammer validity margin
 QPARAM_POLE_TOL = 1e-12    # q-Pochhammer validity margin
 ZERO_SEP_REL = 1e-8        # distinctness threshold, relative to zero scale
@@ -382,9 +384,10 @@ def _expansion(spec: FamilySpec):
 def structured_eval(spec: FamilySpec, z):
     """(value, derivative, error bound) of the family sum at scalar z.
 
-    Double-double Horner on the unrounded expansion gives the value (the
-    q-top sums cancel by 10 digits and more at N = 8); plain Horner on the rounded
-    coefficients gives the derivative, which only steers Newton.  The bound
+    Double-double Horner (`ddc_horner`) on the unrounded expansion gives the
+    value (the q-top sums cancel by 10 digits and more at N = 8); plain
+    Horner on the rounded coefficients gives the derivative, which only
+    steers Newton.  The bound
     on |value - sum| is compensated Horner's (Graillat, Langlois & Louvet
     2005): c 2^-104 sum_k M_k |z|^k, M_k from `ddc_expand`, plus 2^-53 |value|
     for the final rounding.  c = 3N counts a coefficient's roundings: at
@@ -396,14 +399,13 @@ def structured_eval(spec: FamilySpec, z):
     """
     coeffs, rounded, mags = _expansion(spec)
     z = complex(z)
-    zdd, az = ddc(z), abs(z)
-    val, p, dval, mag = coeffs[-1], rounded[-1], 0.0j, mags[-1]
-    for c, r, m in zip(coeffs[-2::-1], rounded[-2::-1], mags[-2::-1]):
-        val = ddc_add(ddc_mul(val, zdd), c)
+    az = abs(z)
+    p, dval, mag = rounded[-1], 0.0j, mags[-1]
+    for r, m in zip(rounded[-2::-1], mags[-2::-1]):
         dval = dval * z + p
         p = p * z + r
         mag = mag * az + m
-    value = ddc_to_complex(val)
+    value = ddc_to_complex(ddc_horner(coeffs, z))
     return value, dval, 3 * spec.N * _DD_UNIT * mag + 2.0**-53 * abs(value)
 
 
@@ -418,26 +420,25 @@ def refine_zeros(spec: FamilySpec, roots: np.ndarray):
     relative forward-error estimate: per root, the larger of that last step
     and the evaluation's error bound carried to z, bound / |p'| / (1 + |z|).
     """
-    out = np.array(roots, dtype=complex)
+    out = []
     worst = 0.0
-    eps = np.finfo(float).eps
-    for i, z in enumerate(out):
-        prev = np.inf
+    for z in np.asarray(roots, dtype=complex).tolist():
+        prev = math.inf
         for k in range(REFINE_STEPS + 1):
             val, dval, bound = structured_eval(spec, z)
             if abs(dval) < _TINY:
-                fe = np.inf
+                fe = math.inf
                 break
             step = val / dval
             fe = abs(step) / (1.0 + abs(z))
-            if k == REFINE_STEPS or fe <= 0.25 * eps or (fe <= 2.0 * eps and fe > 0.5 * prev):
+            if k == REFINE_STEPS or fe <= 0.25 * _EPS or (fe <= 2.0 * _EPS and fe > 0.5 * prev):
                 fe = max(fe, bound / abs(dval) / (1.0 + abs(z)))
                 break
             z = z - step
             prev = fe
-        out[i] = z
+        out.append(z)
         worst = max(worst, fe)
-    return out, worst
+    return np.array(out, dtype=complex), worst
 
 
 def compute_zeros(spec: FamilySpec) -> ZeroSet:
@@ -645,9 +646,9 @@ def qracah_companions(k: QRacahConstants, z):
 # ---------------------------------------------------------------------------
 
 def _normalized(terms) -> complex:
-    terms = np.asarray(terms, dtype=complex)
-    scale = float(np.max(np.abs(terms)))
-    return complex(np.sum(terms) / max(scale, _TINY))
+    """Sum of `terms` over the largest term magnitude, on Python complex scalars."""
+    scale = max(abs(t) for t in terms)
+    return sum(terms) / max(scale, _TINY)
 
 
 def _ghyp_operator_halves(spec: FamilySpec, poly: Poly):
@@ -695,6 +696,80 @@ def _check_not_singular(dists, what):
         raise SingularSample(f"sample within {SINGULAR_RADIUS:g} of a {what} pole")
 
 
+def _defining_terms(spec: FamilySpec, poly: Optional[Poly] = None):
+    """s -> the top-level additive terms of the defining equation at s, for `spec`.
+
+    Everything that does not depend on the sample is set up here once: the
+    ghyp/gbasic operator halves, lambda_N, theta^2, the q-Racah constants.
+    Each returned call takes the solution's value at s itself once, so a
+    three-term equation costs three structured evaluations.  `poly` (default:
+    the built polynomial for ghyp/gbasic, the structured sum otherwise) is
+    the function the equation is applied to; `s` must be a Python complex
+    in the residual variable, already checked by `_probe_singular`.
+    """
+    fam = spec.family
+    if fam in (Family.GHYP, Family.GBASIC):
+        halves = _ghyp_operator_halves if fam == Family.GHYP else _gbasic_operator_halves
+        first, second = halves(spec, poly if poly is not None else build_polynomial(spec))
+        return lambda s: [complex(first(s)), -complex(second(s))]
+
+    # structured form by default: immune to the monomial expansion's cancellation
+    if poly is None:
+        value = lambda u: structured_eval(spec, u)[0]
+    else:
+        value = lambda u: complex(poly(u))
+    lam = complex(closed_form_spectrum(spec).values[-1])
+
+    if fam == Family.WILSON:
+        w = lambda x: value(x * x)
+
+        def terms(s):
+            ws = w(s)
+            return [
+                wilson_B(spec, -s) * (ws - w(s + 1j)),
+                wilson_B(spec, s) * (ws - w(s - 1j)),
+                lam * ws,
+            ]
+        return terms
+
+    if fam == Family.RACAH:
+        t2 = racah_theta(spec) ** 2
+        qt = lambda y: value(y * y - t2)
+
+        def terms(s):
+            qs = qt(s)
+            return [
+                racah_Dtilde(spec, s) * (qt(s + 1.0) - qs),
+                racah_Dtilde(spec, -s) * (qt(s - 1.0) - qs),
+                lam * qs,
+            ]
+        return terms
+
+    if fam == Family.AW:
+        q = spec.q
+        Q = lambda z: value((z * z + 1.0) / (2.0 * z))
+
+        def terms(s):
+            Qs = Q(s)
+            return [
+                lam * Qs,
+                aw_D(spec, s) * (Qs - Q(q * s)),
+                aw_D(spec, 1.0 / s) * (Qs - Q(s / q)),
+            ]
+        return terms
+
+    if fam == Family.QRACAH:
+        k = qracah_constants(spec)
+
+        def terms(s):
+            zp, zm, B, D = qracah_companions(k, s)
+            vs = value(s)
+            return [B * (value(zp) - vs), D * (value(zm) - vs), -lam * vs]
+        return terms
+
+    raise InvalidParameters(f"no defining equation for family {fam.value}")
+
+
 def defining_equation_residual(spec: FamilySpec, sample, poly: Optional[Poly] = None):
     """LHS of the family's defining (q-)difference/differential equation at `sample`.
 
@@ -704,59 +779,11 @@ def defining_equation_residual(spec: FamilySpec, sample, poly: Optional[Poly] = 
     lives in the residual variable: z for ghyp/gbasic/aw/qracah, x for wilson,
     y for racah, and z = 2/(1-x) on the mapped ghyp equation for jacobi.
     """
-    fam = spec.family
     s = complex(sample)
-    if fam == Family.JACOBI:
+    if spec.family == Family.JACOBI:
         return defining_equation_residual(jacobi_to_ghyp(spec), s, poly)
     _probe_singular(spec, s)
-    # structured form by default: immune to the monomial expansion's cancellation
-    value = poly if poly is not None else (lambda u: structured_eval(spec, u)[0])
-
-    if fam in (Family.GHYP, Family.GBASIC):
-        halves = _ghyp_operator_halves if fam == Family.GHYP else _gbasic_operator_halves
-        first, second = halves(spec, poly if poly is not None else build_polynomial(spec))
-        return _normalized([first(s), -second(s)])
-
-    lam = closed_form_spectrum(spec).values[-1]
-    if fam == Family.WILSON:
-        w = lambda x: value(x * x)
-        terms = [
-            wilson_B(spec, -s) * (w(s) - w(s + 1j)),
-            wilson_B(spec, s) * (w(s) - w(s - 1j)),
-            lam * w(s),
-        ]
-        return _normalized(terms)
-
-    if fam == Family.RACAH:
-        t2 = racah_theta(spec) ** 2
-        qt = lambda y: value(y * y - t2)
-        terms = [
-            racah_Dtilde(spec, s) * (qt(s + 1.0) - qt(s)),
-            racah_Dtilde(spec, -s) * (qt(s - 1.0) - qt(s)),
-            lam * qt(s),
-        ]
-        return _normalized(terms)
-
-    if fam == Family.AW:
-        q = spec.q
-        Q = lambda z: value((z * z + 1.0) / (2.0 * z))
-        terms = [
-            lam * Q(s),
-            aw_D(spec, s) * (Q(s) - Q(q * s)),
-            aw_D(spec, 1.0 / s) * (Q(s) - Q(s / q)),
-        ]
-        return _normalized(terms)
-
-    if fam == Family.QRACAH:
-        zp, zm, B, D = qracah_companions(qracah_constants(spec), s)
-        terms = [
-            B * (value(zp) - value(s)),
-            D * (value(zm) - value(s)),
-            -lam * value(s),
-        ]
-        return _normalized(terms)
-
-    raise InvalidParameters(f"no defining equation for family {fam.value}")
+    return _normalized(_defining_terms(spec, poly)(s))
 
 
 def residual_samples(spec: FamilySpec, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -794,17 +821,20 @@ def _probe_singular(spec: FamilySpec, s: complex) -> None:
 
 
 def max_defining_residual(spec: FamilySpec, count: int = 10, seed: int = 0) -> float:
-    """Max |normalized residual| over `count` seeded random samples.
+    """Max |normalized residual| over `count` >= 1 seeded random samples.
 
-    ghyp and gbasic (jacobi through ghyp) act on the coefficients: their
-    polynomial is built once for all samples.  The other families evaluate
-    the structured sum, since their residuals cancel below coefficient rounding.
+    The equation is set up once (`_defining_terms`) and applied to every
+    sample.  ghyp and gbasic (jacobi through ghyp) act on the coefficients of
+    the built polynomial; the other families evaluate the structured sum,
+    since their residuals cancel below coefficient rounding.
     """
+    if count < 1:
+        raise InvalidParameters(f"residual sample count must be >= 1, got {count}")
     base = jacobi_to_ghyp(spec) if spec.family == Family.JACOBI else spec
-    poly = build_polynomial(base) if base.family in (Family.GHYP, Family.GBASIC) else None
-    rng = np.random.default_rng(seed)
-    samples = residual_samples(base, count, rng)
-    return max(abs(defining_equation_residual(base, s, poly)) for s in samples)
+    terms = _defining_terms(base)
+    samples = residual_samples(base, count, np.random.default_rng(seed))
+    # residual_samples has run _probe_singular on every sample
+    return max(abs(_normalized(terms(s))) for s in samples.tolist())
 
 
 def q_to_one_limit_check(spec: FamilySpec, q_near_1: float) -> float:

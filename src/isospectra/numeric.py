@@ -566,6 +566,72 @@ def ddc_mul(x, y):
     return (re, re_lo, im, e - (im - s))
 
 
+def ddc_horner(coeffs, z: complex):
+    """sum_k coeffs[k] z^k by double-double Horner, at a complex double `z`.
+
+    Each step is ddc_add(ddc_mul(val, ddc(z)), c) written out inline, with
+    z split once for all steps: the same operations in the same order,
+    including the products with z's zero low parts, so the result is
+    bit-identical.  The structured evaluation spends most of its time here.
+    """
+    c = z.real
+    d = z.imag
+    t = _SPLITTER * c
+    ch = t - (t - c)
+    cl = c - ch
+    t = _SPLITTER * d
+    dh = t - (t - d)
+    dl = d - dh
+    a, alo, b, blo = coeffs[-1]
+    for kr, kr_lo, ki, ki_lo in coeffs[-2::-1]:
+        t = _SPLITTER * a
+        ah = t - (t - a)
+        al = a - ah
+        t = _SPLITTER * b
+        bh = t - (t - b)
+        bl = b - bh
+        p = a * c
+        e = ((ah * ch - p) + ah * cl + al * ch) + al * cl + (a * 0.0 + alo * c)
+        ac = p + e
+        ac_lo = e - (ac - p)
+        p = b * d
+        e = ((bh * dh - p) + bh * dl + bl * dh) + bl * dl + (b * 0.0 + blo * d)
+        bd = p + e
+        bd_lo = e - (bd - p)
+        p = a * d
+        e = ((ah * dh - p) + ah * dl + al * dh) + al * dl + (a * 0.0 + alo * d)
+        ad = p + e
+        ad_lo = e - (ad - p)
+        p = b * c
+        e = ((bh * ch - p) + bh * cl + bl * ch) + bl * cl + (b * 0.0 + blo * c)
+        bc = p + e
+        bc_lo = e - (bc - p)
+        s = ac - bd
+        v = s - ac
+        e = (ac - (s - v)) + (-bd - v) + (ac_lo - bd_lo)
+        re = s + e
+        re_lo = e - (re - s)
+        s = ad + bc
+        v = s - ad
+        e = (ad - (s - v)) + (bc - v) + (ad_lo + bc_lo)
+        im = s + e
+        im_lo = e - (im - s)
+        # + the next coefficient, as ddc_add
+        s = re + kr
+        v = s - re
+        e = (re - (s - v)) + (kr - v)
+        e += re_lo + kr_lo
+        a = s + e
+        alo = e - (a - s)
+        s = im + ki
+        v = s - im
+        e = (im - (s - v)) + (ki - v)
+        e += im_lo + ki_lo
+        b = s + e
+        blo = e - (b - s)
+    return (a, alo, b, blo)
+
+
 def ddc_div(x, y):
     # x / y = x * conj(y) / |y|^2
     num = ddc_mul(x, (y[0], y[1], -y[2], -y[3]))

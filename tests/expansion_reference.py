@@ -1,4 +1,4 @@
-"""Reference term table and expansion: one term at a time.
+"""Reference term table, expansion and Horner loop: one operation at a time.
 
 These are the family sums as they were written before the nested form
 (`isospectra.families._term_table` and `isospectra.numeric.ddc_expand`):
@@ -6,7 +6,9 @@ every term's prefactor is built from its own Pochhammer symbols and powers,
 every term carries its own copy of the factor rows, and each term is
 multiplied out separately, O(N^3) double-double operations in all.  They
 keep every formula literal and serve the tests as an independent reference
-for the nested table and its expansion.
+for the nested table and its expansion.  `ddc_horner` is the double-double
+Horner loop as composed calls, before `isospectra.numeric.ddc_horner`
+wrote it out inline.
 """
 
 import math
@@ -42,6 +44,13 @@ def ddc_q_pochhammer(g, qd, m: int):
     return out
 
 
+def ddc_horner(coeffs, z):
+    """sum_k coeffs[k] z^k: one ddc_mul and one ddc_add per Horner step."""
+    zdd = ddc(z)
+    val = coeffs[-1]
+    for c in coeffs[-2::-1]:
+        val = ddc_add(ddc_mul(val, zdd), c)
+    return val
 
 
 def term_table(spec: FamilySpec):

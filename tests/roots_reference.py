@@ -7,11 +7,14 @@ rejected step changes nothing.  `multiset_match_numpy` and
 `match_order_numpy` are the numpy forms of `numeric.multiset_match` and
 `dynamics._match_order` as they were before the pairing moved to Python
 scalars; `shuffled_neighbors` draws the multisets they are compared on.
+`refine_zeros_numpy` is `families.refine_zeros` as it was before its
+iteration moved from numpy scalars to Python complex.
 """
 
 import numpy as np
 import numpy.polynomial.polynomial as npp
 
+from isospectra import families
 from isospectra.numeric import Poly, _newton_point
 
 
@@ -70,3 +73,27 @@ def shuffled_neighbors(n, seed, spread):
     a = scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
     moved = spread * scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
     return a, a[rng.permutation(n)] + moved
+
+
+def refine_zeros_numpy(spec, roots):
+    """(refined roots, worst estimate): the structured Newton polish on numpy scalars."""
+    out = np.array(roots, dtype=complex)
+    worst = 0.0
+    eps = np.finfo(float).eps
+    for i, z in enumerate(out):
+        prev = np.inf
+        for k in range(families.REFINE_STEPS + 1):
+            val, dval, bound = families.structured_eval(spec, z)
+            if abs(dval) < families._TINY:
+                fe = np.inf
+                break
+            step = val / dval
+            fe = abs(step) / (1.0 + abs(z))
+            if k == families.REFINE_STEPS or fe <= 0.25 * eps or (fe <= 2.0 * eps and fe > 0.5 * prev):
+                fe = max(fe, bound / abs(dval) / (1.0 + abs(z)))
+                break
+            z = z - step
+            prev = fe
+        out[i] = z
+        worst = max(worst, fe)
+    return out, worst

@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 import expansion_reference
 import isospectra as iso
 import rhs_reference
+import roots_reference
 from isospectra import cli, families
 from isospectra.errors import (
     BranchPoint,
@@ -279,6 +280,14 @@ class TestRefineZeros:
             fresh = max(fresh, step, bound / abs(dval) / (1.0 + abs(z)))
         assert worst == fresh
 
+    @pytest.mark.parametrize("spec", SAMPLE_SPECS, ids=lambda s: s.family.value)
+    def test_bit_identical_to_numpy_scalar_loop(self, spec):
+        roots = poly_roots(iso.build_polynomial(spec)).zeros
+        refined, worst = families.refine_zeros(spec, roots)
+        want, want_worst = roots_reference.refine_zeros_numpy(spec, roots)
+        assert refined.dtype == want.dtype and refined.tobytes() == want.tobytes()
+        assert worst == want_worst
+
 
 class TestComputeZeros:
     def test_ghyp_single_zero(self):
@@ -392,6 +401,64 @@ class TestDefiningEquation:
             for s in samples
         )
         assert worst > 1e-6
+
+    @pytest.mark.parametrize("spec", SAMPLE_SPECS, ids=lambda s: s.family.value)
+    def test_perturbed_polynomial_one_setup(self, spec):
+        # the equation set up once for the perturbed polynomial and applied to
+        # every sample gives each sample's residual exactly
+        base = iso.jacobi_to_ghyp(spec) if spec.family == Family.JACOBI else spec
+        coeffs = iso.build_polynomial(base).coeffs.copy()
+        coeffs[1] *= 1.0 + 1e-3
+        samples = families.residual_samples(base, 10, np.random.default_rng(7))
+        terms = families._defining_terms(base, Poly(coeffs))
+        for s in samples:
+            once = families._normalized(terms(complex(s)))
+            assert once == families.defining_equation_residual(base, s, poly=Poly(coeffs))
+
+    @pytest.mark.parametrize("construction", list(cli.CONSTRUCTIONS))
+    def test_max_is_max_of_per_sample_residuals(self, construction):
+        rng = np.random.default_rng(5)
+        for n in range(2, 9):
+            spec, _ = cli.draw_spec(construction, n, rng, nmin=n)
+            base = iso.jacobi_to_ghyp(spec) if spec.family == Family.JACOBI else spec
+            samples = families.residual_samples(base, 10, np.random.default_rng(n))
+            want = max(abs(families.defining_equation_residual(spec, s)) for s in samples)
+            assert iso.max_defining_residual(spec, count=10, seed=n) == want, n
+
+    @pytest.mark.parametrize(
+        "spec",
+        [s for s in SAMPLE_SPECS if s.family in families.FOUR_PARAM_FAMILIES],
+        ids=lambda s: s.family.value,
+    )
+    def test_three_structured_evaluations_per_sample(self, spec, monkeypatch):
+        evaluations = []
+        structured_eval = families.structured_eval
+        monkeypatch.setattr(
+            families, "structured_eval", lambda *a: evaluations.append(1) or structured_eval(*a)
+        )
+        families.max_defining_residual(spec, count=10, seed=7)
+        assert len(evaluations) == 3 * 10
+        evaluations.clear()
+        families.defining_equation_residual(spec, 1.3 + 0.4j)
+        assert len(evaluations) == 3
+
+    @pytest.mark.parametrize(
+        "spec",
+        [s for s in SAMPLE_SPECS if s.family in (Family.GHYP, Family.GBASIC, Family.JACOBI)],
+        ids=lambda s: s.family.value,
+    )
+    def test_operator_halves_built_once_per_call(self, spec, monkeypatch):
+        name = "_gbasic_operator_halves" if spec.family == Family.GBASIC else "_ghyp_operator_halves"
+        builds = []
+        halves = getattr(families, name)
+        monkeypatch.setattr(families, name, lambda *a: builds.append(1) or halves(*a))
+        families.max_defining_residual(spec, count=10, seed=7)
+        assert len(builds) == 1
+
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_empty_sample_count_rejected(self, count):
+        with pytest.raises(InvalidParameters, match="sample count"):
+            iso.max_defining_residual(SAMPLE_SPECS[0], count=count)
 
     def test_ghyp_hand_case(self):
         # operator on z - 2/3 with (alpha, beta) = (2, 3) vanishes identically

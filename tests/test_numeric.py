@@ -25,6 +25,7 @@ from isospectra.numeric import (
     ddc_add,
     ddc_div,
     ddc_expand,
+    ddc_horner,
     ddc_mul,
     ddc_pochhammers,
     ddc_powi,
@@ -41,6 +42,7 @@ from isospectra.numeric import (
     q_pochhammer,
 )
 from test_dynamics import DEMO_SPECS, perturbed_start
+from test_reference_zeros import REFERENCE, spec_of
 
 finite_complex = st.complex_numbers(
     min_magnitude=0.0, max_magnitude=4.0, allow_nan=False, allow_infinity=False
@@ -641,3 +643,39 @@ class TestCompensatedArithmetic:
             x = (float(hi[0]), float(lo[0]), float(hi[1]), float(lo[1]))
             y = (float(hi[2]), float(lo[2]), float(hi[3]), float(lo[3]))
             assert ddc_mul(x, y) == reference(x, y)
+
+
+# a complex double-double: a complex double plus a correction near its last
+# bits, exact zeros (of either sign) drawn often
+ddc_values = st.one_of(
+    st.sampled_from([ddc(0.0), ddc(complex(-0.0, -0.0)), ddc(-1.0), ddc(-1j)]),
+    st.builds(
+        lambda hi, lo: ddc_add(ddc(hi), ddc(lo * 2.0**-60)),
+        st.complex_numbers(max_magnitude=1e6, allow_nan=False, allow_infinity=False),
+        finite_complex,
+    ),
+)
+
+
+def _bits(x):
+    """The four doubles of a complex double-double, signs of zero included."""
+    return tuple(float(v).hex() for v in x)
+
+
+class TestFusedHorner:
+    """ddc_horner against the composed ddc_mul / ddc_add loop it writes out inline."""
+
+    @given(coeffs=st.lists(ddc_values, min_size=1, max_size=13), z=finite_complex)
+    @settings(max_examples=300)
+    def test_bit_identical_on_drawn_coefficients(self, coeffs, z):
+        got = ddc_horner(coeffs, z)
+        assert _bits(got) == _bits(expansion_reference.ddc_horner(coeffs, z))
+
+    @pytest.mark.parametrize("entry", REFERENCE["specs"], ids=lambda e: e["label"])
+    def test_bit_identical_on_fixture_expansions(self, entry):
+        coeffs = iso.families._expansion(spec_of(entry))[0]
+        points = [complex(float(re), float(im)) for re, im in entry["zeros"]]
+        points += [0j, 0.75 + 0j, -1.25 + 0.5j, 2.5 - 1.0j]
+        for z in points:
+            got = ddc_horner(coeffs, z)
+            assert _bits(got) == _bits(expansion_reference.ddc_horner(coeffs, z)), z
