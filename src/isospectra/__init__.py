@@ -57,8 +57,6 @@ from .dynamics import (
 )
 from .numeric import (
     Dual,
-    EigenMultiset,
-    Poly,
     ZeroSet,
     matrix_eigenvalues,
     multiset_match,

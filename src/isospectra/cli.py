@@ -188,8 +188,8 @@ def _matrix_payload(spec: FamilySpec, zs: ZeroSet, tol_spectral: float) -> tuple
     report = matrices.verify_matrix(spec, tol_spectral=tol_spectral, zeros=zs)
     payload = {
         "matrix": _cmatrix(report.L),
-        "computed_spectrum": _carray(report.computed_spectrum.values),
-        "reference_spectrum": _carray(report.reference_spectrum.values),
+        "computed_spectrum": _carray(report.computed_spectrum),
+        "reference_spectrum": _carray(report.reference_spectrum),
         "residuals": {
             "spectral": report.spectral_residual,
             "trace": report.trace_residual,

@@ -31,6 +31,7 @@ from functools import lru_cache
 
 import numpy as np
 import numpy.polynomial.polynomial as npp
+from numpy.polynomial import Polynomial
 
 from . import families as fam
 from .errors import (
@@ -43,12 +44,13 @@ from .errors import (
     SingularDenominator,
 )
 from .numeric import (
+    DEGREE_REL,
     Dual,
-    Poly,
     ZeroSet,
     elementary_coeffs_basic,
     elementary_coeffs_hyp,
     dsqrt,
+    full_degree,
     multiset_match,
     pairwise_close,
     poly_roots,
@@ -101,7 +103,7 @@ def c_system(spec: fam.FamilySpec) -> CSystem:
     fam.validate_spec(spec)
     if spec.family == fam.Family.JACOBI:
         return c_system(fam.jacobi_to_ghyp(spec))
-    A = np.diag(fam.closed_form_spectrum(spec).values)
+    A = np.diag(fam.closed_form_spectrum(spec))
     h = np.zeros(spec.N, dtype=complex)
     f = spec.family
     if f not in (fam.Family.GHYP, fam.Family.GBASIC):
@@ -556,10 +558,11 @@ def _basis_matrix(spec: fam.FamilySpec) -> np.ndarray:
         sub = fam.make_spec(f, deg, spec.alphas, spec.betas, spec.q)
         p = fam.build_polynomial(sub)
         if f == fam.Family.WILSON:
-            p = p.monic()
+            p = p / p[-1]
         elif f == fam.Family.RACAH:
-            p = p.monic().compose_affine(-fam.racah_theta(spec) ** 2, 1.0)
-        B[: deg + 1, j] = p.coeffs
+            shift = Polynomial([-fam.racah_theta(spec) ** 2, 1.0])  # u -> u - theta^2
+            p = Polynomial(p / p[-1])(shift).coef
+        B[: deg + 1, j] = p
     return B
 
 
@@ -634,14 +637,14 @@ def algebraic_trajectory(spec: fam.FamilySpec, z0, times) -> np.ndarray:
             raise NonConvergence(
                 f"coefficient dynamic range exhausted at t = {t:g} (non-finite coefficient)"
             )
-        poly_t = Poly(coeffs)
-        if poly_t.degree != len(z0):
-            # exploding modes pushed the leading coefficient below trim level
+        if not full_degree(coeffs):
+            # the z^N coefficient c_full[0] * B[N, 0] is constant; growing
+            # modes have pushed the others past it by the degree rule's ratio
             raise NonConvergence(
                 f"coefficient dynamic range exhausted at t = {t:g} "
-                f"(polynomial degree {poly_t.degree} < N = {len(z0)})"
+                f"(|c_N| <= {DEGREE_REL:g} max|c|, N = {len(z0)})"
             )
-        roots = poly_roots(poly_t).zeros
+        roots = poly_roots(coeffs).zeros
         if lifted:
             u_t = _match_order(roots, prev_u)
             z_t = _sqrt_continuous(u_t, prev)

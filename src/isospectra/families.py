@@ -35,17 +35,18 @@ from functools import lru_cache, reduce
 from typing import NamedTuple, Optional
 
 import numpy as np
+import numpy.polynomial.polynomial as npp
 
 from .errors import (
     BranchPoint,
+    DegenerateInput,
     InvalidParameters,
     NonConvergence,
     RepeatedZeros,
     SingularSample,
 )
 from .numeric import (
-    EigenMultiset,
-    Poly,
+    DEGREE_REL,
     ZeroSet,
     ddc,
     ddc_add,
@@ -60,6 +61,7 @@ from .numeric import (
     ddc_q_pochhammers,
     ddc_to_complex,
     dsqrt,
+    full_degree,
     min_separation,
     poly_roots,
 )
@@ -127,7 +129,7 @@ def jacobi_to_ghyp(spec: FamilySpec) -> FamilySpec:
     return make_spec(Family.GHYP, spec.N, alphas=(spec.N + al + be + 1.0,), betas=(al + 1.0,))
 
 
-def closed_form_spectrum(spec: FamilySpec) -> EigenMultiset:
+def closed_form_spectrum(spec: FamilySpec) -> np.ndarray:
     """The closed-form eigenvalues lambda_1..lambda_N of the family's isospectral matrix.
 
     They are also the diagonal of the coefficient system (`dynamics.c_system`)
@@ -146,7 +148,7 @@ def closed_form_spectrum(spec: FamilySpec) -> EigenMultiset:
             for al in spec.alphas:
                 rate *= al * q ** (N - m) - 1.0
             lam.append(rate)
-        return EigenMultiset(values=np.array(lam, dtype=complex))
+        return np.array(lam, dtype=complex)
     m = np.arange(1, N + 1, dtype=complex)
     if fam == Family.GHYP:
         lam = m.copy()
@@ -167,7 +169,7 @@ def closed_form_spectrum(spec: FamilySpec) -> EigenMultiset:
         lam = q ** float(-N) * (1.0 - q**m) * (1.0 - ab * q ** (2 * N - m + 1))
     else:
         raise InvalidParameters(f"no spectrum formula for {fam!r}")
-    return EigenMultiset(values=np.asarray(lam, dtype=complex))
+    return np.asarray(lam, dtype=complex)
 
 
 def validate_spec(spec: FamilySpec) -> None:
@@ -247,21 +249,25 @@ def validate_spec(spec: FamilySpec) -> None:
         poch_ok(N + al + be + 1.0, N, "(N+alpha+beta+1)_N")
 
 
-def build_polynomial(spec: FamilySpec) -> Poly:
-    """The degree-N polynomial of `spec` in its natural variable.
+def build_polynomial(spec: FamilySpec) -> np.ndarray:
+    """The N + 1 ascending coefficients of the degree-N polynomial of `spec`.
 
     The monomial expansion of the term table, accumulated in double-double
     and rounded once per coefficient.  ghyp output is exactly monic (the
     m = 0 term is z^N with coefficient 1); the other families keep their
-    textbook normalization.
+    textbook normalization.  Raises DegenerateInput for a non-finite
+    coefficient and InvalidParameters when the degree-N coefficient fails
+    `full_degree`.
     """
     validate_spec(spec)
-    p = Poly(_expansion(spec)[1])
-    if p.degree != spec.N:
+    c = np.array(_expansion(spec)[1], dtype=complex)
+    if not np.all(np.isfinite(c)):
+        raise DegenerateInput("non-finite polynomial coefficient")
+    if not full_degree(c):
         raise InvalidParameters(
-            f"leading coefficient degenerates: degree {p.degree} != N = {spec.N}"
+            f"leading coefficient degenerates: |c_N| <= {DEGREE_REL:g} max|c| at N = {spec.N}"
         )
-    return p
+    return c
 
 
 def _term_table(spec: FamilySpec):
@@ -651,44 +657,36 @@ def _normalized(terms) -> complex:
     return sum(terms) / max(scale, _TINY)
 
 
-def _ghyp_operator_halves(spec: FamilySpec, poly: Poly):
-    """The two halves of the hypergeometric ODE applied to `poly`, as Polys.
+def _ghyp_operator_halves(spec: FamilySpec, c: np.ndarray):
+    """The two halves of the hypergeometric ODE applied to coefficients `c`.
 
     D_N acts diagonally on coefficients: z^m -> (m - N) z^m, so both operator
     products reduce to per-coefficient multipliers followed by d/dz on the
-    second half.
+    second half.  Returns both halves as ascending coefficients.
     """
     N = spec.N
-    c = poly.padded(poly.degree + 1)
-    m = np.arange(len(c))
-    x = m - N
+    x = np.arange(len(c)) - N
     mult1 = x.astype(complex)
     for be in spec.betas:
         mult1 *= be - 1.0 - x
-    first = Poly(c * mult1)
     mult2 = np.ones(len(c), dtype=complex)
     for al in spec.alphas:
         mult2 *= al - x
-    second = Poly(c * mult2).deriv()
-    return first, second
+    return c * mult1, npp.polyder(c * mult2)
 
 
-def _gbasic_operator_halves(spec: FamilySpec, poly: Poly):
+def _gbasic_operator_halves(spec: FamilySpec, c: np.ndarray):
     N, q = spec.N, spec.q
     r, s = len(spec.alphas), len(spec.betas)
-    c = poly.padded(poly.degree + 1)
-    m = np.arange(len(c))
-    qm = q ** m.astype(float)
+    qm = q ** np.arange(len(c), dtype=float)
     mult1 = (qm - 1.0).astype(complex)
     for be in spec.betas:
         mult1 *= be / q * qm - 1.0
-    first = Poly(c * mult1)
     mult2 = (q ** (-float(N)) * qm - 1.0).astype(complex)
     for al in spec.alphas:
         mult2 *= al * qm - 1.0
     mult2 *= qm ** (s - r)
-    second = Poly(np.concatenate([[0.0], c * mult2]))  # the overall factor z
-    return first, second
+    return c * mult1, np.concatenate([[0.0], c * mult2])  # the overall factor z
 
 
 def _check_not_singular(dists, what):
@@ -696,29 +694,31 @@ def _check_not_singular(dists, what):
         raise SingularSample(f"sample within {SINGULAR_RADIUS:g} of a {what} pole")
 
 
-def _defining_terms(spec: FamilySpec, poly: Optional[Poly] = None):
+def _defining_terms(spec: FamilySpec, poly: Optional[np.ndarray] = None):
     """s -> the top-level additive terms of the defining equation at s, for `spec`.
 
     Everything that does not depend on the sample is set up here once: the
     ghyp/gbasic operator halves, lambda_N, theta^2, the q-Racah constants.
     Each returned call takes the solution's value at s itself once, so a
-    three-term equation costs three structured evaluations.  `poly` (default:
-    the built polynomial for ghyp/gbasic, the structured sum otherwise) is
-    the function the equation is applied to; `s` must be a Python complex
-    in the residual variable, already checked by `_probe_singular`.
+    three-term equation costs three structured evaluations.  `poly`, ascending
+    coefficients (default: the built polynomial for ghyp/gbasic, the
+    structured sum otherwise), is the function the equation is applied to;
+    `s` must be a Python complex in the residual variable, already checked
+    by `_probe_singular`.
     """
     fam = spec.family
     if fam in (Family.GHYP, Family.GBASIC):
         halves = _ghyp_operator_halves if fam == Family.GHYP else _gbasic_operator_halves
-        first, second = halves(spec, poly if poly is not None else build_polynomial(spec))
-        return lambda s: [complex(first(s)), -complex(second(s))]
+        c = build_polynomial(spec) if poly is None else np.asarray(poly, dtype=complex)
+        first, second = halves(spec, c)
+        return lambda s: [complex(npp.polyval(s, first)), -complex(npp.polyval(s, second))]
 
     # structured form by default: immune to the monomial expansion's cancellation
     if poly is None:
         value = lambda u: structured_eval(spec, u)[0]
     else:
-        value = lambda u: complex(poly(u))
-    lam = complex(closed_form_spectrum(spec).values[-1])
+        value = lambda u: complex(npp.polyval(u, poly))
+    lam = complex(closed_form_spectrum(spec)[-1])
 
     if fam == Family.WILSON:
         w = lambda x: value(x * x)
@@ -770,7 +770,7 @@ def _defining_terms(spec: FamilySpec, poly: Optional[Poly] = None):
     raise InvalidParameters(f"no defining equation for family {fam.value}")
 
 
-def defining_equation_residual(spec: FamilySpec, sample, poly: Optional[Poly] = None):
+def defining_equation_residual(spec: FamilySpec, sample, poly: Optional[np.ndarray] = None):
     """LHS of the family's defining (q-)difference/differential equation at `sample`.
 
     The equation is evaluated on `poly` (default: the built polynomial, which

@@ -1,6 +1,7 @@
 """Complex-arithmetic substrate.
 
-Dense polynomials (ascending coefficients), Pochhammer-family symbols,
+Polynomials are numpy arrays of ascending coefficients and spectra arrays
+of eigenvalues.  Here: the degree rule, Pochhammer-family symbols,
 polynomial roots, dense eigenvalues, multiset matching, forward-mode dual
 numbers (a value plus a list of partials) and compensated (double-double)
 complex helpers.
@@ -23,76 +24,15 @@ import numpy.polynomial.polynomial as npp
 
 from .errors import CardinalityMismatch, DegenerateInput, NonConvergence
 
-TRIM_REL = 1e-14        # trailing |c| <= TRIM_REL * max|c| is treated as zero
+DEGREE_REL = 1e-14      # a degree-N coefficient at or below DEGREE_REL * max|c| degenerates
 ROOT_TOL = 1e-9         # default scaled-residual tolerance for roots
 _TINY = 1e-300
 
 
-class Poly:
-    """Dense complex polynomial with coefficients in ascending powers.
-
-    Trailing coefficients below TRIM_REL * max|c| are trimmed on
-    construction, so `degree` always refers to a nonzero leading coefficient
-    (the zero polynomial keeps a single 0 coefficient and degree 0).
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs):
-        c = np.atleast_1d(np.asarray(coeffs, dtype=complex))
-        if c.ndim != 1:
-            raise DegenerateInput("polynomial coefficients must be 1-D")
-        if not np.all(np.isfinite(c)):
-            raise DegenerateInput("non-finite polynomial coefficient")
-        scale = float(np.max(np.abs(c))) if c.size else 0.0
-        if scale == 0.0:
-            self.coeffs = np.zeros(1, dtype=complex)
-            return
-        keep = np.nonzero(np.abs(c) > TRIM_REL * scale)[0]
-        self.coeffs = np.array(c[: keep[-1] + 1], dtype=complex)
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    @property
-    def is_zero(self) -> bool:
-        return self.degree == 0 and self.coeffs[0] == 0
-
-    def __call__(self, z):
-        return npp.polyval(z, self.coeffs)
-
-    def __mul__(self, other):
-        if isinstance(other, Poly):
-            return Poly(npp.polymul(self.coeffs, other.coeffs))
-        return Poly(self.coeffs * other)
-
-    __rmul__ = __mul__
-
-    def deriv(self) -> "Poly":
-        if self.degree == 0:
-            return Poly([0.0])
-        return Poly(npp.polyder(self.coeffs))
-
-    def monic(self) -> "Poly":
-        return Poly(self.coeffs / self.coeffs[-1])
-
-    def padded(self, length: int) -> np.ndarray:
-        """Coefficients zero-padded on the high end to `length` entries."""
-        out = np.zeros(length, dtype=complex)
-        out[: len(self.coeffs)] = self.coeffs
-        return out
-
-    def compose_affine(self, c0: complex, c1: complex) -> "Poly":
-        """The polynomial u -> p(c0 + c1*u), by Horner composition."""
-        acc = np.array([self.coeffs[-1]], dtype=complex)
-        inner = np.array([c0, c1], dtype=complex)
-        for a in self.coeffs[-2::-1]:
-            acc = npp.polyadd(npp.polymul(acc, inner), [a])
-        return Poly(acc)
-
-    def __repr__(self):
-        return f"Poly({np.array2string(self.coeffs, separator=', ')})"
+def full_degree(c: np.ndarray) -> bool:
+    """True when the last of the ascending coefficients `c` exceeds DEGREE_REL * max|c|."""
+    mags = np.abs(c)
+    return bool(mags[-1] > DEGREE_REL * mags.max())
 
 
 @dataclass
@@ -105,16 +45,6 @@ class ZeroSet:
 
     def __len__(self):
         return len(self.zeros)
-
-
-@dataclass
-class EigenMultiset:
-    """Eigenvalues with unordered (multiset) semantics."""
-
-    values: np.ndarray
-
-    def __len__(self):
-        return len(self.values)
 
 
 # ---------------------------------------------------------------------------
@@ -148,14 +78,13 @@ def elementary_coeffs_hyp(alphas, betas):
 
     Returns (a, b) with a[j] = a_j (length p+1) and b[k-1] = b_k (length q+1).
     """
-    a = Poly([1.0])
+    a = np.ones(1, dtype=complex)
     for al in alphas:
-        a = a * Poly([complex(al), -1.0])
-    b = Poly([0.0, 1.0])
+        a = np.convolve(a, [complex(al), -1.0])
+    b = np.array([0.0, 1.0], dtype=complex)
     for be in betas:
-        b = b * Poly([complex(be) - 1.0, -1.0])
-    p, qn = len(alphas), len(betas)
-    return a.padded(p + 1), b.padded(qn + 2)[1:]
+        b = np.convolve(b, [complex(be) - 1.0, -1.0])
+    return a, b[1:]
 
 
 def elementary_coeffs_basic(alphas, betas):
@@ -163,14 +92,13 @@ def elementary_coeffs_basic(alphas, betas):
 
     Returns (a, b) with a[j-1] = a_j (length r) and b[k-1] = b_k (length s).
     """
-    a = Poly([1.0])
+    a = np.ones(1, dtype=complex)
     for al in alphas:
-        a = a * Poly([1.0, complex(al)])
-    b = Poly([1.0])
+        a = np.convolve(a, [1.0, complex(al)])
+    b = np.ones(1, dtype=complex)
     for be in betas:
-        b = b * Poly([1.0, complex(be)])
-    r, s = len(alphas), len(betas)
-    return a.padded(r + 1)[1:], b.padded(s + 1)[1:]
+        b = np.convolve(b, [1.0, complex(be)])
+    return a[1:], b[1:]
 
 
 # ---------------------------------------------------------------------------
@@ -220,10 +148,15 @@ def poly_roots(p, tol: float = ROOT_TOL) -> ZeroSet:
     is inherent to double precision, and all downstream constructions
     require distinct zeros anyway.
 
-    Raises DegenerateInput for the zero polynomial or degree < 1, and
-    NonConvergence if the scaled residual still exceeds `tol` at the end.
+    `p` holds the ascending coefficients; trailing exact zeros are dropped.
+    Raises DegenerateInput for coefficients that are not 1-D or not finite
+    and for degree < 1 (the zero polynomial included), and NonConvergence
+    if the scaled residual still exceeds `tol` at the end.
     """
-    c = (p if isinstance(p, Poly) else Poly(p)).coeffs
+    c = np.atleast_1d(np.asarray(p, dtype=complex))
+    if c.ndim != 1 or not np.all(np.isfinite(c)):
+        raise DegenerateInput("polynomial coefficients must be 1-D and finite")
+    c = np.trim_zeros(c, "b")
     if len(c) < 2:
         raise DegenerateInput("poly_roots needs degree >= 1")
     c = c / np.max(np.abs(c))
@@ -262,8 +195,8 @@ def min_separation(values: np.ndarray) -> float:
 # Dense eigenvalues
 # ---------------------------------------------------------------------------
 
-def matrix_eigenvalues(m) -> EigenMultiset:
-    """Eigenvalue multiset of a dense complex matrix.
+def matrix_eigenvalues(m) -> np.ndarray:
+    """Eigenvalues of a dense complex matrix, in no particular order.
 
     LAPACK's balanced QR algorithm (`numpy.linalg.eigvals`), backward stable
     at every dimension, then one Newton step on det(lam I - A) per eigenvalue
@@ -280,18 +213,18 @@ def matrix_eigenvalues(m) -> EigenMultiset:
         raise DegenerateInput("non-finite matrix entry")
     n = a.shape[0]
     if n == 1:
-        return EigenMultiset(values=a[0, :1].copy())
+        return a[0, :1].copy()
     values = np.linalg.eigvals(a)
     try:
         inv = np.linalg.inv(values[:, None, None] * np.eye(n) - a)
     except np.linalg.LinAlgError:
-        return EigenMultiset(values=values)  # some eigenvalue is exact already
+        return values  # some eigenvalue is exact already
     with np.errstate(all="ignore"):
         step = 1.0 / np.trace(inv, axis1=1, axis2=2)
     gap = np.abs(values[:, None] - values[None, :])
     np.fill_diagonal(gap, np.inf)
     keep = np.isfinite(step) & (np.abs(step) < 0.25 * gap.min(axis=1))
-    return EigenMultiset(values=np.where(keep, values - step, values))
+    return np.where(keep, values - step, values)
 
 
 def multiset_match(a, b) -> float:
@@ -304,8 +237,8 @@ def multiset_match(a, b) -> float:
     scalars: at the sizes used here (N <= 12) numpy's cost per call exceeds
     the arithmetic.
     """
-    va = np.asarray(a.values if isinstance(a, EigenMultiset) else a, dtype=complex).ravel().tolist()
-    vb = np.asarray(b.values if isinstance(b, EigenMultiset) else b, dtype=complex).ravel().tolist()
+    va = np.asarray(a, dtype=complex).ravel().tolist()
+    vb = np.asarray(b, dtype=complex).ravel().tolist()
     if len(va) != len(vb):
         raise CardinalityMismatch(f"multiset sizes {len(va)} != {len(vb)}")
     if not va:

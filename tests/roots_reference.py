@@ -15,12 +15,12 @@ import numpy as np
 import numpy.polynomial.polynomial as npp
 
 from isospectra import families
-from isospectra.numeric import Poly, _newton_point
+from isospectra.numeric import _newton_point
 
 
-def poly_roots_full_loop(p):
+def poly_roots_full_loop(c):
     """(zeros sorted by (re, im), worst scaled backward error) after three steps per root."""
-    c = (p if isinstance(p, Poly) else Poly(p)).coeffs
+    c = np.asarray(c, dtype=complex)
     c = c / np.max(np.abs(c))
     desc = c[::-1].tolist()
     mods = [abs(ci) for ci in desc]

@@ -59,7 +59,7 @@ def draw_for_dynamics(construction, k, t1=0.5, require_gap=False):
         if np.max(np.abs(np.real(rates))) * t1 > GROWTH_CAP:
             continue
         if require_gap:
-            lam = iso.closed_form_spectrum(spec).values
+            lam = iso.closed_form_spectrum(spec)
             gaps = np.abs(lam[:, None] - lam[None, :]) + np.diag(np.full(len(lam), np.inf))
             if gaps.min() < GAP_FLOOR * max(1.0, np.max(np.abs(lam))):
                 continue
@@ -215,7 +215,7 @@ def test_criterion_6_linearization():
             zs = iso.compute_zeros(spec)
             zdyn = dynamics.to_dynamics_variable(spec, zs.zeros)
             jac = dynamics.linearization_matrix(spec, zdyn)
-            lam = iso.closed_form_spectrum(spec).values
+            lam = iso.closed_form_spectrum(spec)
             tf = TIME_FACTOR[spec.family.value]
             dist = multiset_match(matrix_eigenvalues(jac), tf * lam)
             worst = max(worst, dist)

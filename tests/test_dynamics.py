@@ -67,7 +67,7 @@ class TestCSystem:
         # so spec validation refuses to build the full system
         spec = iso.make_spec("aw", 1, [1.0, 1.0, 1.0, 1.0], q=2.0)
         lam = iso.closed_form_spectrum(spec)
-        assert abs(lam.values[0]) < 1e-14
+        assert abs(lam[0]) < 1e-14
         with pytest.raises(iso.InvalidParameters):
             dynamics.c_system(spec)
 
@@ -307,6 +307,21 @@ class TestAlgebraicSolution:
         rec = dynamics.evolve_compare(spec, perturbed_start(spec), 0.5, 2000, record_every=40)
         assert rec.max_deviation <= 1e-6
 
+    def test_leading_coefficient_guard(self):
+        # ghyp's rates m (beta - 1 + m) are 2.3, 6.6 and 12.9: by t = 5 the
+        # flowing coefficients have outgrown the constant z^N one e^64-fold
+        spec = iso.make_spec("ghyp", 3, [1.7], [2.3])
+        z0 = perturbed_start(spec)
+        dynamics.algebraic_trajectory(spec, z0, [0.0, 3.0])
+        with pytest.raises(iso.NonConvergence, match="dynamic range exhausted at t = 5 ") as err:
+            dynamics.algebraic_trajectory(spec, z0, [0.0, 5.0])
+        assert "non-finite" not in str(err.value)
+
+    def test_non_finite_coefficient_guard(self):
+        spec = iso.make_spec("ghyp", 3, [1.7], [2.3])
+        with pytest.raises(iso.NonConvergence, match=r"t = 100000 \(non-finite coefficient\)"):
+            dynamics.algebraic_trajectory(spec, perturbed_start(spec), [0.0, 1e5])
+
     def test_match_order_tie_takes_first_candidate(self):
         # 0 is as near to 1 as to -1 and takes the first candidate
         for cand in ([1.0, -1.0], [-1.0, 1.0]):
@@ -345,7 +360,7 @@ class TestLinearization:
         zs = iso.compute_zeros(spec)
         zdyn = dynamics.to_dynamics_variable(spec, zs.zeros)
         jac = dynamics.linearization_matrix(spec, zdyn)
-        lam = iso.closed_form_spectrum(spec).values
+        lam = iso.closed_form_spectrum(spec)
         tf = TIME_FACTOR[spec.family.value]
         ev = iso.matrix_eigenvalues(jac)
         # exact Jacobian: worst is gbasic at 1.5e-11, set by its eigenvector

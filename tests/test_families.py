@@ -4,6 +4,7 @@ import re
 from fractions import Fraction
 
 import numpy as np
+import numpy.polynomial.polynomial as npp
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -19,7 +20,7 @@ from isospectra.errors import (
     SingularSample,
 )
 from isospectra.families import Family, FamilySpec
-from isospectra.numeric import Poly, ZeroSet, ddc_expand, ddc_to_complex, poly_roots
+from isospectra.numeric import ZeroSet, ddc_expand, ddc_to_complex, poly_roots
 
 # frozen (see test_cli): Wilson parameters at a discriminant cusp -> double zero
 WILSON_DEGENERATE = (-0.8580553427452533, -0.33251962240715427, 1.5, 2.0)
@@ -43,20 +44,20 @@ SAMPLE_SPECS = [
 class TestBuildPolynomial:
     def test_ghyp_N1(self):
         p = iso.build_polynomial(spec_of("ghyp", 1, [2.0], [3.0]))
-        np.testing.assert_allclose(p.coeffs, [-2.0 / 3.0, 1.0])
+        np.testing.assert_allclose(p, [-2.0 / 3.0, 1.0])
 
     def test_gbasic_N1(self):
         p = iso.build_polynomial(spec_of("gbasic", 1, [3.0], [5.0], q=2.0))
-        np.testing.assert_allclose(p.coeffs, [1.0, -0.25])
+        np.testing.assert_allclose(p, [1.0, -0.25])
 
     def test_wilson_N1_all_half(self):
         p = iso.build_polynomial(spec_of("wilson", 1, [0.5] * 4))
-        np.testing.assert_allclose(p.coeffs, [0.5, -2.0])
+        np.testing.assert_allclose(p, [0.5, -2.0])
 
     def test_ghyp_monic(self):
         for n in range(1, 9):
             p = iso.build_polynomial(spec_of("ghyp", n, [1.3, 0.7], [2.1]))
-            assert p.coeffs[-1] == 1.0
+            assert p[-1] == 1.0
 
     @given(
         n=st.integers(min_value=1, max_value=6),
@@ -66,12 +67,12 @@ class TestBuildPolynomial:
     @settings(deadline=None, max_examples=30)
     def test_ghyp_monic_property(self, n, alpha, beta):
         p = iso.build_polynomial(spec_of("ghyp", n, [alpha], [beta]))
-        assert p.coeffs[-1] == 1.0
+        assert p[-1] == 1.0
 
     def test_jacobi_legendre(self):
         # P_2^(0,0) = (3x^2 - 1)/2
         p = iso.build_polynomial(spec_of("jacobi", 2, [0.0, 0.0]))
-        np.testing.assert_allclose(p.coeffs, [-0.5, 0.0, 1.5], atol=1e-15)
+        np.testing.assert_allclose(p, [-0.5, 0.0, 1.5], atol=1e-15)
 
     def test_invalid_beta_pole(self):
         with pytest.raises(InvalidParameters):
@@ -141,7 +142,7 @@ class TestExpansionExact:
         floor = Fraction(1e-300)
         for n in range(1, 9):
             spec = spec_of(family, n, alphas, betas, q)
-            got = iso.build_polynomial(spec).coeffs
+            got = iso.build_polynomial(spec)
             want = _exact_expansion(families._term_table(spec), n)
             assert len(got) == n + 1
             for g, (wr, wi) in zip(got, want):
@@ -176,7 +177,7 @@ def test_validate_rejects_vanishing_denominator(spec, label):
 class TestStructuredEval:
     @pytest.mark.parametrize("spec", SAMPLE_SPECS, ids=lambda s: s.family.value)
     def test_matches_expanded_polynomial(self, spec):
-        p = iso.build_polynomial(spec)
+        p = np.polynomial.Polynomial(iso.build_polynomial(spec))
         rng = np.random.default_rng(0)
         for _ in range(5):
             z = rng.uniform(0.3, 2.0) * np.exp(2j * np.pi * rng.uniform())
@@ -307,8 +308,8 @@ class TestComputeZeros:
         for spec in SAMPLE_SPECS:
             p = iso.build_polynomial(spec)
             zs = iso.compute_zeros(spec)
-            worst = max(abs(p(z)) for z in zs.zeros)
-            assert worst <= 1e-9 * np.max(np.abs(p.coeffs))
+            worst = max(abs(npp.polyval(z, p)) for z in zs.zeros)
+            assert worst <= 1e-9 * np.max(np.abs(p))
 
     def test_repeated_zeros_detected(self):
         with pytest.raises(RepeatedZeros):
@@ -391,13 +392,12 @@ class TestDefiningEquation:
     @pytest.mark.parametrize("spec", SAMPLE_SPECS, ids=lambda s: s.family.value)
     def test_perturbed_polynomial_detected(self, spec):
         base = iso.jacobi_to_ghyp(spec) if spec.family == Family.JACOBI else spec
-        p = iso.build_polynomial(base)
-        coeffs = p.coeffs.copy()
+        coeffs = iso.build_polynomial(base)
         coeffs[1] *= 1.0 + 1e-3
         rng = np.random.default_rng(7)
         samples = families.residual_samples(base, 10, rng)
         worst = max(
-            abs(families.defining_equation_residual(base, s, poly=Poly(coeffs)))
+            abs(families.defining_equation_residual(base, s, poly=coeffs))
             for s in samples
         )
         assert worst > 1e-6
@@ -407,13 +407,13 @@ class TestDefiningEquation:
         # the equation set up once for the perturbed polynomial and applied to
         # every sample gives each sample's residual exactly
         base = iso.jacobi_to_ghyp(spec) if spec.family == Family.JACOBI else spec
-        coeffs = iso.build_polynomial(base).coeffs.copy()
+        coeffs = iso.build_polynomial(base)
         coeffs[1] *= 1.0 + 1e-3
         samples = families.residual_samples(base, 10, np.random.default_rng(7))
-        terms = families._defining_terms(base, Poly(coeffs))
+        terms = families._defining_terms(base, coeffs)
         for s in samples:
             once = families._normalized(terms(complex(s)))
-            assert once == families.defining_equation_residual(base, s, poly=Poly(coeffs))
+            assert once == families.defining_equation_residual(base, s, poly=coeffs)
 
     @pytest.mark.parametrize("construction", list(cli.CONSTRUCTIONS))
     def test_max_is_max_of_per_sample_residuals(self, construction):
@@ -500,7 +500,7 @@ class TestQToOneLimit:
 class TestEvenness:
     def test_wilson_poly_even_in_x(self):
         spec = spec_of("wilson", 3, [0.7, 1.1, 1.6, 2.2])
-        p = iso.build_polynomial(spec)
+        p = np.polynomial.Polynomial(iso.build_polynomial(spec))
         rng = np.random.default_rng(1)
         for _ in range(10):
             x = rng.standard_normal() + 1j * rng.standard_normal()
@@ -510,7 +510,7 @@ class TestEvenness:
 
     def test_racah_poly_even_in_y(self):
         spec = spec_of("racah", 3, [1.1, 2.2, 0.8, 1.4])
-        p = iso.build_polynomial(spec)
+        p = np.polynomial.Polynomial(iso.build_polynomial(spec))
         t2 = families.racah_theta(spec) ** 2
         rng = np.random.default_rng(2)
         for _ in range(10):

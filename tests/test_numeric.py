@@ -20,7 +20,6 @@ from isospectra.numeric import (
     _dd_add,
     _dd_mul,
     _newton_point,
-    Poly,
     ddc,
     ddc_add,
     ddc_div,
@@ -226,37 +225,36 @@ class TestElementaryCoeffs:
         _, b = elementary_coeffs_basic([2.0], [])
         assert len(b) == 0
 
+    def test_basic_small_top_coefficient_kept(self):
+        # (1 + 1e-8 x)^2 = 1 + 2e-8 x + 1e-16 x^2: a_2 is 1e-16 of a_0, not zero
+        a, b = elementary_coeffs_basic([1e-8, 1e-8], [2.0])
+        assert a.tolist() == [2e-8, 1e-8 * 1e-8]
+        assert b.tolist() == [2.0]
 
-class TestPoly:
-    def test_trailing_trim(self):
-        p = Poly([1.0, 2.0, 1e-20])
-        assert p.degree == 1
-
-    def test_compose_affine(self):
-        p = Poly([1.0, 0.0, 1.0])  # 1 + u^2
-        q = p.compose_affine(-2.0, 1.0)  # 1 + (u-2)^2
-        for u in (0.3, 1.7 + 0.2j):
-            assert abs(q(u) - (1 + (u - 2.0) ** 2)) < 1e-12
-
-    def test_zero_poly(self):
-        assert Poly([0.0, 0.0]).is_zero
+    def test_hyp_small_top_coefficient_kept(self):
+        # (1e8 - x)^2 = 1e16 - 2e8 x + x^2: the x^2 coefficient is 1e-16 of a_0.
+        # Small parameters cannot shrink a top coefficient here, which is
+        # (-1)^p; large ones make it small against the others.
+        a, b = elementary_coeffs_hyp([1e8, 1e8], [1e8])
+        assert a.tolist() == [1e16, -2e8, 1.0]
+        assert b.tolist() == [1e8 - 1.0, -1.0]
 
 
 class TestPolyRoots:
     def test_symmetric_pair(self):
-        zs = poly_roots(Poly([-1.0, 0.0, 1.0]))
+        zs = poly_roots([-1.0, 0.0, 1.0])
         assert zs.max_poly_residual <= 1e-12
         np.testing.assert_allclose(np.sort(zs.zeros.real), [-1.0, 1.0], atol=1e-12)
 
     def test_imaginary_pair(self):
-        zs = poly_roots(Poly([1.0, 0.0, 1.0]))
+        zs = poly_roots([1.0, 0.0, 1.0])
         assert zs.max_poly_residual <= 1e-12
         assert multiset_match(zs.zeros, [1j, -1j]) < 1e-12
 
     def test_cubic_oracle(self):
         # oracle: multiply out (z-1)(z-2)(z-3)
         coeffs = npp.polyfromroots([1.0, 2.0, 3.0])
-        zs = poly_roots(Poly(coeffs))
+        zs = poly_roots(coeffs)
         assert zs.max_poly_residual <= 1e-12
         assert multiset_match(zs.zeros, [1.0, 2.0, 3.0]) < 1e-12
 
@@ -272,17 +270,38 @@ class TestPolyRoots:
                 np.fill_diagonal(d, np.inf)
                 if d.min() >= 0.1:
                     break
-            zs = poly_roots(Poly(npp.polyfromroots(roots)))
+            zs = poly_roots(npp.polyfromroots(roots))
             assert zs.max_poly_residual <= 1e-12
             assert multiset_match(zs.zeros, roots) <= 1e-9
 
     def test_zero_polynomial_rejected(self):
-        with pytest.raises(DegenerateInput):
-            poly_roots(Poly([0.0]))
+        for c in ([0.0], [0.0, 0.0]):
+            with pytest.raises(DegenerateInput):
+                poly_roots(c)
 
     def test_constant_rejected(self):
         with pytest.raises(DegenerateInput):
-            poly_roots(Poly([3.0]))
+            poly_roots([3.0])
+
+    def test_non_finite_rejected(self):
+        for bad in (np.nan, np.inf, complex(0.0, -np.inf)):
+            with pytest.raises(DegenerateInput, match="finite"):
+                poly_roots([-1.0, bad, 1.0])
+
+    def test_two_dimensional_rejected(self):
+        with pytest.raises(DegenerateInput, match="1-D"):
+            poly_roots([[-1.0, 0.0, 1.0], [1.0, 0.0, 1.0]])
+
+    def test_trailing_zeros_dropped(self):
+        # -1 + z^2 written with an exact zero z^3 coefficient
+        zs = poly_roots([-1.0, 0.0, 1.0, 0.0])
+        assert zs.zeros.tolist() == [-1.0, 1.0]
+
+    def test_tiny_top_coefficient_kept(self):
+        # only exact zeros are dropped: 1e-20 z^2 + z - 1 keeps its far root
+        zs = poly_roots([-1.0, 1.0, 1e-20])
+        assert len(zs) == 2
+        assert multiset_match(zs.zeros, [1.0, -1e20]) < 1e-12
 
     def test_stops_at_rounding_level(self):
         # a safe-box racah draw: every root's scaled backward error ends at
@@ -290,8 +309,8 @@ class TestPolyRoots:
         spec = iso.make_spec(
             "racah", 6, [2.6123844380864822, 1.041393051647385, 2.723188787953626, 1.7372567706639868]
         )
-        c = iso.build_polynomial(spec).coeffs
-        zs = poly_roots(Poly(c))
+        c = iso.build_polynomial(spec)
+        zs = poly_roots(c)
         assert zs.max_poly_residual <= 1e-12
         backward = np.abs(npp.polyval(zs.zeros, c)) / npp.polyval(np.abs(zs.zeros), np.abs(c))
         assert np.all(backward <= 2 * np.finfo(float).eps * 6)
@@ -299,13 +318,13 @@ class TestPolyRoots:
     def test_nonconvergence_flagged(self):
         coeffs = npp.polyfromroots(np.arange(1.0, 7.0))
         with pytest.raises(NonConvergence):
-            poly_roots(Poly(coeffs), tol=1e-30)
+            poly_roots(coeffs, tol=1e-30)
 
     def test_zero_derivative_clamped(self):
         # z^2: p'(0) = 0 is clamped to _TINY, the step is 0 and is rejected
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            zs = poly_roots(Poly([0.0, 0.0, 1.0]))
+            zs = poly_roots([0.0, 0.0, 1.0])
         assert zs.zeros.tolist() == [0j, 0j]
         assert zs.max_poly_residual == 0.0
 
@@ -325,7 +344,7 @@ class TestPolyRoots:
             np.linalg, "eigvals", lambda a: np.array([complex(1.5e308, 1.5e308), 1.0])
         )
         with pytest.raises(NonConvergence, match="inf"):
-            poly_roots(Poly([-1.0, 0.0, 1.0]))
+            poly_roots([-1.0, 0.0, 1.0])
 
 
 def oracle_polynomials(spec):
@@ -333,7 +352,7 @@ def oracle_polynomials(spec):
     polys = []
 
     def recording(p, **kwargs):
-        polys.append(p.coeffs)
+        polys.append(p)
         return poly_roots(p, **kwargs)
 
     dynamics.poly_roots, saved = recording, dynamics.poly_roots
@@ -347,7 +366,7 @@ def oracle_polynomials(spec):
 def n8_draw_polynomial(index, name):
     """The N = 8 draw of `TestPolyRootsAccuracy::test_n8_draw`."""
     spec, _ = cli.draw_spec(name, 8, np.random.default_rng([2026, index]), nmin=8)
-    return iso.build_polynomial(spec).coeffs
+    return iso.build_polynomial(spec)
 
 
 def assert_matches_mpmath(c, bound):
@@ -416,7 +435,7 @@ class TestMatrixEigenvalues:
 
     def test_one_by_one_exact(self):
         ev = matrix_eigenvalues([[2.5 + 1.5j]])
-        assert ev.values[0] == 2.5 + 1.5j
+        assert ev[0] == 2.5 + 1.5j
 
     def test_random_triangular_diagonal(self):
         rng = np.random.default_rng(3)
@@ -431,7 +450,7 @@ class TestMatrixEigenvalues:
         for _ in range(20):
             n = int(rng.integers(2, 9))
             m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            ev = matrix_eigenvalues(m).values
+            ev = matrix_eigenvalues(m)
             tr = np.trace(m)
             assert abs(ev.sum() - tr) <= 1e-9 * max(1.0, abs(tr))
             det = np.linalg.det(m)
@@ -441,7 +460,7 @@ class TestMatrixEigenvalues:
         rng = np.random.default_rng(13)
         for n in range(13, 17):
             m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            ev = matrix_eigenvalues(m).values
+            ev = matrix_eigenvalues(m)
             assert len(ev) == n
             tr = np.trace(m)
             assert abs(ev.sum() - tr) <= 1e-9 * max(1.0, abs(tr))
