@@ -282,22 +282,15 @@ def draw_spec(
 
 
 def _near_q_pole(spec: FamilySpec) -> bool:
-    q, n = spec.q, spec.N
-    bases = []
+    bases = [base for base, _ in families.q_pole_bases(spec)]
     if spec.family == Family.GBASIC:
-        bases = list(spec.betas) + list(spec.alphas)
-    elif spec.family == Family.AW:
-        a, b, c, d = spec.alphas
-        bases = [a * b, a * c, a * d, a * b * c * d * q ** (n - 1)]
-    elif spec.family == Family.QRACAH:
-        al, be, ga, de = spec.alphas
-        bases = [al * q, be * de * q, ga * q, al * be * q ** (n + 1)]
+        bases += spec.alphas
     for base in bases:
         g = complex(base)
-        for _ in range(n):
+        for _ in range(spec.N):
             if abs(1.0 - g) < DRAW_MARGIN:
                 return True
-            g *= q
+            g *= spec.q
     return False
 
 

@@ -185,13 +185,14 @@ def solve_c(cs: CSystem, c0, t: float) -> np.ndarray:
 # loops beat masked N x N numpy arrays, whose fixed cost per call dominates
 # (README, "Zero-dynamics kernels").  Fed `Dual`s instead, the same kernels
 # return the exact Jacobian (`linearization_matrix`), which is the family's
-# isospectral matrix.  The (q-)hypergeometric kernels take 1 / (z_n - z_l)
-# from one `pair_reciprocals` table, so the Jacobian pass pays for one `Dual`
-# reciprocal per unordered pair instead of one division per ordered pair and
-# factor.  A kernel binds its family's constants once per call, outside the
+# isospectral matrix.  Every kernel rests on one of two shared primitives
+# over one `pair_reciprocals` table of 1 / (u_n - u_l): the f/g recursion
+# (ghyp, jacobi) or the exclusion product `basic_f` (the five difference and
+# q-difference families), so the Jacobian pass pays for one `Dual`
+# reciprocal per unordered pair and no other division by a difference of
+# zeros.  A kernel binds its family's constants once per call, outside the
 # per-zero loops (cached per parameter set where forming them costs
-# arithmetic), and calls the `families` helpers that take them unpacked;
-# every floating-point operation keeps its order, so none of this moves a bit.
+# arithmetic), and calls the `families` helpers that take them unpacked.
 # ---------------------------------------------------------------------------
 
 def check_distinct(z: list) -> None:
@@ -258,17 +259,27 @@ def fg_recursion(zeta, J: int):
     return f, g
 
 
-# Exclusion product of the q-family zero dynamics.  The shift `s` is q^p z_n
-# for the basic family (f_n(p, z) in the formulas) and z_n^(+-) for q-Racah.
-# `z` is a list of Python complex numbers, or of `Dual`s for the Jacobian,
-# and `inv_n` is row n of `pair_reciprocals(z)`.
+# Exclusion product of the difference and q-difference zero dynamics, at a
+# shift `s` of zero n over the table variable u:
+#
+#   gbasic   u = z,    s = q^p z_n        (f_n(p, z) in the formulas)
+#   qracah   u = z,    s = z_n^(+-)
+#   wilson   u = x^2,  s = u_n - 1 - 2i x_s = (x_s - i)^2,   x_s = +-x_n
+#   racah    u = y^2,  s = u_n + w = (y_s + 1)^2,  w = 1 + 2 y_s,  y_s = +-y_n
+#   aw       u = x,    s = X(q z_n^(+-1)),  X(w) = (w + 1/w) / 2
+#
+# The Askey-Wilson pair factor K(z_n, z_m) = q (X(q z_n) - x_m) / (x_n - x_m),
+# so its product is q^(N-1) times the exclusion product and needs the lift
+# z_n = x_n + sqrt(x_n^2 - 1) of zero n only.  `u` is a list of Python
+# complex numbers, or of `Dual`s for the Jacobian, and `inv_n` is row n of
+# `pair_reciprocals(u)`.
 
-def basic_f(s, z, n: int, inv_n: list):
-    """prod_{l != n} (s - z_l) / (z_n - z_l), as products with inv_n[l] = 1 / (z_n - z_l)."""
+def basic_f(s, u, n: int, inv_n: list):
+    """prod_{l != n} (s - u_l) / (u_n - u_l), as products with inv_n[l] = 1 / (u_n - u_l)."""
     out = 1.0 + 0.0j
-    for ell, zl in enumerate(z):
+    for ell, ul in enumerate(u):
         if ell != n:
-            out = (s - zl) * inv_n[ell] * out
+            out = (s - ul) * inv_n[ell] * out
     return out
 
 
@@ -338,19 +349,15 @@ def _rhs_terms_wilson(spec, x):
         raise DivideByZeroVariable("wilson dynamics needs |x_n| > 0")
     s1, s2, s3, s4 = fam.wilson_sym(spec)
     quartic = fam.wilson_quartic
-    x2 = [v * v for v in x]
+    u = [v * v for v in x]
+    inv = pair_reciprocals(u)
     rows = []
     for n, xn in enumerate(x):
-        x2n = x2[n]
         pref = -1j / (2.0 * xn)
         row = []
         for xs in (xn, -xn):
             t = 2j * xs
-            prod = 1.0
-            for m, x2m in enumerate(x2):
-                if m != n:
-                    d = x2n - x2m
-                    prod *= (d - 1.0 - t) / d
+            prod = basic_f(u[n] - 1.0 - t, u, n, inv[n])  # at (x_s - i)^2
             row.append(pref * (quartic(s1, s2, s3, s4, xs) / t * prod))
         rows.append(row)
     return rows
@@ -362,18 +369,15 @@ def _rhs_terms_racah(spec, y):
     al, be, ga, de = spec.alphas
     al2, be2 = 2.0 * al, 2.0 * be
     dtilde = fam.racah_dtilde
-    y2 = [v * v for v in y]
+    u = [v * v for v in y]
+    inv = pair_reciprocals(u)
     rows = []
     for n, yn in enumerate(y):
-        y2n = y2[n]
         pref = -1j / (2.0 * yn)
         row = []
         for ys in (yn, -yn):
             w = 1.0 + 2.0 * ys
-            prod = 1.0
-            for m, y2m in enumerate(y2):
-                if m != n:
-                    prod *= 1.0 + w / (y2n - y2m)
+            prod = basic_f(u[n] + w, u, n, inv[n])  # at (y_s + 1)^2
             row.append(pref * (dtilde(al2, be2, ga, de, ys) * w * prod))
         rows.append(row)
     return rows
@@ -383,20 +387,16 @@ def _rhs_terms_aw(spec, x):
     q = spec.q
     a, b, c, d = spec.alphas
     g = fam.aw_g
-    pref = (q - 1.0) / (2.0 * q ** float(spec.N))
-    z = [v + dsqrt(v * v - 1.0) for v in x]
-    z_inv = [1.0 / v for v in z]
+    pref = (q - 1.0) / (2.0 * q)
+    inv = pair_reciprocals(x)
     rows = []
-    for n in range(len(x)):
+    for n, xn in enumerate(x):
+        zn = xn + dsqrt(xn * xn - 1.0)
         row = []
-        for zv in (z, z_inv):
-            zn = zv[n]
-            qzn = q * zn
-            prod = 1.0
-            for m, zm in enumerate(zv):
-                if m != n:  # K(z_n, z_m)
-                    prod *= ((zm - qzn) * (qzn * zm - 1.0)) / ((zm - zn) * (zn * zm - 1.0))
-            row.append(pref * (g(a, b, c, d, q, zn) * prod))
+        for zs in (zn, 1.0 / zn):
+            w = q * zs
+            prod = basic_f(0.5 * (w + 1.0 / w), x, n, inv[n])  # at X(q z_s)
+            row.append(pref * (g(a, b, c, d, q, zs) * prod))
         rows.append(row)
     return rows
 
@@ -483,7 +483,7 @@ def to_dynamics_variable(spec: fam.FamilySpec, zeros_natural: np.ndarray) -> np.
     """Map natural-variable zeros to the dynamics variable (lift where needed)."""
     z = np.asarray(zeros_natural, dtype=complex).ravel()
     if spec.family in fam.LIFTED_FAMILIES:
-        return fam.lift_zero_variables(spec, ZeroSet(z, np.inf, 0.0)).zeros
+        return fam.lift_zero_variables(spec, z)
     return z
 
 

@@ -197,27 +197,25 @@ def validate_spec(spec: FamilySpec) -> None:
         raise InvalidParameters(f"{fam.value} takes no beta parameters")
     if fam == Family.JACOBI and len(spec.alphas) != 2:
         raise InvalidParameters("jacobi needs exactly (alpha, beta)")
-    N, q = spec.N, spec.q
+    N = spec.N
 
     def poch_ok(base, count, label):
         for i in range(count):
             if abs(base + i) < PARAM_POLE_TOL:
                 raise InvalidParameters(f"{label}: factor ({base} + {i}) vanishes")
 
-    def qpoch_ok(base, count, label):
-        g = complex(base)
-        for i in range(count):
-            if abs(1.0 - g) < QPARAM_POLE_TOL * max(1.0, abs(g)):
-                raise InvalidParameters(f"{label}: factor (1 - {base} q^{i}) vanishes")
-            g *= q
-
-    if fam == Family.GHYP:
+    if fam == Family.AW and abs(spec.alphas[0]) < 1e-12:
+        raise InvalidParameters("askey-wilson needs a != 0")
+    if fam in Q_FAMILIES:
+        for base, label in q_pole_bases(spec):
+            g = complex(base)
+            for i in range(N):
+                if abs(1.0 - g) < QPARAM_POLE_TOL * max(1.0, abs(g)):
+                    raise InvalidParameters(f"{label}: factor (1 - {base} q^{i}) vanishes")
+                g *= spec.q
+    elif fam == Family.GHYP:
         for k, be in enumerate(spec.betas):
             poch_ok(be, N, f"beta_{k + 1}")
-    elif fam == Family.GBASIC:
-        qpoch_ok(q, N, "(q; q)_m")
-        for k, be in enumerate(spec.betas):
-            qpoch_ok(be, N, f"(beta_{k + 1}; q)_m")
     elif fam == Family.WILSON:
         a, b, c, d = spec.alphas
         for u, lbl in ((a + b, "a+b"), (a + c, "a+c"), (a + d, "a+d")):
@@ -229,24 +227,38 @@ def validate_spec(spec: FamilySpec) -> None:
         poch_ok(be + de + 1.0, N, "(beta+delta+1)_n")
         poch_ok(ga + 1.0, N, "(gamma+1)_n")
         poch_ok(N + al + be + 1.0, N, "(N+alpha+beta+1)_N")
-    elif fam == Family.AW:
-        a, b, c, d = spec.alphas
-        if abs(a) < 1e-12:
-            raise InvalidParameters("askey-wilson needs a != 0")
-        qpoch_ok(q, N, "(q; q)_m")
-        for u, lbl in ((a * b, "ab"), (a * c, "ac"), (a * d, "ad")):
-            qpoch_ok(u, N, f"({lbl}; q)_N")
-        qpoch_ok(a * b * c * d * q ** (N - 1), N, "(abcd q^(N-1); q)_N")
-    elif fam == Family.QRACAH:
-        al, be, ga, de = spec.alphas
-        qpoch_ok(q, N, "(q; q)_m")
-        qpoch_ok(al * q, N, "(alpha q; q)_m")
-        qpoch_ok(be * de * q, N, "(beta delta q; q)_m")
-        qpoch_ok(ga * q, N, "(gamma q; q)_m")
-        qpoch_ok(al * be * q ** (N + 1), N, "(alpha beta q^(N+1); q)_N")
     elif fam == Family.JACOBI:
         al, be = spec.alphas
         poch_ok(N + al + be + 1.0, N, "(N+alpha+beta+1)_N")
+
+
+def q_pole_bases(spec: FamilySpec) -> list:
+    """(base, label) of each q-Pochhammer denominator (base; q)_N of a q-family.
+
+    Its factors are 1 - base q^i for i < N: `validate_spec` rejects a spec
+    where one vanishes, and `cli.draw_spec` redraws where one comes close.
+    """
+    q, N = spec.q, spec.N
+    bases = [(q, "(q; q)_m")]
+    if spec.family == Family.GBASIC:
+        bases += [(be, f"(beta_{k + 1}; q)_m") for k, be in enumerate(spec.betas)]
+    elif spec.family == Family.AW:
+        a, b, c, d = spec.alphas
+        bases += [
+            (a * b, "(ab; q)_N"),
+            (a * c, "(ac; q)_N"),
+            (a * d, "(ad; q)_N"),
+            (a * b * c * d * q ** (N - 1), "(abcd q^(N-1); q)_N"),
+        ]
+    elif spec.family == Family.QRACAH:
+        al, be, ga, de = spec.alphas
+        bases += [
+            (al * q, "(alpha q; q)_m"),
+            (be * de * q, "(beta delta q; q)_m"),
+            (ga * q, "(gamma q; q)_m"),
+            (al * be * q ** (N + 1), "(alpha beta q^(N+1); q)_N"),
+        ]
+    return bases
 
 
 def build_polynomial(spec: FamilySpec) -> np.ndarray:
@@ -465,13 +477,10 @@ def compute_zeros(spec: FamilySpec) -> ZeroSet:
             f"zero forward-error estimate {worst:.3e} > tol {ZERO_TOL:.1e} after refinement"
         )
     refined = refined[np.lexsort((refined.imag, refined.real))]
-    out = ZeroSet(zeros=refined, min_separation=min_separation(refined), max_poly_residual=worst)
-    scale = max(1.0, float(np.max(np.abs(out.zeros))))
-    if out.min_separation < ZERO_SEP_REL * scale:
-        raise RepeatedZeros(
-            f"min zero separation {out.min_separation:.3e} below {ZERO_SEP_REL:.0e} * scale"
-        )
-    return out
+    sep = min_separation(refined)
+    if sep < ZERO_SEP_REL * max(1.0, float(np.max(np.abs(refined)))):
+        raise RepeatedZeros(f"min zero separation {sep:.3e} below {ZERO_SEP_REL:.0e} * scale")
+    return ZeroSet(zeros=refined, max_poly_residual=worst)
 
 
 def _sqrt_off_noise(w: np.ndarray, scale: np.ndarray) -> np.ndarray:
@@ -484,39 +493,33 @@ def _sqrt_off_noise(w: np.ndarray, scale: np.ndarray) -> np.ndarray:
     return np.sqrt(np.where(noise, w.real + 0j, w))
 
 
-def lift_zero_variables(spec: FamilySpec, zs: ZeroSet) -> ZeroSet:
-    """Map natural-variable zeros to the lifted variable of the family.
+def lift_zero_variables(spec: FamilySpec, z) -> np.ndarray:
+    """Map natural-variable zeros (an array) to the lifted variable of the family.
 
     wilson:  x_n = sqrt(z_n);  racah:  y_n = sqrt(z_n + theta^2);
     aw:      z_n = x_n + sqrt(x_n^2 - 1);
     qracah:  the 2N companion values z_n^(+), z_n^(-), concatenated.
     """
-    z = zs.zeros
+    z = np.asarray(z, dtype=complex)
     fam = spec.family
     if fam == Family.WILSON:
         if np.any(np.abs(z) < BRANCH_TOL):
             raise BranchPoint("wilson lift needs z_n != 0")
-        lifted = _sqrt_off_noise(z.astype(complex), np.abs(z))
-    elif fam == Family.RACAH:
+        return _sqrt_off_noise(z, np.abs(z))
+    if fam == Family.RACAH:
         t2 = racah_theta(spec) ** 2
         if np.any(np.abs(z + t2) < BRANCH_TOL):
             raise BranchPoint("racah lift needs z_n + theta^2 != 0")
-        lifted = _sqrt_off_noise(z + t2, np.abs(z) + abs(t2))
-    elif fam == Family.AW:
-        lifted = z + np.sqrt(z * z - 1.0)
-    elif fam == Family.QRACAH:
+        return _sqrt_off_noise(z + t2, np.abs(z) + abs(t2))
+    if fam == Family.AW:
+        return z + np.sqrt(z * z - 1.0)
+    if fam == Family.QRACAH:
         k = qracah_constants(spec)
         if np.any(np.abs(z * z - k.four_gdq) < BRANCH_TOL):
             raise BranchPoint("qracah shift hits the square-root branch point")
         shifts = [qracah_shifts(k, v) for v in z]
-        lifted = np.array([s[1] for s in shifts] + [s[2] for s in shifts])
-    else:
-        raise InvalidParameters(f"no lifted variable for family {fam.value}")
-    return ZeroSet(
-        zeros=lifted,
-        min_separation=min_separation(lifted),
-        max_poly_residual=zs.max_poly_residual,
-    )
+        return np.array([s[1] for s in shifts] + [s[2] for s in shifts])
+    raise InvalidParameters(f"no lifted variable for family {fam.value}")
 
 
 # ---------------------------------------------------------------------------

@@ -37,11 +37,15 @@ def full_degree(c: np.ndarray) -> bool:
 
 @dataclass
 class ZeroSet:
-    """Roots of one polynomial plus separation/residual metadata."""
+    """Roots of one polynomial plus their worst residual."""
 
     zeros: np.ndarray
-    min_separation: float
     max_poly_residual: float
+
+    @property
+    def min_separation(self) -> float:
+        """Smallest pairwise distance of the zeros, computed when read."""
+        return min_separation(self.zeros)
 
     def __len__(self):
         return len(self.zeros)
@@ -178,8 +182,7 @@ def poly_roots(p, tol: float = ROOT_TOL) -> ZeroSet:
     if worst > tol:
         raise NonConvergence(f"root residual {worst:.3e} > tol {tol:.1e}")
     roots.sort(key=_re_im)
-    z = np.array(roots, dtype=complex)
-    return ZeroSet(zeros=z, min_separation=min_separation(z), max_poly_residual=worst)
+    return ZeroSet(zeros=np.array(roots, dtype=complex), max_poly_residual=worst)
 
 
 def min_separation(values: np.ndarray) -> float:

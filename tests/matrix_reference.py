@@ -352,7 +352,7 @@ def reference_matrix(spec, zs, pad_count=0):
     if f == fam.Family.GHYP:
         return L_ghyp(spec, zeta, pad_values=DEFAULT_PAD_VALUES[:pad_count])
     if f in (fam.Family.WILSON, fam.Family.RACAH):
-        lifted = fam.lift_zero_variables(spec, ZeroSet(zeta, 1e-300, 0.0)).zeros
+        lifted = fam.lift_zero_variables(spec, zeta)
         return (L_wilson if f == fam.Family.WILSON else L_racah)(spec, lifted)
     if f == fam.Family.AW:
         return L_aw(spec, zeta + np.sqrt(zeta * zeta - 1.0))

@@ -288,6 +288,26 @@ class TestAlgebraicSolution:
         back = dynamics.algebraic_solution(spec, z0, 0.0)
         assert np.max(np.abs(back - z0)) <= 1e-9
 
+    @pytest.mark.parametrize("spec", DYNAMICS_SPECS, ids=lambda s: s.family.value)
+    def test_basis_columns(self, spec):
+        # a round trip at t = 0 passes on any invertible basis; this pins the
+        # basis itself: column j is the monomial z^(N - j) for ghyp and
+        # gbasic, and otherwise has the degree-(N - j) member's zeros as its
+        # roots in the oracle variable (z, or z + theta^2 for racah)
+        B = dynamics._basis_matrix(spec)
+        for j in range(spec.N):
+            deg = spec.N - j
+            col = B[:, j]
+            if spec.family in (families.Family.GHYP, families.Family.GBASIC):
+                assert np.array_equal(col, np.eye(spec.N + 1)[deg])
+                continue
+            assert col[deg] != 0 and not np.any(col[deg + 1 :])
+            sub = iso.make_spec(spec.family.value, deg, spec.alphas, spec.betas, spec.q)
+            want = iso.compute_zeros(sub).zeros
+            if spec.family == families.Family.RACAH:
+                want = want + families.racah_theta(spec) ** 2
+            assert multiset_match(np.polynomial.polynomial.polyroots(col[: deg + 1]), want) <= 1e-9
+
     def test_ghyp_N1_trajectory_is_minus_c1(self):
         spec = iso.make_spec("ghyp", 1, [2.0], [3.0])
         cs = dynamics.c_system(spec)
