@@ -3,12 +3,17 @@
 import contextlib
 import io
 import json
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from isospectra import cli, families
+
+# -h screens and argparse errors, taken at COLUMNS=80 under Python 3.11
+CLI_SCREENS = json.loads((Path(__file__).parent / "fixtures" / "cli_screens.json").read_text())
 
 # Wilson parameters at a discriminant cusp: double zero survives rounding
 WILSON_DEGENERATE = "-0.8580553427452533,-0.33251962240715427,1.5,2.0"
@@ -363,6 +368,22 @@ class TestRefinementGuard:
         assert proc.stdout == ""
         lines = proc.stderr.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+class TestParserScreens:
+    """Help screens, usage lines and argparse errors, byte for byte."""
+
+    @pytest.mark.skipif(
+        sys.version_info[:2] != (3, 11),
+        reason="argparse lays out help and errors differently on other Python versions",
+    )
+    @pytest.mark.parametrize("case", CLI_SCREENS, ids=lambda c: " ".join(c["argv"]) or "no-args")
+    def test_screen_is_unchanged(self, monkeypatch, capsys, case):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exc:
+            cli.main(case["argv"])
+        assert exc.value.code == case["code"]
+        assert capsys.readouterr() == (case["stdout"], case["stderr"])
 
 
 class TestConsoleEntryPoint:
