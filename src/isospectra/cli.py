@@ -351,9 +351,8 @@ def cmd_sweep(args) -> int:
 # Entry point
 # ---------------------------------------------------------------------------
 
-def _spec_flags() -> argparse.ArgumentParser:
-    """The spec flags `zeros`, `matrix`, `verify` and `evolve` share, as a parent parser."""
-    p = argparse.ArgumentParser(add_help=False)
+def _add_spec_flags(p: argparse.ArgumentParser) -> None:
+    """The spec flags that `zeros`, `matrix`, `verify` and `evolve` share."""
     p.add_argument("--family", help="ghyp|gbasic|wilson|racah|aw|qracah|jacobi")
     p.add_argument("-N", "--N", type=int, default=None, help="polynomial degree")
     p.add_argument("--alphas", default=None, help="comma-separated complex list")
@@ -363,39 +362,61 @@ def _spec_flags() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol-spectral", type=float, default=1e-6, dest="tol_spectral")
     p.add_argument("--tol-identity", type=float, default=1e-8, dest="tol_identity")
-    return p
 
 
-def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="isospectra", description=__doc__)
-    sub = ap.add_subparsers(dest="command", required=True)
-    spec_flags = [_spec_flags()]  # built once: each add_argument makes a formatter
-
-    for name, fn in (("zeros", cmd_zeros), ("matrix", cmd_matrix), ("verify", cmd_verify)):
-        sub.add_parser(name, parents=spec_flags).set_defaults(func=fn)
-
-    p = sub.add_parser("evolve", parents=spec_flags)
+def _add_evolve_flags(p: argparse.ArgumentParser) -> None:
+    _add_spec_flags(p)
     p.add_argument("--t1", type=float, default=0.5)
     p.add_argument("--steps", type=int, default=2000)
     p.add_argument("--perturb", type=float, default=1e-3)
     p.add_argument("--record-every", type=int, default=20, dest="record_every")
     p.add_argument("--tol-deviation", type=float, default=1e-6, dest="tol_deviation")
-    p.set_defaults(func=cmd_evolve)
 
-    p = sub.add_parser("sweep")
+
+def _add_sweep_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--family", default="all", help="construction name or 'all'")
     p.add_argument("--draws", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--nmax", type=int, default=8)
     p.add_argument("--tol-spectral", type=float, default=1e-6, dest="tol_spectral")
-    p.set_defaults(func=cmd_sweep)
+
+
+#: subcommand -> (handler, the function that adds its arguments)
+_SUBCOMMANDS = {
+    "zeros": (cmd_zeros, _add_spec_flags),
+    "matrix": (cmd_matrix, _add_spec_flags),
+    "verify": (cmd_verify, _add_spec_flags),
+    "evolve": (cmd_evolve, _add_evolve_flags),
+    "sweep": (cmd_sweep, _add_sweep_flags),
+}
+
+
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The parser for `argv` (default `sys.argv[1:]`).
+
+    Every subcommand is registered, but only the one argv names gets its
+    arguments: adding them is most of the cost of building the parser, and
+    one run parses one subcommand.  The top level has no option but -h, so
+    the first token that is not an option is the subcommand.  Usage lines,
+    choice errors and every -h screen are those of the full parser.
+    """
+    if argv is None:
+        argv = sys.argv[1:]
+    named = next((tok for tok in argv if not tok.startswith("-")), None)
+    ap = argparse.ArgumentParser(prog="isospectra", description=__doc__)
+    sub = ap.add_subparsers(dest="command", required=True)
+    for name, (fn, add_flags) in _SUBCOMMANDS.items():
+        p = sub.add_parser(name)
+        p.set_defaults(func=fn)
+        if name == named:
+            add_flags(p)
     return ap
 
 
 def main(argv=None) -> int:
     level = os.environ.get("ISOSPECTRA_LOG", "warning").upper()
     logging.basicConfig(stream=sys.stderr, level=getattr(logging, level, logging.WARNING))
-    args = build_parser().parse_args(argv)
+    args = build_parser(argv).parse_args(argv)
     log.info("command %s", args.command)
     try:
         return args.func(args)

@@ -46,10 +46,11 @@ from .errors import (
 from .numeric import (
     DEGREE_REL,
     Dual,
+    OneHot,
     ZeroSet,
+    chain,
     elementary_coeffs_basic,
     elementary_coeffs_hyp,
-    dsqrt,
     full_degree,
     multiset_match,
     pairwise_close,
@@ -187,12 +188,16 @@ def solve_c(cs: CSystem, c0, t: float) -> np.ndarray:
 # return the exact Jacobian (`linearization_matrix`), which is the family's
 # isospectral matrix.  Every kernel rests on one of two shared primitives
 # over one `pair_reciprocals` table of 1 / (u_n - u_l): the f/g recursion
-# (ghyp, jacobi) or the exclusion product `basic_f` (the five difference and
-# q-difference families), so the Jacobian pass pays for one `Dual`
-# reciprocal per unordered pair and no other division by a difference of
-# zeros.  A kernel binds its family's constants once per call, outside the
-# per-zero loops (cached per parameter set where forming them costs
-# arithmetic), and calls the `families` helpers that take them unpacked.
+# (ghyp, jacobi) or the exclusion product (the five difference and
+# q-difference families), which `exclusion_table` hands out with its table.
+# The Jacobian pass seeds one-hot duals (`OneHot`), and everything in row n
+# but the exclusion product depends on zero n alone, so it stays one-hot.
+# The product takes its partials from its own rule (`basic_f_dual`) over a
+# table of plain values; only the f/g recursion, which couples every zero in
+# every step, runs on dense duals.  A kernel binds its family's constants
+# once per call, outside the per-zero loops (cached per parameter set where
+# forming them costs arithmetic), and calls the `families` helpers that take
+# them unpacked.
 # ---------------------------------------------------------------------------
 
 def check_distinct(z: list) -> None:
@@ -227,8 +232,11 @@ def fg_recursion(zeta, J: int):
     antisymmetric in (n, l), so each is formed once per unordered pair, added
     to row n and subtracted from row l; every row still accumulates its terms
     in ascending l.  Returns lists f[j][n] (j = 1..J, f[0] is None) and
-    g[j][n] (j = 0..J).
+    g[j][n] (j = 0..J).  One-hot duals are made dense once, on entry: after
+    one step every entry depends on every zero.
     """
+    if isinstance(zeta[0], OneHot):
+        zeta = [v.dense() for v in zeta]
     n_zeros = len(zeta)
     inv = pair_reciprocals(zeta)
     zero = zeta[0] * 0.0
@@ -270,9 +278,10 @@ def fg_recursion(zeta, J: int):
 #
 # The Askey-Wilson pair factor K(z_n, z_m) = q (X(q z_n) - x_m) / (x_n - x_m),
 # so its product is q^(N-1) times the exclusion product and needs the lift
-# z_n = x_n + sqrt(x_n^2 - 1) of zero n only.  `u` is a list of Python
-# complex numbers, or of `Dual`s for the Jacobian, and `inv_n` is row n of
-# `pair_reciprocals(u)`.
+# z_n = x_n + sqrt(x_n^2 - 1) of zero n only.  A kernel takes the product
+# and the table from `exclusion_table(u)`: `basic_f` over
+# `pair_reciprocals(u)` on Python complex numbers, `basic_f_dual` over the
+# table of u's values on `Dual`s.
 
 def basic_f(s, u, n: int, inv_n: list):
     """prod_{l != n} (s - u_l) / (u_n - u_l), as products with inv_n[l] = 1 / (u_n - u_l)."""
@@ -281,6 +290,62 @@ def basic_f(s, u, n: int, inv_n: list):
         if ell != n:
             out = (s - ul) * inv_n[ell] * out
     return out
+
+
+def basic_f_dual(s, u, n: int, inv_n: list):
+    """`basic_f` on `Dual`s u (and a Dual or constant s), by the product's own rule.
+
+    `inv_n` holds values only: r_l = 1 / (u_n - u_l).  With the factors
+    F_l = (s - u_l) r_l and the exclusive products E_l = prod_{k != l, n} F_k,
+    built as prefix and suffix products so that nothing is divided by
+    s - u_l, the tangent is sum_l E_l dF_l with
+
+        dF_l = r_l (ds - F_l du_n) + (s - u_n) r_l^2 du_l,
+
+    that is dP/ds = sum_l E_l r_l, dP/du_l = E_l (s - u_n) r_l^2 and
+    dP/du_n = -P sum_l r_l.  The part in ds and du_n is summed factor by
+    factor, not as those two partials: in the kernels s moves with u_n
+    (s = q^p u_n, say), and for u_l small against u_n the two cancel.  The
+    cost is O(N) when s and u_n are one-hot duals of one variable and every
+    u_l is one-hot, as in the Jacobian pass; dense duals cost O(N^2).  The
+    value is `basic_f`'s loop.
+    """
+    s0 = s.val if isinstance(s, Dual) else s
+    un = u[n]
+    r = inv_n[:n] + inv_n[n + 1:]
+    others = u[:n] + u[n + 1:]
+    factors = [(s0 - ul.val) * rl for ul, rl in zip(others, r)]
+    prefix = [1.0 + 0.0j]
+    for f in factors:
+        prefix.append(f * prefix[-1])
+    out = prefix[-1]
+    if not factors:
+        return out
+    suffix = 1.0 + 0.0j
+    er = [None] * len(factors)  # E_l r_l
+    for i in range(len(factors) - 1, -1, -1):
+        er[i] = prefix[i] * suffix * r[i]
+        suffix = factors[i] * suffix
+    if isinstance(s, OneHot) and isinstance(un, OneHot) and s.k == un.k:
+        d = sum(e * (s.d - f * un.d) for e, f in zip(er, factors))
+        terms = [(1.0, OneHot(0j, s.k, d, s.n))]
+    else:
+        terms = [(e, s - f * un) for e, f in zip(er, factors)]
+    c = s0 - un.val
+    terms += [(e * c * rl, ul) for e, rl, ul in zip(er, r, others)]
+    return chain(out, terms)
+
+
+def exclusion_table(u: list):
+    """The exclusion product for the table variable u, and the pair table it reads.
+
+    Python complex u: (`basic_f`, `pair_reciprocals(u)`).  `Dual` u:
+    (`basic_f_dual`, the table over u's values), since that rule carries
+    the table's derivative itself and no `Dual` reciprocal is formed.
+    """
+    if isinstance(u[0], Dual):
+        return basic_f_dual, pair_reciprocals([v.val for v in u])
+    return basic_f, pair_reciprocals(u)
 
 
 @lru_cache(maxsize=512)
@@ -329,13 +394,13 @@ def _rhs_terms_gbasic(spec, z):
     shifts, c1, beta_terms, alpha_terms, sgn_r = _gbasic_constants(
         spec.q, spec.N, spec.alphas, spec.betas
     )
-    inv = pair_reciprocals(z)
+    product, inv = exclusion_table(z)
     rows = []
     for n, zn in enumerate(z):
         inv_n = inv[n]
         fn = {0: 0j}
         for p, qp in shifts:
-            fn[p] = basic_f(qp * zn, z, n, inv_n)
+            fn[p] = product(qp * zn, z, n, inv_n)
         sz = sgn_r * zn
         row = [c1 * fn[1]]
         row += [c * (u * fn[hi] - v * fn[lo]) for c, u, hi, v, lo in beta_terms]
@@ -350,14 +415,14 @@ def _rhs_terms_wilson(spec, x):
     s1, s2, s3, s4 = fam.wilson_sym(spec)
     quartic = fam.wilson_quartic
     u = [v * v for v in x]
-    inv = pair_reciprocals(u)
+    product, inv = exclusion_table(u)
     rows = []
     for n, xn in enumerate(x):
         pref = -1j / (2.0 * xn)
         row = []
         for xs in (xn, -xn):
             t = 2j * xs
-            prod = basic_f(u[n] - 1.0 - t, u, n, inv[n])  # at (x_s - i)^2
+            prod = product(u[n] - 1.0 - t, u, n, inv[n])  # at (x_s - i)^2
             row.append(pref * (quartic(s1, s2, s3, s4, xs) / t * prod))
         rows.append(row)
     return rows
@@ -370,14 +435,14 @@ def _rhs_terms_racah(spec, y):
     al2, be2 = 2.0 * al, 2.0 * be
     dtilde = fam.racah_dtilde
     u = [v * v for v in y]
-    inv = pair_reciprocals(u)
+    product, inv = exclusion_table(u)
     rows = []
     for n, yn in enumerate(y):
         pref = -1j / (2.0 * yn)
         row = []
         for ys in (yn, -yn):
             w = 1.0 + 2.0 * ys
-            prod = basic_f(u[n] + w, u, n, inv[n])  # at (y_s + 1)^2
+            prod = product(u[n] + w, u, n, inv[n])  # at (y_s + 1)^2
             row.append(pref * (dtilde(al2, be2, ga, de, ys) * w * prod))
         rows.append(row)
     return rows
@@ -388,14 +453,15 @@ def _rhs_terms_aw(spec, x):
     a, b, c, d = spec.alphas
     g = fam.aw_g
     pref = (q - 1.0) / (2.0 * q)
-    inv = pair_reciprocals(x)
+    lift = fam.aw_lift
+    product, inv = exclusion_table(x)
     rows = []
     for n, xn in enumerate(x):
-        zn = xn + dsqrt(xn * xn - 1.0)
+        zn = lift(xn)
         row = []
         for zs in (zn, 1.0 / zn):
             w = q * zs
-            prod = basic_f(0.5 * (w + 1.0 / w), x, n, inv[n])  # at X(q z_s)
+            prod = product(0.5 * (w + 1.0 / w), x, n, inv[n])  # at X(q z_s)
             row.append(pref * (g(a, b, c, d, q, zs) * prod))
         rows.append(row)
     return rows
@@ -404,13 +470,13 @@ def _rhs_terms_aw(spec, x):
 def _rhs_terms_qracah(spec, z):
     k = fam.qracah_constants(spec)
     companions = fam.qracah_companions
-    inv = pair_reciprocals(z)
+    product, inv = exclusion_table(z)
     rows = []
     for n, zn in enumerate(z):
         zp, zm, B, D = companions(k, zn)
         rows.append([
-            B * (zp - zn) * basic_f(zp, z, n, inv[n]),
-            D * (zm - zn) * basic_f(zm, z, n, inv[n]),
+            B * (zp - zn) * product(zp, z, n, inv[n]),
+            D * (zm - zn) * product(zm, z, n, inv[n]),
         ])
     return rows
 
@@ -685,13 +751,15 @@ def evolve_compare(
 def linearization_matrix(spec: fam.FamilySpec, z) -> np.ndarray:
     """Exact Jacobian of the dynamics RHS at `z`, in the dynamics variable.
 
-    The family's kernel runs once on `Dual.seed(z)`, so each entry is the
+    The family's kernel runs once on `OneHot.seed(z)`, so each entry is the
     derivative of the RHS formula itself, not a difference quotient: one
-    forward pass whose `Dual`s carry all N partials as a list.  A division
+    forward pass in which each zero's terms carry one partial until the
+    exclusion product or the f/g recursion couples them into a dense list
+    of all N partials.  A division
     by zero inside the pass raises before any inf/nan is formed and becomes
     `SingularDenominator` (`_kernel_rows`).  The collision guard of
     `nonlinear_rhs` is not applied: it protects trajectories, and
     `build_matrix` checks distinctness at its own threshold.
     """
     z = np.asarray(z, dtype=complex).ravel()
-    return np.array([sum(row).eps for row in _kernel_rows(spec, Dual.seed(z))], dtype=complex)
+    return np.array([sum(row).eps for row in _kernel_rows(spec, OneHot.seed(z))], dtype=complex)

@@ -496,9 +496,10 @@ def _sqrt_off_noise(w: np.ndarray, scale: np.ndarray) -> np.ndarray:
 def lift_zero_variables(spec: FamilySpec, z) -> np.ndarray:
     """Map natural-variable zeros (an array) to the lifted variable of the family.
 
-    wilson:  x_n = sqrt(z_n);  racah:  y_n = sqrt(z_n + theta^2);
-    aw:      z_n = x_n + sqrt(x_n^2 - 1);
-    qracah:  the 2N companion values z_n^(+), z_n^(-), concatenated.
+    wilson:  x_n = sqrt(z_n);  racah:  y_n = sqrt(z_n + theta^2).  These are
+    the `LIFTED_FAMILIES`, whose dynamics run in the lifted variable; the
+    Askey-Wilson kernel lifts each zero itself (`aw_lift`), and q-Racah's
+    kernel forms its shifts per zero (`qracah_shifts`).
     """
     z = np.asarray(z, dtype=complex)
     fam = spec.family
@@ -511,14 +512,6 @@ def lift_zero_variables(spec: FamilySpec, z) -> np.ndarray:
         if np.any(np.abs(z + t2) < BRANCH_TOL):
             raise BranchPoint("racah lift needs z_n + theta^2 != 0")
         return _sqrt_off_noise(z + t2, np.abs(z) + abs(t2))
-    if fam == Family.AW:
-        return z + np.sqrt(z * z - 1.0)
-    if fam == Family.QRACAH:
-        k = qracah_constants(spec)
-        if np.any(np.abs(z * z - k.four_gdq) < BRANCH_TOL):
-            raise BranchPoint("qracah shift hits the square-root branch point")
-        shifts = [qracah_shifts(k, v) for v in z]
-        return np.array([s[1] for s in shifts] + [s[2] for s in shifts])
     raise InvalidParameters(f"no lifted variable for family {fam.value}")
 
 
@@ -572,6 +565,11 @@ def aw_d(a, b, c, d, q, z):
     return ((1.0 - a * z) * (1.0 - b * z) * (1.0 - c * z) * (1.0 - d * z)) / (
         (1.0 - z2) * (1.0 - q * z2)
     )
+
+
+def aw_lift(x):
+    """z = x + sqrt(x^2 - 1), the root of X(z) = (z + 1/z) / 2 = x that the kernel uses."""
+    return x + dsqrt(x * x - 1.0)
 
 
 def aw_g(a, b, c, d, q, z):

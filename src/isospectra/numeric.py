@@ -287,6 +287,11 @@ class Dual:
     (README, "Matrices are Jacobians").  Results are built by `_dual`, which
     trusts its arguments; lists are never mutated, so an operation with a
     constant may share its operand's list.
+
+    This dense form is the general one.  `OneHot` is the sparse form the
+    Jacobian pass seeds: a subclass whose operators take precedence over
+    these whenever one operand is one-hot, so the dense operators here never
+    see one and pay nothing for its existence.
     """
 
     __slots__ = ("val", "eps")
@@ -364,6 +369,165 @@ def _dual(val, eps) -> Dual:
     return d
 
 
+class OneHot(Dual):
+    """A Dual whose only partial that may be nonzero is `d`, for variable `k` of `n`.
+
+    `linearization_matrix` seeds one per zero (`OneHot.seed`): every
+    prefactor of a kernel's row n depends on zero n alone, so it stays one
+    scalar partial.  An operation with a constant or with a one-hot dual of
+    the same variable gives a one-hot dual at O(1) cost.  With a dense `Dual`
+    or another variable's one-hot dual it gives a dense `Dual`, entry for
+    entry what the dense operator gives on the dense form of this operand
+    (up to the sign of zero entries), at the cost of one list.  Python calls
+    a subclass's reflected operator before its base's operator, so
+    `dense op one_hot` lands here too.  `eps` is the dense list, built on
+    request.
+    """
+
+    __slots__ = ("k", "d", "n")
+
+    def __init__(self, val, k: int, d, n: int):
+        self.val, self.k, self.d, self.n = complex(val), k, complex(d), n
+
+    @staticmethod
+    def seed(values):
+        """One one-hot dual per value, with partial 1 for its own variable."""
+        n = len(values)
+        return [_onehot(complex(v), i, 1.0 + 0j, n) for i, v in enumerate(values)]
+
+    @property
+    def eps(self):
+        eps = [0j] * self.n
+        eps[self.k] = self.d
+        return eps
+
+    def dense(self) -> Dual:
+        """The same dual in the dense form."""
+        return _dual(self.val, self.eps)
+
+    def __add__(self, other):
+        if not isinstance(other, Dual):
+            return _onehot(self.val + other, self.k, self.d, self.n)
+        if isinstance(other, OneHot):
+            if other.k == self.k:
+                return _onehot(self.val + other.val, self.k, self.d + other.d, self.n)
+            return self.dense() + other
+        eps = list(other.eps)
+        eps[self.k] = self.d + eps[self.k]
+        return _dual(self.val + other.val, eps)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return _onehot(-self.val, self.k, -self.d, self.n)
+
+    def __sub__(self, other):
+        if not isinstance(other, Dual):
+            return _onehot(self.val - other, self.k, self.d, self.n)
+        if isinstance(other, OneHot):
+            if other.k == self.k:
+                return _onehot(self.val - other.val, self.k, self.d - other.d, self.n)
+            return self.dense() - other
+        b = other.eps
+        eps = [-e for e in b]
+        eps[self.k] = self.d - b[self.k]
+        return _dual(self.val - other.val, eps)
+
+    def __rsub__(self, other):
+        if not isinstance(other, Dual):
+            return _onehot(other - self.val, self.k, -self.d, self.n)
+        eps = list(other.eps)
+        eps[self.k] = eps[self.k] - self.d
+        return _dual(other.val - self.val, eps)
+
+    def __mul__(self, other):
+        if not isinstance(other, Dual):
+            return _onehot(self.val * other, self.k, self.d * other, self.n)
+        u, v = self.val, other.val
+        if isinstance(other, OneHot):
+            if other.k == self.k:
+                return _onehot(u * v, self.k, u * other.d + v * self.d, self.n)
+            return self.dense() * other
+        eps = [u * b for b in other.eps]
+        eps[self.k] = eps[self.k] + v * self.d
+        return _dual(u * v, eps)
+
+    def __rmul__(self, other):
+        if not isinstance(other, Dual):
+            return _onehot(self.val * other, self.k, self.d * other, self.n)
+        u, v = other.val, self.val
+        eps = [v * a for a in other.eps]
+        eps[self.k] = u * self.d + eps[self.k]
+        return _dual(u * v, eps)
+
+    def __truediv__(self, other):
+        if not isinstance(other, Dual):
+            return _onehot(self.val / other, self.k, self.d / other, self.n)
+        inv = 1.0 / other.val
+        w = self.val * inv
+        if isinstance(other, OneHot):
+            if other.k == self.k:
+                return _onehot(w, self.k, (self.d - w * other.d) * inv, self.n)
+            return self.dense() / other
+        b = other.eps
+        eps = [(0j - w * e) * inv for e in b]
+        eps[self.k] = (self.d - w * b[self.k]) * inv
+        return _dual(w, eps)
+
+    def __rtruediv__(self, other):
+        inv = 1.0 / self.val
+        if not isinstance(other, Dual):
+            c = -other * inv * inv
+            return _onehot(other * inv, self.k, c * self.d, self.n)
+        w = other.val * inv
+        a = other.eps
+        eps = [e * inv for e in a]
+        eps[self.k] = (a[self.k] - w * self.d) * inv
+        return _dual(w, eps)
+
+    def __pow__(self, k: int):
+        if not isinstance(k, int) or k < 0:
+            raise ValueError("Dual powers restricted to nonnegative integers")
+        out = _onehot(1.0 + 0j, self.k, 0j, self.n)
+        for _ in range(k):
+            out = out * self
+        return out
+
+    def __repr__(self):
+        return f"OneHot({self.val!r}, {self.k}, {self.d!r}, {self.n})"
+
+
+def _onehot(val, k: int, d, n: int) -> OneHot:
+    """A OneHot from a complex value and partial, unconverted."""
+    o = object.__new__(OneHot)
+    o.val = val
+    o.k = k
+    o.d = d
+    o.n = n
+    return o
+
+
+def chain(val, terms):
+    """The dual of a function with value `val` and partial c in x, for each (c, x) of `terms`.
+
+    Its tangent is the sum of c times x's tangent over the Dual arguments x;
+    a one-hot x adds one entry, a dense x a full list, and any other x (a
+    constant) nothing.  Returns `val` itself when no x is a Dual.
+    """
+    eps = None
+    for c, x in terms:
+        if isinstance(x, OneHot):
+            if eps is None:
+                eps = [0j] * x.n
+            eps[x.k] += c * x.d
+        elif isinstance(x, Dual):
+            if eps is None:
+                eps = [c * a for a in x.eps]
+            else:
+                eps = [e + c * a for e, a in zip(eps, x.eps)]
+    return val if eps is None else _dual(val, eps)
+
+
 def dsqrt(x):
     """Principal square root for complex scalars or Duals.
 
@@ -373,6 +537,8 @@ def dsqrt(x):
     if isinstance(x, Dual):
         r = cmath.sqrt(x.val)
         c = 1.0 / (2.0 * r)
+        if isinstance(x, OneHot):
+            return _onehot(r, x.k, x.d * c, x.n)
         return _dual(r, [a * c for a in x.eps])
     return cmath.sqrt(complex(x))
 

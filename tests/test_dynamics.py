@@ -11,7 +11,7 @@ import rhs_reference
 import roots_reference
 from isospectra import dynamics, families
 from isospectra.errors import Collision, DivideByZeroVariable, SingularA, SingularDenominator
-from isospectra.numeric import Dual, multiset_match
+from isospectra.numeric import Dual, OneHot, multiset_match
 
 DYNAMICS_SPECS = [
     iso.make_spec("ghyp", 4, [1.7], [2.3]),
@@ -413,8 +413,8 @@ spiral_args = dict(
 
 class TestPairPrimitives:
     """The pair-symmetric recursion and exclusion product against the
-    division-per-ordered-pair copies in rhs_reference, on complex and on
-    Dual.seed inputs; N = 1 has an empty pair table."""
+    division-per-ordered-pair copies in rhs_reference, on complex, Dual.seed
+    and OneHot.seed inputs; N = 1 has an empty pair table."""
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_pair_reciprocals(self, n):
@@ -428,15 +428,15 @@ class TestPairPrimitives:
                     want = 1.0 / (z[i] - z[ell])
                     assert abs(inv[i][ell] - want) <= 2 * np.finfo(float).eps * abs(want)
 
-    @pytest.mark.parametrize("dual", [False, True], ids=["complex", "dual"])
+    @pytest.mark.parametrize("seed", ["complex", "dual", "onehot"])
     @pytest.mark.parametrize("n", range(1, 13))
     @settings(max_examples=5, deadline=None)
     @given(**spiral_args)
-    def test_fg_recursion_matches_reference(self, n, dual, scale, turn, jitter):
+    def test_fg_recursion_matches_reference(self, n, seed, scale, turn, jitter):
         z = spiral(n, scale, turn, jitter)
-        zeta = Dual.seed(z) if dual else z
+        got_f, got_g = dynamics.fg_recursion(seeded(z, seed), 4)
+        zeta = z if seed == "complex" else Dual.seed(z)
         J = 4
-        got_f, got_g = dynamics.fg_recursion(zeta, J)
         want_f, want_g = rhs_reference.fg_recursion(zeta, J)
         for j in range(1, J + 1):
             fj = want_f[j]
@@ -449,28 +449,65 @@ class TestPairPrimitives:
                 terms = [0.0 * zi] + [(fj[i] + fj[ell]) / (zi - zl) for ell, zl in enumerate(zeta) if ell != i]
                 assert_within_terms(got_g[j][i], want_g[j][i], terms)
 
-    @pytest.mark.parametrize("dual", [False, True], ids=["complex", "dual"])
+    @pytest.mark.parametrize("seed", ["complex", "dual", "onehot"])
     @pytest.mark.parametrize("n", range(1, 13))
     @settings(max_examples=5, deadline=None)
     @given(**spiral_args, q=st.floats(1.3, 2.5))
-    def test_basic_f_matches_reference(self, n, dual, scale, turn, jitter, q):
-        # the product's terms, for the partials, are the product rule's:
-        # P * d(log factor_l), one per factor
+    def test_basic_f_matches_reference(self, n, seed, scale, turn, jitter, q):
+        # the kernels' exclusion product (a plain loop on complex inputs, the
+        # product's own derivative rule on Duals) against the reference's
+        # division per factor on Dual.seed; the reference's terms, for the
+        # partials, are the product rule's
         z = spiral(n, scale, turn, jitter)
-        zeta = Dual.seed(z) if dual else z
-        inv = dynamics.pair_reciprocals(zeta)
-        for i, zi in enumerate(zeta):
-            for s in (q * zi, zi / q, q * q * zi, 0.3 + 0.2j):
-                want = rhs_reference.basic_f(s, zeta, i)
-                got = dynamics.basic_f(s, zeta, i, inv[i])
-                if not isinstance(want, Dual):  # complex inputs, or the empty product
-                    assert abs(got - want) <= 1e-13 * abs(want)
-                    continue
-                factors = [(s - zl) / (zi - zl) for ell, zl in enumerate(zeta) if ell != i]
-                log_derivs = [[e / fl.val for e in fl.eps] for fl in factors]
-                eps_scale = abs(want.val) * np.max(np.abs(log_derivs), axis=0)
-                assert abs(got.val - want.val) <= 1e-13 * abs(want.val)
-                assert np.all(np.abs(np.subtract(got.eps, want.eps)) <= 1e-13 * eps_scale)
+        zeta = seeded(z, seed)
+        ref = z if seed == "complex" else Dual.seed(z)
+        product, inv = dynamics.exclusion_table(zeta)
+        for i in range(n):
+            for shift in (lambda v: q * v, lambda v: v / q, lambda v: q * q * v, lambda v: 0.3 + 0.2j):
+                got = product(shift(zeta[i]), zeta, i, inv[i])
+                assert_matches_product(got, shift(ref[i]), ref, i)
+
+    @pytest.mark.parametrize("seed", ["dual", "onehot"])
+    @pytest.mark.parametrize("n", range(2, 7))
+    @settings(max_examples=3, deadline=None)
+    @given(**spiral_args)
+    def test_basic_f_vanishing_factor(self, n, seed, scale, turn, jitter):
+        # s = u_l exactly, as a constant and as a function of zero i (as the
+        # kernels' shifts are): the product is 0, its partials are not, and
+        # the rule divides by no s - u_l
+        z = spiral(n, scale, turn, jitter)
+        zeta = seeded(z, seed)
+        ref = Dual.seed(z)
+        product, inv = dynamics.exclusion_table(zeta)
+        for i in range(n):
+            for ell in range(n):
+                if ell != i:
+                    for shift in (lambda v: z[ell], lambda v: v - z[i] + z[ell]):
+                        s, ref_s = shift(zeta[i]), shift(ref[i])
+                        assert (s.val if isinstance(s, Dual) else s) == z[ell]
+                        got = product(s, zeta, i, inv[i])
+                        assert got.val == 0 and any(got.eps)
+                        assert_matches_product(got, ref_s, ref, i)
+
+
+def seeded(z, seed):
+    """z as Python complex numbers, dense Duals (`Dual.seed`) or one-hot Duals."""
+    return {"complex": z, "dual": Dual.seed(z), "onehot": OneHot.seed(z)}[seed]
+
+
+def assert_matches_product(got, s, ref, i):
+    """`got` against rhs_reference.basic_f(s, ref, i), within the product rule's terms."""
+    want = rhs_reference.basic_f(s, ref, i)
+    if not isinstance(want, Dual):  # complex inputs, or the empty product
+        assert abs(got - want) <= 1e-13 * abs(want)
+        return
+    factors = [(s - zl) / (ref[i] - zl) for ell, zl in enumerate(ref) if ell != i]
+    values = [f.val for f in factors]
+    terms = []
+    for m, f in enumerate(factors):
+        others = np.prod(values[:m] + values[m + 1:])
+        terms.append(Dual(others * f.val, [others * e for e in f.eps]))
+    assert_within_terms(got, want, terms)
 
 
 class TestScalarKernels:

@@ -333,18 +333,26 @@ class TestLiftZeroVariables:
         np.testing.assert_allclose(lifted, [1.0])
 
     def test_aw_unit(self):
-        spec = spec_of("aw", 1, [0.5, 0.6, 0.7, 0.8], q=1.5)
-        lifted = iso.lift_zero_variables(spec, np.array([1.0 + 0j]))
-        np.testing.assert_allclose(lifted, [1.0])
+        # the Askey-Wilson kernel lifts each zero itself: z = 1 at x = 1, and
+        # X(z) = (z + 1/z) / 2 gives x back
+        assert families.aw_lift(1.0 + 0j) == 1.0
+        x = 0.3 + 0.7j
+        z = families.aw_lift(x)
+        assert abs(0.5 * (z + 1.0 / z) - x) < 1e-15
 
     def test_qracah_companions(self):
+        # the q-Racah kernel's shifts z^(+-) of one zero
         spec = spec_of("qracah", 1, [1.1, 2.2, 0.8, 1.4], q=1.6)
         z = 9.0 + 0.5j
-        lifted = iso.lift_zero_variables(spec, np.array([z]))
-        assert len(lifted) == 2
-        zp, zm = lifted
+        _, zp, zm = families.qracah_shifts(families.qracah_constants(spec), z)
         assert abs(zp - rhs_reference.qracah_shift(spec, z, +1)) < 1e-14
         assert abs(zm - rhs_reference.qracah_shift(spec, z, -1)) < 1e-14
+
+    @pytest.mark.parametrize("family", ["aw", "qracah"])
+    def test_no_lift_outside_wilson_racah(self, family):
+        spec = spec_of(family, 1, [1.1, 2.2, 0.8, 1.4], q=1.6)
+        with pytest.raises(InvalidParameters):
+            iso.lift_zero_variables(spec, np.array([0.5 + 0j]))
 
     def test_racah_branch_ignores_rounding_noise(self):
         # real zeros with z + theta^2 < 0 carry Im noise of either sign; the

@@ -17,6 +17,7 @@ from isospectra import cli, dynamics
 from isospectra.errors import CardinalityMismatch, DegenerateInput, NonConvergence
 from isospectra.numeric import (
     Dual,
+    OneHot,
     _dd_add,
     _dd_mul,
     _newton_point,
@@ -623,6 +624,45 @@ class TestDual:
         (x,) = Dual.seed([0.0])
         with pytest.raises(ZeroDivisionError):
             dsqrt(x)
+
+
+class TestOneHot:
+    """One-hot duals against the dense operators on their dense form, value for value."""
+
+    def test_seed(self):
+        d = OneHot.seed([2.0, 3.0])
+        assert (d[1].val, d[1].k, d[1].d, d[1].n) == (3.0, 1, 1.0, 2)
+        assert type(d[1].eps) is list and d[1].eps == [0.0, 1.0] == Dual.seed([2.0, 3.0])[1].eps
+
+    @pytest.mark.parametrize("partner", ["same", "other", "dense", "complex", "float"])
+    @pytest.mark.parametrize("op", DUAL_OPS)
+    @settings(max_examples=30)
+    @given(x=away_from_zero, y=away_from_zero, dx=away_from_zero, dy=away_from_zero)
+    def test_operation_matches_dense(self, op, partner, x, y, dx, dy):
+        # a one-hot result where both operands depend on variable 0 alone,
+        # a dense one otherwise; the partials agree exactly with the dense
+        # operator's (== does not see the sign of a zero)
+        f, _ = DUAL_OPS[op]
+        xo = OneHot(x, 0, dx, 3)
+        yo = {
+            "same": OneHot(y, 0, dy, 3),
+            "other": OneHot(y, 2, dy, 3),
+            "dense": Dual(y, [dy, 0.5 * dy, -dy]),
+            "complex": y,
+            "float": y.real,
+        }[partner]
+        assume(abs(yo) >= 0.25)
+        got = f(xo, yo)
+        want = f(xo.dense(), yo.dense() if isinstance(yo, OneHot) else yo)
+        assert type(got) is (Dual if partner in ("other", "dense") else OneHot)
+        assert got.val == want.val and got.eps == want.eps
+
+    @pytest.mark.parametrize("k", range(5))
+    @given(x=away_from_zero, dx=away_from_zero)
+    def test_power_and_sqrt_match_dense(self, k, x, dx):
+        xo = OneHot(x, 1, dx, 3)
+        for got, want in ((xo**k, xo.dense() ** k), (dsqrt(xo), dsqrt(xo.dense()))):
+            assert type(got) is OneHot and got.val == want.val and got.eps == want.eps
 
 
 class TestCompensatedArithmetic:
