@@ -48,7 +48,6 @@ from .numeric import (
     Dual,
     OneHot,
     ZeroSet,
-    chain,
     elementary_coeffs_basic,
     elementary_coeffs_hyp,
     full_degree,
@@ -193,8 +192,9 @@ def solve_c(cs: CSystem, c0, t: float) -> np.ndarray:
 # The Jacobian pass seeds one-hot duals (`OneHot`), and everything in row n
 # but the exclusion product depends on zero n alone, so it stays one-hot.
 # The product takes its partials from its own rule (`basic_f_dual`) over a
-# table of plain values; only the f/g recursion, which couples every zero in
-# every step, runs on dense duals.  A kernel binds its family's constants
+# table of plain values, in the dense pass's rounding; only the f/g
+# recursion, which couples every zero in every step, runs on dense duals.
+# Every matrix is the dense pass's, bit for bit.  A kernel binds its family's constants
 # once per call, outside the per-zero loops (cached per parameter set where
 # forming them costs arithmetic), and calls the `families` helpers that take
 # them unpacked.
@@ -279,9 +279,9 @@ def fg_recursion(zeta, J: int):
 # The Askey-Wilson pair factor K(z_n, z_m) = q (X(q z_n) - x_m) / (x_n - x_m),
 # so its product is q^(N-1) times the exclusion product and needs the lift
 # z_n = x_n + sqrt(x_n^2 - 1) of zero n only.  A kernel takes the product
-# and the table from `exclusion_table(u)`: `basic_f` over
-# `pair_reciprocals(u)` on Python complex numbers, `basic_f_dual` over the
-# table of u's values on `Dual`s.
+# and the table from `exclusion_table(u)`: `basic_f_dual` over the table of
+# u's values on one-hot duals, `basic_f` over `pair_reciprocals(u)` on Python
+# complex numbers or dense duals.
 
 def basic_f(s, u, n: int, inv_n: list):
     """prod_{l != n} (s - u_l) / (u_n - u_l), as products with inv_n[l] = 1 / (u_n - u_l)."""
@@ -293,57 +293,69 @@ def basic_f(s, u, n: int, inv_n: list):
 
 
 def basic_f_dual(s, u, n: int, inv_n: list):
-    """`basic_f` on `Dual`s u (and a Dual or constant s), by the product's own rule.
+    """`basic_f` on one-hot duals u (and a one-hot or constant s), by the product's own rule.
 
     `inv_n` holds values only: r_l = 1 / (u_n - u_l).  With the factors
-    F_l = (s - u_l) r_l and the exclusive products E_l = prod_{k != l, n} F_k,
-    built as prefix and suffix products so that nothing is divided by
-    s - u_l, the tangent is sum_l E_l dF_l with
+    F_l = (s - u_l) r_l, the product P has the partials
 
-        dF_l = r_l (ds - F_l du_n) + (s - u_n) r_l^2 du_l,
+        dP/ds = sum_l E_l r_l,   dP/du_l = E_l (s - u_n) r_l^2,   dP/du_n = -P sum_l r_l,
 
-    that is dP/ds = sum_l E_l r_l, dP/du_l = E_l (s - u_n) r_l^2 and
-    dP/du_n = -P sum_l r_l.  The part in ds and du_n is summed factor by
-    factor, not as those two partials: in the kernels s moves with u_n
-    (s = q^p u_n, say), and for u_l small against u_n the two cancel.  The
-    cost is O(N) when s and u_n are one-hot duals of one variable and every
-    u_l is one-hot, as in the Jacobian pass; dense duals cost O(N^2).  The
-    value is `basic_f`'s loop.
+    with E_l = prod_{k != l, n} F_k, the product of the other factors.  Each
+    factor's tangent dF_l = r_l (ds - F_l du_n) + (s - u_n) r_l^2 du_l is
+    formed from values, and P's tangent is accumulated over the factors in
+    order, F_l times the tangent so far plus the product so far times dF_l.
+    So E_l is the prefix product before l times the factors after it, and
+    nothing is divided by s - u_l.  That order, with r_l's tangent taken as
+    -r_l^2 times that of u_n - u_l, repeats every rounding of running
+    `basic_f` on dense duals over a dual pair table; only the arithmetic on
+    zero partials is left out, so the matrices are those of the dense pass,
+    bit for bit.  Per factor that is one list comprehension of N products
+    and a few scalar operations, where the dense pass made three dual
+    operations and shared an O(N^3) dual pair table; no `Dual` is formed
+    until the result.
     """
-    s0 = s.val if isinstance(s, Dual) else s
-    un = u[n]
-    r = inv_n[:n] + inv_n[n + 1:]
-    others = u[:n] + u[n + 1:]
-    factors = [(s0 - ul.val) * rl for ul, rl in zip(others, r)]
-    prefix = [1.0 + 0.0j]
-    for f in factors:
-        prefix.append(f * prefix[-1])
-    out = prefix[-1]
-    if not factors:
-        return out
-    suffix = 1.0 + 0.0j
-    er = [None] * len(factors)  # E_l r_l
-    for i in range(len(factors) - 1, -1, -1):
-        er[i] = prefix[i] * suffix * r[i]
-        suffix = factors[i] * suffix
-    if isinstance(s, OneHot) and isinstance(un, OneHot) and s.k == un.k:
-        d = sum(e * (s.d - f * un.d) for e, f in zip(er, factors))
-        terms = [(1.0, OneHot(0j, s.k, d, s.n))]
+    if isinstance(s, OneHot):
+        s0, ks, ds = s.val, s.k, s.d
+    elif isinstance(s, Dual):
+        raise TypeError("basic_f_dual takes a one-hot or constant shift")
     else:
-        terms = [(e, s - f * un) for e, f in zip(er, factors)]
-    c = s0 - un.val
-    terms += [(e * c * rl, ul) for e, rl, ul in zip(er, r, others)]
-    return chain(out, terms)
+        s0, ks, ds = s, None, 0j
+    un = u[n]
+    kn, dn = un.k, un.d
+    out = 1.0 + 0.0j
+    eps = [0j] * un.n
+    for ell, ul in enumerate(u):
+        if ell == n:
+            continue
+        r = inv_n[ell]
+        w = s0 - ul.val
+        c = -r * r  # r's tangent per unit tangent of u_n - u_l
+        kl, dl = ul.k, ul.d
+        f = w * r
+        t_n = w * (c * dn)  # dF_l: the part through u_n
+        t_l = w * (c * -dl)  # and through u_l
+        if ks == kn:
+            t_n = t_n + r * ds
+        if ks == kl:
+            t_l = t_l + r * (ds - dl)
+        else:
+            t_l = t_l + r * -dl
+        eps = [f * e for e in eps]
+        eps[kn] = eps[kn] + out * t_n
+        eps[kl] = eps[kl] + out * t_l
+        out = f * out
+    return out if len(u) == 1 else Dual(out, eps)
 
 
 def exclusion_table(u: list):
     """The exclusion product for the table variable u, and the pair table it reads.
 
-    Python complex u: (`basic_f`, `pair_reciprocals(u)`).  `Dual` u:
-    (`basic_f_dual`, the table over u's values), since that rule carries
-    the table's derivative itself and no `Dual` reciprocal is formed.
+    One-hot u (the Jacobian pass): `basic_f_dual` over the table of u's
+    values, since that rule carries the table's derivative itself and no
+    `Dual` reciprocal is formed.  Python complex numbers or dense duals:
+    `basic_f` over `pair_reciprocals(u)`.
     """
-    if isinstance(u[0], Dual):
+    if isinstance(u[0], OneHot):
         return basic_f_dual, pair_reciprocals([v.val for v in u])
     return basic_f, pair_reciprocals(u)
 

@@ -3,8 +3,8 @@
 Polynomials are numpy arrays of ascending coefficients and spectra arrays
 of eigenvalues.  Here: the degree rule, Pochhammer-family symbols,
 polynomial roots, dense eigenvalues, multiset matching, forward-mode dual
-numbers (a value plus a list of partials) and compensated (double-double)
-complex helpers.
+numbers (a value plus a list of partials, or one partial while a dual
+depends on one variable) and compensated (double-double) complex helpers.
 
 All arithmetic is double-precision complex.  Both eigenvalue routines use
 LAPACK's QR algorithm through `numpy.linalg.eigvals`, with no dimension cap:
@@ -505,27 +505,6 @@ def _onehot(val, k: int, d, n: int) -> OneHot:
     o.d = d
     o.n = n
     return o
-
-
-def chain(val, terms):
-    """The dual of a function with value `val` and partial c in x, for each (c, x) of `terms`.
-
-    Its tangent is the sum of c times x's tangent over the Dual arguments x;
-    a one-hot x adds one entry, a dense x a full list, and any other x (a
-    constant) nothing.  Returns `val` itself when no x is a Dual.
-    """
-    eps = None
-    for c, x in terms:
-        if isinstance(x, OneHot):
-            if eps is None:
-                eps = [0j] * x.n
-            eps[x.k] += c * x.d
-        elif isinstance(x, Dual):
-            if eps is None:
-                eps = [c * a for a in x.eps]
-            else:
-                eps = [e + c * a for e, a in zip(eps, x.eps)]
-    return val if eps is None else _dual(val, eps)
 
 
 def dsqrt(x):

@@ -466,6 +466,8 @@ class TestPairPrimitives:
             for shift in (lambda v: q * v, lambda v: v / q, lambda v: q * q * v, lambda v: 0.3 + 0.2j):
                 got = product(shift(zeta[i]), zeta, i, inv[i])
                 assert_matches_product(got, shift(ref[i]), ref, i)
+                if seed == "onehot":
+                    assert_equals_dense_pass(got, shift(ref[i]), ref, i)
 
     @pytest.mark.parametrize("seed", ["dual", "onehot"])
     @pytest.mark.parametrize("n", range(2, 7))
@@ -488,11 +490,22 @@ class TestPairPrimitives:
                         got = product(s, zeta, i, inv[i])
                         assert got.val == 0 and any(got.eps)
                         assert_matches_product(got, ref_s, ref, i)
+                        if seed == "onehot":
+                            assert_equals_dense_pass(got, ref_s, ref, i)
 
 
 def seeded(z, seed):
     """z as Python complex numbers, dense Duals (`Dual.seed`) or one-hot Duals."""
     return {"complex": z, "dual": Dual.seed(z), "onehot": OneHot.seed(z)}[seed]
+
+
+def assert_equals_dense_pass(got, s, ref, i):
+    """`got` equals `basic_f` run on the dense duals `ref` over their dual pair table."""
+    want = dynamics.basic_f(s, ref, i, dynamics.pair_reciprocals(ref)[i])
+    if not isinstance(want, Dual):  # the empty product
+        assert got == want
+        return
+    assert got.val == want.val and got.eps == want.eps
 
 
 def assert_matches_product(got, s, ref, i):
@@ -530,6 +543,31 @@ class TestScalarKernels:
         assert got.shape == want.shape
         scale_rows = np.max(np.abs(want), axis=1, keepdims=True)
         assert np.all(np.abs(got - want) <= 1e-13 * scale_rows)
+
+    @pytest.mark.parametrize("base", DEMO_SPECS, ids=lambda s: s.family.value)
+    @settings(max_examples=10, deadline=None)
+    @given(**spiral_args)
+    def test_jacobian_off_equilibrium(self, base, scale, turn, jitter):
+        # at the zeros each row's terms sum to 0, so the part of the exclusion
+        # product's tangent proportional to the product drops out of the
+        # matrix; away from them it counts.  One-hot seeds against dense seeds
+        # through the same kernels (equal, bit for bit), and against central
+        # differences
+        n = 6
+        spec = iso.make_spec(base.family, n, base.alphas, base.betas, base.q)
+        z = spiral(n, scale, turn, jitter)
+        assume(spec.family != families.Family.JACOBI or min(abs(1.0 - v) for v in z) > 0.05)
+        got = dynamics.linearization_matrix(spec, z)
+        want = np.array([sum(row).eps for row in dynamics._kernel_rows(spec, Dual.seed(z))])
+        assert np.array_equal(got, want)
+        scale_all = np.max(np.abs(want))
+        h = 1e-6
+        for m in range(n):
+            up, down = list(z), list(z)
+            up[m] += h
+            down[m] -= h
+            fd = (dynamics.nonlinear_rhs(spec, up) - dynamics.nonlinear_rhs(spec, down)) / (2 * h)
+            assert np.max(np.abs(got[:, m] - fd)) <= 1e-6 * scale_all
 
     @pytest.mark.parametrize(
         "spec, z",
