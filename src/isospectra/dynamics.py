@@ -316,8 +316,6 @@ def basic_f_dual(s, u, n: int, inv_n: list):
     """
     if isinstance(s, OneHot):
         s0, ks, ds = s.val, s.k, s.d
-    elif isinstance(s, Dual):
-        raise TypeError("basic_f_dual takes a one-hot or constant shift")
     else:
         s0, ks, ds = s, None, 0j
     un = u[n]
