@@ -434,9 +434,9 @@ class TestPairPrimitives:
     @given(**spiral_args)
     def test_fg_recursion_matches_reference(self, n, seed, scale, turn, jitter):
         z = spiral(n, scale, turn, jitter)
-        got_f, got_g = dynamics.fg_recursion(seeded(z, seed), 4)
-        zeta = z if seed == "complex" else Dual.seed(z)
         J = 4
+        got_f, got_g = dynamics.fg_recursion(seeded(z, seed), J)
+        zeta = z if seed == "complex" else Dual.seed(z)
         want_f, want_g = rhs_reference.fg_recursion(zeta, J)
         for j in range(1, J + 1):
             fj = want_f[j]
@@ -454,10 +454,10 @@ class TestPairPrimitives:
     @settings(max_examples=5, deadline=None)
     @given(**spiral_args, q=st.floats(1.3, 2.5))
     def test_basic_f_matches_reference(self, n, seed, scale, turn, jitter, q):
-        # the kernels' exclusion product (a plain loop on complex inputs, the
-        # product's own derivative rule on Duals) against the reference's
-        # division per factor on Dual.seed; the reference's terms, for the
-        # partials, are the product rule's
+        # the kernels' exclusion product (a plain loop on complex numbers and
+        # dense duals, the product's own derivative rule on one-hot duals)
+        # against the reference's division per factor on Dual.seed; the
+        # reference's terms, for the partials, are the product rule's
         z = spiral(n, scale, turn, jitter)
         zeta = seeded(z, seed)
         ref = z if seed == "complex" else Dual.seed(z)
