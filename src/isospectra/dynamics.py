@@ -190,11 +190,13 @@ def solve_c(cs: CSystem, c0, t: float) -> np.ndarray:
 # (ghyp, jacobi) or the exclusion product (the five difference and
 # q-difference families), which `exclusion_table` hands out with its table.
 # The Jacobian pass seeds one-hot duals (`OneHot`), and everything in row n
-# but the exclusion product depends on zero n alone, so it stays one-hot.
-# The product takes its partials from its own rule (`basic_f_dual`) over a
-# table of plain values, in the dense pass's rounding; only the f/g
-# recursion, which couples every zero in every step, runs on dense duals.
-# Every matrix is the dense pass's, bit for bit.  A kernel binds its family's constants
+# but the two primitives depends on zero n alone, so it stays one-hot.  Each
+# primitive takes its partials from its own rule over a table of plain
+# values.  The exclusion product's rule (`basic_f_dual`) keeps the dense
+# pass's rounding, so those matrices are the dense pass's bit for bit.  The
+# f/g recursion couples every zero in every step, so its rule (`fg_tangents`)
+# carries each level's tangent as one N x N array, and the ghyp kernel folds
+# a row's terms into one `Dual` per row.  A kernel binds its family's constants
 # once per call, outside the per-zero loops (cached per parameter set where
 # forming them costs arithmetic), and calls the `families` helpers that take
 # them unpacked.
@@ -232,11 +234,16 @@ def fg_recursion(zeta, J: int):
     antisymmetric in (n, l), so each is formed once per unordered pair, added
     to row n and subtracted from row l; every row still accumulates its terms
     in ascending l.  Returns lists f[j][n] (j = 1..J, f[0] is None) and
-    g[j][n] (j = 0..J).  One-hot duals are made dense once, on entry: after
-    one step every entry depends on every zero.
+    g[j][n] (j = 0..J).  Duals, one-hot or dense, take the recursion's own
+    derivative rule on arrays (`fg_tangents`), one `Dual` per entry.
     """
-    if isinstance(zeta[0], OneHot):
-        zeta = [v.dense() for v in zeta]
+    if isinstance(zeta[0], Dual):
+        f, g, F, G = fg_tangents(*dual_parts(zeta), J)
+
+        def duals(vals, tans):
+            return [Dual(v, t) for v, t in zip(vals.tolist(), tans.tolist())]
+
+        return [None] + [duals(f[j], F[j]) for j in range(1, J + 1)], [duals(g[j], G[j]) for j in range(J + 1)]
     n_zeros = len(zeta)
     inv = pair_reciprocals(zeta)
     zero = zeta[0] * 0.0
@@ -265,6 +272,67 @@ def fg_recursion(zeta, J: int):
                 acc[ell] = acc[ell] - t
         g[j] = acc
     return f, g
+
+
+def dual_parts(z: list):
+    """The values of a list of Duals (one-hot or dense), and their tangents as one row each."""
+    return [v.val for v in z], np.array([v.eps for v in z])
+
+
+def fg_tangents(z: list, T: np.ndarray, J: int):
+    """The f/g tables and their tangents, by the recursion's own derivative rule on arrays.
+
+    `z` holds the zeros' values (Python complex numbers) and T (N x P) their
+    tangents, one row per zero.  With R[n][l] = 1 / (z_n - z_l) from
+    `pair_reciprocals` (zero diagonal) and S = R*R entrywise, the recursion
+    reads f_(j+1) = -f_j + z*(R f_j) + f_j*(R z) and g_j = f_j*(R 1) + R f_j,
+    and since dR[n][l] = -S[n][l] (dz_n - dz_l), a product R v has the tangent
+
+        d(R v) = R dV - diag(S v) T + (S * v[None, :]) T.
+
+    So each level's tangent is one N x P matrix, from F_1 = T and G_0 = 0:
+
+        F_(j+1) = -F_j + diag(R f_j) T + diag(z) d(R f_j) + diag(R z) F_j + diag(f_j) d(R z),
+        G_j     = diag(R 1) F_j + diag(f_j) d(R 1) + d(R f_j).
+
+    Returns f, g of shape (J + 1, N) and F, G of shape (J + 1, N, P); f[0]
+    and F[0] are zero.  A coincident pair raises ZeroDivisionError (in
+    `pair_reciprocals`), and a tangent that overflows raises OverflowError,
+    without a numpy warning.
+    """
+    n_zeros = len(z)
+    inv = pair_reciprocals(z)
+    for n, row in enumerate(inv):
+        row[n] = 0j
+    R = np.array(inv, dtype=complex)
+    zv = np.array(z, dtype=complex)
+    f = np.zeros((J + 1, n_zeros), dtype=complex)
+    g = np.empty((J + 1, n_zeros), dtype=complex)
+    F = np.zeros((J + 1,) + T.shape, dtype=complex)
+    G = np.empty((J + 1,) + T.shape, dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        S = R * R
+
+        def d_prod(v, dv):  # the tangent of R v
+            return R @ dv - (S @ v)[:, None] * T + (S * v) @ T
+
+        r1 = R.sum(axis=1)
+        d_r1 = S @ T - S.sum(axis=1)[:, None] * T
+        rz = R @ zv
+        d_rz = d_prod(zv, T)
+        f[1], F[1] = zv, T
+        g[0], G[0] = 1.0, 0.0
+        for j in range(1, J + 1):
+            fj, Fj = f[j], F[j]
+            rf, d_rf = (rz, d_rz) if j == 1 else (R @ fj, d_prod(fj, Fj))
+            g[j] = fj * r1 + rf
+            G[j] = r1[:, None] * Fj + fj[:, None] * d_r1 + d_rf
+            if j < J:
+                f[j + 1] = zv * rf + fj * rz - fj
+                F[j + 1] = rf[:, None] * T + zv[:, None] * d_rf + rz[:, None] * Fj + fj[:, None] * d_rz - Fj
+    if not (np.isfinite(F).all() and np.isfinite(G).all()):
+        raise OverflowError("f/g tangent out of the range of doubles")
+    return f, g, F, G
 
 
 # Exclusion product of the difference and q-difference zero dynamics, at a
@@ -367,7 +435,15 @@ def _coeff_lists(elementary_coeffs, alphas: tuple, betas: tuple):
 
 def _rhs_terms_ghyp(spec, z):
     a, b = _coeff_lists(elementary_coeffs_hyp, spec.alphas, spec.betas)
-    f, g = fg_recursion(z, max(len(b), len(a) - 1))
+    J = max(len(b), len(a) - 1)
+    if isinstance(z[0], Dual):
+        # each row's terms folded into their sum b.f - a.g, value and tangent
+        f, g, F, G = fg_tangents(*dual_parts(z), J)
+        kb, ka = len(b), len(a)
+        val = np.dot(b, f[1 : kb + 1]) - np.dot(a, g[:ka])
+        tan = np.dot(b, F[1 : kb + 1].reshape(kb, -1)) - np.dot(a, G[:ka].reshape(ka, -1))
+        return [[Dual(v, t)] for v, t in zip(val.tolist(), tan.reshape(F.shape[1:]).tolist())]
+    f, g = fg_recursion(z, J)
     return [
         [bk * f[k][n] for k, bk in enumerate(b, 1)] + [-aj * g[j][n] for j, aj in enumerate(a)]
         for n in range(len(z))
@@ -493,7 +569,8 @@ def _rhs_terms_qracah(spec, z):
 
 def _rhs_terms_jacobi(spec, x):
     zvar = [2.0 / (1.0 - v) for v in x]
-    check_distinct(zvar)  # distinct x can still crowd together in z = 2/(1 - x)
+    # distinct x can still crowd together in z = 2/(1 - x); checked on the values
+    check_distinct([v.val for v in zvar] if isinstance(zvar[0], Dual) else zvar)
     rows = _rhs_terms_ghyp(fam.jacobi_to_ghyp(spec), zvar)
     # pushforward: x = 1 - 2/z, so xdot = (2/z^2) zdot, applied termwise
     return [[t * w for t in row] for row, w in zip(rows, [2.0 / (v * v) for v in zvar])]
@@ -765,9 +842,9 @@ def linearization_matrix(spec: fam.FamilySpec, z) -> np.ndarray:
     derivative of the RHS formula itself, not a difference quotient: one
     forward pass in which each zero's terms carry one partial until the
     exclusion product or the f/g recursion couples them into a dense list
-    of all N partials.  A division
-    by zero inside the pass raises before any inf/nan is formed and becomes
-    `SingularDenominator` (`_kernel_rows`).  The collision guard of
+    of all N partials.  A division by zero inside the pass raises before any
+    inf/nan is formed, as does an f/g tangent that overflows, and either
+    becomes `SingularDenominator` (`_kernel_rows`).  The collision guard of
     `nonlinear_rhs` is not applied: it protects trajectories, and
     `build_matrix` checks distinctness at its own threshold.
     """

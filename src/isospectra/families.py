@@ -791,7 +791,7 @@ def residual_samples(spec: FamilySpec, count: int, rng: np.random.Generator) -> 
     """Non-singular samples in the annulus 0.3 <= |.| <= 2 of the residual variable."""
     out = []
     while len(out) < count:
-        s = rng.uniform(0.3, 2.0) * np.exp(2j * np.pi * rng.uniform())
+        s = complex(rng.uniform(0.3, 2.0) * np.exp(2j * np.pi * rng.uniform()))
         try:
             _probe_singular(spec, s)
         except SingularSample:

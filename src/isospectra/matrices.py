@@ -22,7 +22,6 @@ from . import dynamics
 from . import families as fam
 from .errors import InvalidParameters, SingularDenominator
 from .numeric import (
-    Dual,
     ZeroSet,
     matrix_eigenvalues,
     multiset_match,
@@ -92,20 +91,11 @@ def fg_tables(zs, J: int) -> FGTable:
 
 
 def fg_jacobians(zs, J: int) -> FGJacobian:
-    """Exact partials of the f/g tables, by dual-number propagation."""
+    """Exact partials of the f/g tables, by the recursion's own derivative rule."""
     if J < 1:
         raise ValueError("J must be >= 1")
     z = _zeros_array(zs)
-    n_zeros = len(z)
-    f_list, g_list = dynamics.fg_recursion(Dual.seed(z), J)
-    df = np.zeros((J + 1, n_zeros, n_zeros), dtype=complex)
-    dg = np.zeros((J + 1, n_zeros, n_zeros), dtype=complex)
-    for j in range(1, J + 1):
-        for n in range(n_zeros):
-            df[j, n] = f_list[j][n].eps
-    for j in range(1, J + 1):
-        for n in range(n_zeros):
-            dg[j, n] = g_list[j][n].eps
+    _, _, df, dg = dynamics.fg_tangents(z.tolist(), np.eye(len(z), dtype=complex), J)
     return FGJacobian(df=df, dg=dg)
 
 

@@ -83,6 +83,23 @@ def L_jacobi(spec: fam.FamilySpec, x: np.ndarray):
     return L
 
 
+def L_jacobi_dual(spec: fam.FamilySpec, x: np.ndarray):
+    """The Jacobi matrix by the dense-Dual pass of `L_ghyp`: the ghyp flow at
+    z = 2/(1 - x) pushed forward to x, in the representative D^-1 J D with
+    D = diag((1 - x)^2) that `build_matrix` returns."""
+    gh = fam.jacobi_to_ghyp(spec)
+    a, b = elementary_coeffs_hyp(gh.alphas, gh.betas)
+    p, qn = len(gh.alphas), len(gh.betas)
+    z = [2.0 / (1.0 - v) for v in Dual.seed(x)]
+    f, g = fg_recursion(z, max(qn + 1, max(p, 1)))
+    rows = []
+    for n, zn in enumerate(z):
+        zdot = sum(b[k - 1] * f[k][n] for k in range(1, qn + 2)) - sum(a[j] * g[j][n] for j in range(p + 1))
+        rows.append((zdot * (2.0 / (zn * zn))).eps)
+    d = (1.0 - x) ** 2
+    return np.array(rows) * d / d[:, None]
+
+
 def L_gbasic(spec: fam.FamilySpec, zeta: np.ndarray):
     q = spec.q
     N = spec.N
@@ -357,6 +374,14 @@ def reference_matrix(spec, zs, pad_count=0):
     if f == fam.Family.AW:
         return L_aw(spec, zeta + np.sqrt(zeta * zeta - 1.0))
     return {fam.Family.JACOBI: L_jacobi, fam.Family.GBASIC: L_gbasic, fam.Family.QRACAH: L_qracah}[f](spec, zeta)
+
+
+def dense_dual_matrix(spec, zs, pad_count=0):
+    """The ghyp or Jacobi matrix by dense duals through the division-per-pair recursion."""
+    zeta = np.asarray(zs.zeros if isinstance(zs, ZeroSet) else zs, dtype=complex).ravel()
+    if spec.family == fam.Family.JACOBI:
+        return L_jacobi_dual(spec, zeta)
+    return L_ghyp(spec, zeta, pad_values=DEFAULT_PAD_VALUES[:pad_count])
 
 
 def gbasic_product_identity(spec, zeta: np.ndarray) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Coefficient systems, nonlinear zero systems, RK4, and the algebraic oracle."""
 
 import cmath
+import warnings
 
 import numpy as np
 import pytest
@@ -581,6 +582,17 @@ class TestScalarKernels:
         # the reference returns inf/nan here; the scalar kernels raise instead
         with pytest.raises(SingularDenominator):
             dynamics.nonlinear_rhs(spec, z)
+
+    @pytest.mark.parametrize("gap", [0.0, 1e-160], ids=["coincident", "1e-160"])
+    def test_fg_jacobian_singular_pair(self, gap):
+        # a coincident pair divides by zero in pair_reciprocals; for a pair
+        # 1e-160 apart the squared reciprocal overflows in the f/g recursion's
+        # array rule.  Both raise before numpy warns
+        spec = iso.make_spec("ghyp", 3, [1.7, 0.9], [2.3, 3.1])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularDenominator):
+                dynamics.linearization_matrix(spec, [gap, 0j, -0.7])
 
     @pytest.mark.parametrize("spec", DEMO_SPECS, ids=lambda s: s.family.value)
     def test_trajectory_equals_vector_rk4(self, spec):

@@ -405,6 +405,24 @@ class TestDefiningEquation:
         )
         assert worst > 1e-6
 
+    def test_samples_of_one_seed(self, monkeypatch):
+        # the samples fix every defining residual a `verify` report prints;
+        # each draw reaches the singularity probe as a Python complex
+        probed = []
+        probe = families._probe_singular
+        monkeypatch.setattr(families, "_probe_singular", lambda spec, s: probed.append(type(s)) or probe(spec, s))
+        samples = families.residual_samples(SAMPLE_SPECS[5], 6, np.random.default_rng(7))
+        assert probed == [complex] * 6
+        assert samples.dtype == complex
+        assert samples.tolist() == [
+            1.0882271022346672 - 0.8201282212844229j,
+            0.25113362766905534 + 1.5990654968923996j,
+            0.5677252031368965 - 0.5781402271760075j,
+            0.1336986576876574 - 0.2785236081706021j,
+            -1.6215425558404863 + 0.3311863757933096j,
+            -0.14481667049353425 + 0.8021882638928559j,
+        ]
+
     @pytest.mark.parametrize("spec", SAMPLE_SPECS, ids=lambda s: s.family.value)
     def test_perturbed_polynomial_one_setup(self, spec):
         # the equation set up once for the perturbed polynomial and applied to

@@ -1,6 +1,7 @@
 """f/g machinery, the seven matrix constructions, spectra, and identities."""
 
 import warnings
+import zlib
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import isospectra as iso
 import matrix_reference
 from isospectra import cli, dynamics, families, matrices
 from isospectra.errors import Collision, InvalidParameters, RepeatedZeros, SingularDenominator
-from isospectra.numeric import matrix_eigenvalues, multiset_match
+from isospectra.numeric import Dual, matrix_eigenvalues, multiset_match
 
 SAMPLE_SPECS = [
     iso.make_spec("ghyp", 4, [1.7], [2.3]),
@@ -202,6 +203,31 @@ class TestBuildMatrix:
                 got = iso.build_matrix(spec, zs, pad_count=pad).L
                 want = matrix_reference.reference_matrix(spec, zs, pad)
                 assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), (spec, pad)
+
+    @pytest.mark.parametrize("construction", ["ghyp11", "ghyp21", "ghyp22", "ghyp32", "jacobi"])
+    def test_fg_matrices_match_dense_duals(self, construction):
+        # the f/g recursion's derivative rule on arrays against dense duals
+        # through the division-per-pair recursion, one draw per N = 1..12
+        for spec, zs in reference_draws(construction):
+            for pad in (0, 1, 2) if spec.family == iso.Family.GHYP else (0,):
+                got = iso.build_matrix(spec, zs, pad_count=pad).L
+                want = matrix_reference.dense_dual_matrix(spec, zs, pad)
+                assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want)), (spec, pad)
+
+    @pytest.mark.parametrize(
+        "construction",
+        [c for c, (f, _, _) in cli.CONSTRUCTIONS.items() if f not in (iso.Family.GHYP, iso.Family.JACOBI)],
+    )
+    def test_exclusion_product_matrices_equal_dense_pass(self, construction):
+        # the draws of `sweep --draws 10 --seed 5`: one-hot seeds give the
+        # dense-seed pass of the same kernel, bit for bit
+        for k in range(10):
+            rng = np.random.default_rng([5, zlib.crc32(construction.encode()), k])
+            spec, zs = cli.draw_spec(construction, 8, rng)
+            z = dynamics.to_dynamics_variable(spec, zs.zeros).tolist()
+            dense = [sum(row).eps for row in dynamics._kernel_rows(spec, Dual.seed(z))]
+            want = np.array(dense) / dynamics.time_factor(spec)
+            assert np.array_equal(iso.build_matrix(spec, zs).L, want), k
 
     def test_jacobi_matrix_is_similar_to_pushforward_jacobian(self):
         # the x-variable flow is the pushforward of the ghyp z-flow, so its
