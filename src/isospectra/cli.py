@@ -285,13 +285,9 @@ def _near_q_pole(spec: FamilySpec) -> bool:
     bases = [base for base, _ in families.q_pole_bases(spec)]
     if spec.family == Family.GBASIC:
         bases += spec.alphas
-    for base in bases:
-        g = complex(base)
-        for _ in range(spec.N):
-            if abs(1.0 - g) < DRAW_MARGIN:
-                return True
-            g *= spec.q
-    return False
+    return any(
+        abs(1.0 - g) < DRAW_MARGIN for base in bases for g in families.q_powers(base, spec.q, spec.N)
+    )
 
 
 def cmd_sweep(args) -> int:

@@ -183,23 +183,23 @@ def solve_c(cs: CSystem, c0, t: float) -> np.ndarray:
 # Each kernel takes the state as a list of Python complex numbers and returns
 # the per-component terms as a list of rows.  Up to N of about 6 these scalar
 # loops beat masked N x N numpy arrays, whose fixed cost per call dominates
-# (README, "Zero-dynamics kernels").  Fed `Dual`s instead, the same kernels
-# return the exact Jacobian (`linearization_matrix`), which is the family's
-# isospectral matrix.  Every kernel rests on one of two shared primitives
-# over one `pair_reciprocals` table of 1 / (u_n - u_l): the f/g recursion
-# (ghyp, jacobi) or the exclusion product (the five difference and
-# q-difference families), which `exclusion_table` hands out with its table.
-# The Jacobian pass seeds one-hot duals (`OneHot`), and everything in row n
-# but the two primitives depends on zero n alone, so it stays one-hot.  Each
+# (README, "Zero-dynamics kernels").  Fed one-hot duals (`OneHot.seed`)
+# instead, the same kernels return the exact Jacobian
+# (`linearization_matrix`), which is the family's isospectral matrix.  Every
+# kernel rests on one of two shared primitives over one `pair_reciprocals`
+# table of 1 / (u_n - u_l): the f/g recursion (ghyp, jacobi) or the
+# exclusion product (the five difference and q-difference families), which
+# `exclusion_table` hands out with its table.  Everything in row n but the
+# two primitives depends on zero n alone, so it stays one-hot, and each
 # primitive takes its partials from its own rule over a table of plain
-# values.  The exclusion product's rule (`basic_f_dual`) keeps the dense
-# pass's rounding, so those matrices are the dense pass's bit for bit.  The
-# f/g recursion couples every zero in every step, so its rule (`fg_tangents`)
-# carries each level's tangent as one N x N array, and the ghyp kernel folds
-# a row's terms into one `Dual` per row.  A kernel binds its family's constants
-# once per call, outside the per-zero loops (cached per parameter set where
-# forming them costs arithmetic), and calls the `families` helpers that take
-# them unpacked.
+# values.  The exclusion product's rule (`basic_f_dual`) keeps the rounding
+# of `basic_f` on dense duals, so those matrices are the dense pass's bit for
+# bit.  The f/g recursion couples every zero in every step, so its rule
+# (`fg_tangents`) carries each level's tangent as one N x N array, and the
+# ghyp kernel folds a row's terms into one `Dual` per row.  A kernel binds
+# its family's constants once per call, outside the per-zero loops (cached
+# per parameter set where forming them costs arithmetic), and calls the
+# `families` helpers that take them unpacked.
 # ---------------------------------------------------------------------------
 
 def check_distinct(z: list) -> None:
@@ -234,16 +234,9 @@ def fg_recursion(zeta, J: int):
     antisymmetric in (n, l), so each is formed once per unordered pair, added
     to row n and subtracted from row l; every row still accumulates its terms
     in ascending l.  Returns lists f[j][n] (j = 1..J, f[0] is None) and
-    g[j][n] (j = 0..J).  Duals, one-hot or dense, take the recursion's own
-    derivative rule on arrays (`fg_tangents`), one `Dual` per entry.
+    g[j][n] (j = 0..J).  The Jacobian pass takes its derivative rule instead
+    (`fg_tangents`).
     """
-    if isinstance(zeta[0], Dual):
-        f, g, F, G = fg_tangents(*dual_parts(zeta), J)
-
-        def duals(vals, tans):
-            return [Dual(v, t) for v, t in zip(vals.tolist(), tans.tolist())]
-
-        return [None] + [duals(f[j], F[j]) for j in range(1, J + 1)], [duals(g[j], G[j]) for j in range(J + 1)]
     n_zeros = len(zeta)
     inv = pair_reciprocals(zeta)
     zero = zeta[0] * 0.0
@@ -274,11 +267,6 @@ def fg_recursion(zeta, J: int):
     return f, g
 
 
-def dual_parts(z: list):
-    """The values of a list of Duals (one-hot or dense), and their tangents as one row each."""
-    return [v.val for v in z], np.array([v.eps for v in z])
-
-
 def fg_tangents(z: list, T: np.ndarray, J: int):
     """The f/g tables and their tangents, by the recursion's own derivative rule on arrays.
 
@@ -297,8 +285,8 @@ def fg_tangents(z: list, T: np.ndarray, J: int):
 
     Returns f, g of shape (J + 1, N) and F, G of shape (J + 1, N, P); f[0]
     and F[0] are zero.  A coincident pair raises ZeroDivisionError (in
-    `pair_reciprocals`), and a tangent that overflows raises OverflowError,
-    without a numpy warning.
+    `pair_reciprocals`); a tangent that overflows comes back non-finite,
+    under `np.errstate`, so numpy does not warn.
     """
     n_zeros = len(z)
     inv = pair_reciprocals(z)
@@ -330,8 +318,6 @@ def fg_tangents(z: list, T: np.ndarray, J: int):
             if j < J:
                 f[j + 1] = zv * rf + fj * rz - fj
                 F[j + 1] = rf[:, None] * T + zv[:, None] * d_rf + rz[:, None] * Fj + fj[:, None] * d_rz - Fj
-    if not (np.isfinite(F).all() and np.isfinite(G).all()):
-        raise OverflowError("f/g tangent out of the range of doubles")
     return f, g, F, G
 
 
@@ -361,7 +347,7 @@ def basic_f(s, u, n: int, inv_n: list):
 
 
 def basic_f_dual(s, u, n: int, inv_n: list):
-    """`basic_f` on one-hot duals u (and a one-hot or constant s), by the product's own rule.
+    """`basic_f` on one-hot duals u, s a constant or zero n's one-hot dual, by the product's own rule.
 
     `inv_n` holds values only: r_l = 1 / (u_n - u_l).  With the factors
     F_l = (s - u_l) r_l, the product P has the partials
@@ -399,13 +385,9 @@ def basic_f_dual(s, u, n: int, inv_n: list):
         kl, dl = ul.k, ul.d
         f = w * r
         t_n = w * (c * dn)  # dF_l: the part through u_n
-        t_l = w * (c * -dl)  # and through u_l
+        t_l = w * (c * -dl) + r * -dl  # and through u_l
         if ks == kn:
             t_n = t_n + r * ds
-        if ks == kl:
-            t_l = t_l + r * (ds - dl)
-        else:
-            t_l = t_l + r * -dl
         eps = [f * e for e in eps]
         eps[kn] = eps[kn] + out * t_n
         eps[kl] = eps[kl] + out * t_l
@@ -438,7 +420,7 @@ def _rhs_terms_ghyp(spec, z):
     J = max(len(b), len(a) - 1)
     if isinstance(z[0], Dual):
         # each row's terms folded into their sum b.f - a.g, value and tangent
-        f, g, F, G = fg_tangents(*dual_parts(z), J)
+        f, g, F, G = fg_tangents([v.val for v in z], np.array([v.eps for v in z]), J)
         kb, ka = len(b), len(a)
         val = np.dot(b, f[1 : kb + 1]) - np.dot(a, g[:ka])
         tan = np.dot(b, F[1 : kb + 1].reshape(kb, -1)) - np.dot(a, G[:ka].reshape(ka, -1))
@@ -569,8 +551,7 @@ def _rhs_terms_qracah(spec, z):
 
 def _rhs_terms_jacobi(spec, x):
     zvar = [2.0 / (1.0 - v) for v in x]
-    # distinct x can still crowd together in z = 2/(1 - x); checked on the values
-    check_distinct([v.val for v in zvar] if isinstance(zvar[0], Dual) else zvar)
+    check_distinct(zvar)  # distinct x can still crowd together in z = 2/(1 - x)
     rows = _rhs_terms_ghyp(fam.jacobi_to_ghyp(spec), zvar)
     # pushforward: x = 1 - 2/z, so xdot = (2/z^2) zdot, applied termwise
     return [[t * w for t in row] for row, w in zip(rows, [2.0 / (v * v) for v in zvar])]
@@ -842,11 +823,15 @@ def linearization_matrix(spec: fam.FamilySpec, z) -> np.ndarray:
     derivative of the RHS formula itself, not a difference quotient: one
     forward pass in which each zero's terms carry one partial until the
     exclusion product or the f/g recursion couples them into a dense list
-    of all N partials.  A division by zero inside the pass raises before any
-    inf/nan is formed, as does an f/g tangent that overflows, and either
-    becomes `SingularDenominator` (`_kernel_rows`).  The collision guard of
-    `nonlinear_rhs` is not applied: it protects trajectories, and
+    of all N partials.  A division by zero inside the pass
+    (`_kernel_rows`) and a result that is not finite (a pair 1e-160 apart
+    overflows either primitive's squared reciprocal) raise
+    `SingularDenominator`.  The collision guard of `nonlinear_rhs` is not
+    applied: it protects trajectories, and
     `build_matrix` checks distinctness at its own threshold.
     """
     z = np.asarray(z, dtype=complex).ravel()
-    return np.array([sum(row).eps for row in _kernel_rows(spec, OneHot.seed(z))], dtype=complex)
+    L = np.array([sum(row).eps for row in _kernel_rows(spec, OneHot.seed(z))], dtype=complex)
+    if not np.isfinite(L).all():
+        raise SingularDenominator("Jacobian entry not finite at this state")
+    return L

@@ -64,6 +64,7 @@ from .numeric import (
     full_degree,
     min_separation,
     poly_roots,
+    re_im_key,
 )
 
 _TINY = 1e-300
@@ -208,11 +209,9 @@ def validate_spec(spec: FamilySpec) -> None:
         raise InvalidParameters("askey-wilson needs a != 0")
     if fam in Q_FAMILIES:
         for base, label in q_pole_bases(spec):
-            g = complex(base)
-            for i in range(N):
+            for i, g in enumerate(q_powers(base, spec.q, N)):
                 if abs(1.0 - g) < QPARAM_POLE_TOL * max(1.0, abs(g)):
                     raise InvalidParameters(f"{label}: factor (1 - {base} q^{i}) vanishes")
-                g *= spec.q
     elif fam == Family.GHYP:
         for k, be in enumerate(spec.betas):
             poch_ok(be, N, f"beta_{k + 1}")
@@ -232,11 +231,20 @@ def validate_spec(spec: FamilySpec) -> None:
         poch_ok(N + al + be + 1.0, N, "(N+alpha+beta+1)_N")
 
 
+def q_powers(base, q, N: int):
+    """base q^i for i < N, by repeated multiplication (the factors 1 - base q^i of (base; q)_N)."""
+    g = complex(base)
+    for _ in range(N):
+        yield g
+        g *= q
+
+
 def q_pole_bases(spec: FamilySpec) -> list:
     """(base, label) of each q-Pochhammer denominator (base; q)_N of a q-family.
 
-    Its factors are 1 - base q^i for i < N: `validate_spec` rejects a spec
-    where one vanishes, and `cli.draw_spec` redraws where one comes close.
+    Its factors are 1 - base q^i for i < N (`q_powers`): `validate_spec`
+    rejects a spec where one vanishes, and `cli.draw_spec` redraws where one
+    comes close.
     """
     q, N = spec.q, spec.N
     bases = [(q, "(q; q)_m")]
@@ -476,7 +484,7 @@ def compute_zeros(spec: FamilySpec) -> ZeroSet:
         raise NonConvergence(
             f"zero forward-error estimate {worst:.3e} > tol {ZERO_TOL:.1e} after refinement"
         )
-    refined = refined[np.lexsort((refined.imag, refined.real))]
+    refined = np.array(sorted(refined.tolist(), key=re_im_key), dtype=complex)
     sep = min_separation(refined)
     if sep < ZERO_SEP_REL * max(1.0, float(np.max(np.abs(refined)))):
         raise RepeatedZeros(f"min zero separation {sep:.3e} below {ZERO_SEP_REL:.0e} * scale")

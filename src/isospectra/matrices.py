@@ -2,8 +2,9 @@
 
 Each family's matrix is the linearization of its zero dynamics at the zeros:
 `build_matrix` is `dynamics.linearization_matrix / dynamics.time_factor`, the
-exact forward-mode (`Dual`) Jacobian of the same right-hand-side kernel that
-`integrate` runs, and its reference spectrum is `families.closed_form_spectrum`.
+exact forward-mode (`OneHot`) Jacobian of the same right-hand-side kernel that
+`integrate` runs (jacobi's is ghyp's at z = 2/(1 - x)), and its reference
+spectrum is `families.closed_form_spectrum`.
 The componentwise formulas of the paper are kept in the tests as the reference
 the Jacobian is checked against entrywise.  The zeros' algebraic identities
 are their equilibrium conditions, so `identity_residual` is the dynamics
@@ -105,8 +106,9 @@ def build_matrix(spec: fam.FamilySpec, zs, pad_count: int = 0) -> IsospectralMat
     The matrix is the Jacobian of the family's zero dynamics at its zeros,
     divided by the time factor (i for wilson/racah).  wilson and racah zeros
     are lifted to their dynamics variable first; aw lifts inside its kernel.
-    For jacobi the x-dynamics Jacobian J is returned as D^-1 J D with
-    D = diag((1 - x)^2), the representative the paper's formulas give.
+    jacobi's matrix is the ghyp one at z = 2/(1 - x), which is D^-1 J D for
+    the x-dynamics Jacobian J and D = diag((1 - x)^2), the representative
+    the paper's formulas give; a zero at x = 1 raises SingularDenominator.
     `pad_count > 0` (ghyp only) appends that many equal alpha/beta parameter
     pairs before differentiating, which leaves the polynomial and its zeros
     alone but produces a different matrix with a correspondingly extended
@@ -122,14 +124,17 @@ def build_matrix(spec: fam.FamilySpec, zs, pad_count: int = 0) -> IsospectralMat
     if pad_count > len(DEFAULT_PAD_VALUES):
         raise InvalidParameters(f"pad_count capped at {len(DEFAULT_PAD_VALUES)}")
 
-    dyn_spec = fam.make_spec(spec.family, spec.N, spec.alphas + pad, spec.betas + pad) if pad else spec
-    z = dynamics.to_dynamics_variable(spec, zeta)
-    L = dynamics.linearization_matrix(dyn_spec, z) / dynamics.time_factor(spec)
     if spec.family == fam.Family.JACOBI:
-        d = (1.0 - zeta) ** 2
-        L = L * d / d[:, None]
-    if not np.all(np.isfinite(L)):
-        raise SingularDenominator("matrix formula denominator vanished")
+        dyn_spec = fam.jacobi_to_ghyp(spec)
+        try:
+            z = [2.0 / (1.0 - x) for x in zeta.tolist()]
+        except ZeroDivisionError:
+            raise SingularDenominator("jacobi zero at x = 1") from None
+        dynamics.check_distinct(z)  # distinct x can still crowd together in z
+    else:
+        dyn_spec = fam.make_spec(spec.family, spec.N, spec.alphas + pad, spec.betas + pad) if pad else spec
+        z = dynamics.to_dynamics_variable(spec, zeta)
+    L = dynamics.linearization_matrix(dyn_spec, z) / dynamics.time_factor(spec)
     return IsospectralMatrix(L=L, reference_spectrum=fam.closed_form_spectrum(dyn_spec))
 
 

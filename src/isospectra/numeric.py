@@ -131,8 +131,8 @@ def _newton_point(c: list, ac: list, z: complex) -> tuple[complex, float]:
         return 0j, float("inf")
 
 
-def _re_im(v: complex) -> tuple[float, float]:
-    """Sort key: real part, then imaginary part (numpy's lexsort order)."""
+def re_im_key(v: complex) -> tuple[float, float]:
+    """The (re, im) sort key of `poly_roots`, `families.compute_zeros` and `multiset_match`."""
     return v.real, v.imag
 
 
@@ -181,7 +181,7 @@ def poly_roots(p, tol: float = ROOT_TOL) -> ZeroSet:
 
     if worst > tol:
         raise NonConvergence(f"root residual {worst:.3e} > tol {tol:.1e}")
-    roots.sort(key=_re_im)
+    roots.sort(key=re_im_key)
     return ZeroSet(zeros=np.array(roots, dtype=complex), max_poly_residual=worst)
 
 
@@ -247,8 +247,8 @@ def multiset_match(a, b) -> float:
     if not va:
         return 0.0
     scale = max(1.0, max(map(abs, vb)))
-    va.sort(key=_re_im)
-    vb.sort(key=_re_im)
+    va.sort(key=re_im_key)
+    vb.sort(key=re_im_key)
     worst = 0.0
     for x in va:
         d = [abs(v - x) for v in vb]
@@ -375,13 +375,14 @@ class OneHot(Dual):
     `linearization_matrix` seeds one per zero (`OneHot.seed`): every
     prefactor of a kernel's row n depends on zero n alone, so it stays one
     scalar partial.  An operation with a constant or with a one-hot dual of
-    the same variable gives a one-hot dual at O(1) cost.  With a dense `Dual`
-    or another variable's one-hot dual it gives a dense `Dual`, entry for
-    entry what the dense operator gives on the dense form of this operand
-    (up to the sign of zero entries), at the cost of one list.  Python calls
-    a subclass's reflected operator before its base's operator, so
-    `dense op one_hot` lands here too.  `eps` is the dense list, built on
-    request.
+    the same variable gives a one-hot dual at O(1) cost, and a product with
+    a dense `Dual` (the one mixed operation the kernels make) one list.  Any
+    other mixed operation runs the dense operator on `self.dense()`.  Either
+    way the partials are the dense operator's (up to the sign of zero
+    entries).  Python calls a subclass's reflected operator before its
+    base's operator, so `dense op one_hot` lands here too; `__rmul__` is
+    `__mul__`, as complex products and sums commute bit for bit.  `eps` is
+    the dense list, built on request.
     """
 
     __slots__ = ("k", "d", "n")
@@ -408,13 +409,9 @@ class OneHot(Dual):
     def __add__(self, other):
         if not isinstance(other, Dual):
             return _onehot(self.val + other, self.k, self.d, self.n)
-        if isinstance(other, OneHot):
-            if other.k == self.k:
-                return _onehot(self.val + other.val, self.k, self.d + other.d, self.n)
-            return self.dense() + other
-        eps = list(other.eps)
-        eps[self.k] = self.d + eps[self.k]
-        return _dual(self.val + other.val, eps)
+        if isinstance(other, OneHot) and other.k == self.k:
+            return _onehot(self.val + other.val, self.k, self.d + other.d, self.n)
+        return self.dense() + other
 
     __radd__ = __add__
 
@@ -424,21 +421,14 @@ class OneHot(Dual):
     def __sub__(self, other):
         if not isinstance(other, Dual):
             return _onehot(self.val - other, self.k, self.d, self.n)
-        if isinstance(other, OneHot):
-            if other.k == self.k:
-                return _onehot(self.val - other.val, self.k, self.d - other.d, self.n)
-            return self.dense() - other
-        b = other.eps
-        eps = [-e for e in b]
-        eps[self.k] = self.d - b[self.k]
-        return _dual(self.val - other.val, eps)
+        if isinstance(other, OneHot) and other.k == self.k:
+            return _onehot(self.val - other.val, self.k, self.d - other.d, self.n)
+        return self.dense() - other
 
     def __rsub__(self, other):
         if not isinstance(other, Dual):
             return _onehot(other - self.val, self.k, -self.d, self.n)
-        eps = list(other.eps)
-        eps[self.k] = eps[self.k] - self.d
-        return _dual(other.val - self.val, eps)
+        return other - self.dense()
 
     def __mul__(self, other):
         if not isinstance(other, Dual):
@@ -452,38 +442,23 @@ class OneHot(Dual):
         eps[self.k] = eps[self.k] + v * self.d
         return _dual(u * v, eps)
 
-    def __rmul__(self, other):
-        if not isinstance(other, Dual):
-            return _onehot(self.val * other, self.k, self.d * other, self.n)
-        u, v = other.val, self.val
-        eps = [v * a for a in other.eps]
-        eps[self.k] = u * self.d + eps[self.k]
-        return _dual(u * v, eps)
+    __rmul__ = __mul__
 
     def __truediv__(self, other):
         if not isinstance(other, Dual):
             return _onehot(self.val / other, self.k, self.d / other, self.n)
-        inv = 1.0 / other.val
-        w = self.val * inv
-        if isinstance(other, OneHot):
-            if other.k == self.k:
-                return _onehot(w, self.k, (self.d - w * other.d) * inv, self.n)
-            return self.dense() / other
-        b = other.eps
-        eps = [(0j - w * e) * inv for e in b]
-        eps[self.k] = (self.d - w * b[self.k]) * inv
-        return _dual(w, eps)
+        if isinstance(other, OneHot) and other.k == self.k:
+            inv = 1.0 / other.val
+            w = self.val * inv
+            return _onehot(w, self.k, (self.d - w * other.d) * inv, self.n)
+        return self.dense() / other
 
     def __rtruediv__(self, other):
-        inv = 1.0 / self.val
         if not isinstance(other, Dual):
+            inv = 1.0 / self.val
             c = -other * inv * inv
             return _onehot(other * inv, self.k, c * self.d, self.n)
-        w = other.val * inv
-        a = other.eps
-        eps = [e * inv for e in a]
-        eps[self.k] = (a[self.k] - w * self.d) * inv
-        return _dual(w, eps)
+        return other / self.dense()
 
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:

@@ -11,7 +11,7 @@ import isospectra as iso
 import rhs_reference
 import roots_reference
 from isospectra import dynamics, families
-from isospectra.errors import Collision, DivideByZeroVariable, SingularA, SingularDenominator
+from isospectra.errors import Collision, DivideByZeroVariable, RepeatedZeros, SingularA, SingularDenominator
 from isospectra.numeric import Dual, OneHot, multiset_match
 
 DYNAMICS_SPECS = [
@@ -586,13 +586,19 @@ class TestScalarKernels:
     @pytest.mark.parametrize("gap", [0.0, 1e-160], ids=["coincident", "1e-160"])
     def test_fg_jacobian_singular_pair(self, gap):
         # a coincident pair divides by zero in pair_reciprocals; for a pair
-        # 1e-160 apart the squared reciprocal overflows in the f/g recursion's
-        # array rule.  Both raise before numpy warns
-        spec = iso.make_spec("ghyp", 3, [1.7, 0.9], [2.3, 3.1])
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(SingularDenominator):
-                dynamics.linearization_matrix(spec, [gap, 0j, -0.7])
+        # 1e-160 apart the squared reciprocal overflows in either primitive's
+        # derivative rule (silently, in Python complex arithmetic or under
+        # np.errstate), and linearization_matrix's finiteness guard raises.
+        # Wilson and Racah can hold such a pair only near x = 0 (y = 0),
+        # where their variable guard fires first, and Jacobi's
+        # z = 2/(1 - x) merges the pair, which its distinctness check rejects
+        first_guard = {"wilson": DivideByZeroVariable, "racah": DivideByZeroVariable, "jacobi": RepeatedZeros}
+        for base in [iso.make_spec("ghyp", 3, [1.7, 0.9], [2.3, 3.1])] + DEMO_SPECS:
+            spec = iso.make_spec(base.family, 3, base.alphas, base.betas, base.q)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(first_guard.get(spec.family.value, SingularDenominator)):
+                    dynamics.linearization_matrix(spec, [gap, 0j, -0.7])
 
     @pytest.mark.parametrize("spec", DEMO_SPECS, ids=lambda s: s.family.value)
     def test_trajectory_equals_vector_rk4(self, spec):

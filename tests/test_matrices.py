@@ -247,6 +247,27 @@ class TestBuildMatrix:
         sim = s @ gh_rep.L @ np.linalg.inv(s)
         assert np.max(np.abs(jac - sim)) <= 1e-6 * max(1.0, np.max(np.abs(sim)))
 
+    def test_jacobi_matrix_is_ghyp_image(self):
+        # built as the ghyp matrix at z = 2/(1 - x), mapped on Python
+        # scalars; one draw per N = 1..12
+        for spec, zs in reference_draws("jacobi"):
+            z = [2.0 / (1.0 - x) for x in zs.zeros.tolist()]
+            want = iso.build_matrix(iso.jacobi_to_ghyp(spec), z)
+            got = iso.build_matrix(spec, zs)
+            assert np.array_equal(got.L, want.L), spec
+            assert np.array_equal(got.reference_spectrum, want.reference_spectrum)
+
+    def test_jacobi_zero_at_one_is_singular(self):
+        # alpha = -1 puts a zero exactly at x = 1, where z = 2/(1 - x) has no
+        # value; the map divides on Python scalars, so numpy does not warn
+        spec = iso.make_spec("jacobi", 2, [-1.0, 0.5])
+        zs = iso.compute_zeros(spec)
+        assert 1.0 in zs.zeros.tolist()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularDenominator):
+                iso.build_matrix(spec, zs)
+
     def test_padding_extends_spectrum(self):
         spec = iso.make_spec("ghyp", 3, [1.7], [2.3])
         zs = iso.compute_zeros(spec)
