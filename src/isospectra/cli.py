@@ -385,23 +385,28 @@ _SUBCOMMANDS = {
     "evolve": (cmd_evolve, _add_evolve_flags),
     "sweep": (cmd_sweep, _add_sweep_flags),
 }
+_CHOICES = "{" + ",".join(_SUBCOMMANDS) + "}"
 
 
 def build_parser(argv=None) -> argparse.ArgumentParser:
     """The parser for `argv` (default `sys.argv[1:]`).
 
-    Every subcommand is registered, but only the one argv names gets its
-    arguments: adding them is most of the cost of building the parser, and
-    one run parses one subcommand.  The top level has no option but -h, so
-    the first token that is not an option is the subcommand.  Usage lines,
-    choice errors and every -h screen are those of the full parser.
+    Only the subcommand argv names gets its arguments: adding them is most
+    of the cost of building the parser, and one run parses one subcommand.
+    The top level has no option but -h, so the first token that is not an
+    option is the subcommand.  When argv starts with it, that subcommand is
+    the only one registered, under the metavar the full parser prints; every
+    other argv registers all five.  Usage lines, choice errors and every -h
+    screen are those of the full parser.
     """
     if argv is None:
         argv = sys.argv[1:]
     named = next((tok for tok in argv if not tok.startswith("-")), None)
     ap = argparse.ArgumentParser(prog="isospectra", description=__doc__)
-    sub = ap.add_subparsers(dest="command", required=True)
-    for name, (fn, add_flags) in _SUBCOMMANDS.items():
+    alone = bool(argv) and argv[0] in _SUBCOMMANDS
+    sub = ap.add_subparsers(dest="command", required=True, metavar=_CHOICES if alone else None)
+    for name in [named] if alone else _SUBCOMMANDS:
+        fn, add_flags = _SUBCOMMANDS[name]
         p = sub.add_parser(name)
         p.set_defaults(func=fn)
         if name == named:

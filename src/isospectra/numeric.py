@@ -506,6 +506,15 @@ def dsqrt(x):
 # error-free transformations (Dekker/Knuth): every stored quantity is an IEEE
 # double, no arbitrary precision involved.  A complex double-double is the
 # 4-tuple (re_hi, re_lo, im_hi, im_lo).
+#
+# ddc_mul, ddc_add and ddc_div have a real case: when every imaginary word
+# of the operands is zero, of either sign, the general path's imaginary
+# result is (+0, +0) and its real words are a real double-double operation,
+# so only that is computed.  Real parameters make most of the terms of a
+# family sum real.  The result equals the general path's word for word,
+# signed zeros included.  A product or quotient whose real result is not
+# finite falls through to the general path, whose nans can reach the
+# imaginary words.
 # ---------------------------------------------------------------------------
 
 _SPLITTER = 134217729.0  # 2**27 + 1
@@ -567,6 +576,8 @@ def ddc_to_complex(x) -> complex:
 
 def ddc_add(x, y):
     rhi, rlo = _dd_add(x[0], x[1], y[0], y[1])
+    if x[2] == 0.0 and x[3] == 0.0 and y[2] == 0.0 and y[3] == 0.0:
+        return (rhi, rlo, 0.0, 0.0)  # _dd_add of any four zeros is (+0, +0)
     ihi, ilo = _dd_add(x[2], x[3], y[2], y[3])
     return (rhi, rlo, ihi, ilo)
 
@@ -585,19 +596,27 @@ def ddc_mul(x, y):
     t = _SPLITTER * a
     ah = t - (t - a)
     al = a - ah
-    t = _SPLITTER * b
-    bh = t - (t - b)
-    bl = b - bh
     t = _SPLITTER * c
     ch = t - (t - c)
     cl = c - ch
-    t = _SPLITTER * d
-    dh = t - (t - d)
-    dl = d - dh
     p = a * c
     e = ((ah * ch - p) + ah * cl + al * ch) + al * cl + (a * clo + alo * c)
     ac = p + e
     ac_lo = e - (ac - p)
+    if b == 0.0 and blo == 0.0 and d == 0.0 and dlo == 0.0:
+        # Real case: bd, ad and bc are (+0, +0) whatever the zeros' signs,
+        # so the imaginary word is (+0, +0) and ac - bd renormalizes
+        # (ac, ac_lo), whose low word is never -0.  A non-finite result
+        # takes the general path, which sets its nans.
+        re = ac + ac_lo
+        if re - re == 0.0:
+            return (re, ac_lo - (re - ac), 0.0, 0.0)
+    t = _SPLITTER * b
+    bh = t - (t - b)
+    bl = b - bh
+    t = _SPLITTER * d
+    dh = t - (t - d)
+    dl = d - dh
     p = b * d
     e = ((bh * dh - p) + bh * dl + bl * dh) + bl * dl + (b * dlo + blo * d)
     bd = p + e
@@ -695,6 +714,9 @@ def ddc_div(x, y):
     m2hi, m2lo = _dd_mul(y[2], y[3], y[2], y[3])
     dhi, dlo = _dd_add(m1hi, m1lo, m2hi, m2lo)
     rhi, rlo = _dd_div(num[0], num[1], dhi, dlo)
+    if num[2] == 0.0 and num[3] == 0.0 and rhi - rhi == 0.0:
+        # a zero over a finite positive |y|^2: (+0, +0) whatever the signs
+        return (rhi, rlo, 0.0, 0.0)
     ihi, ilo = _dd_div(num[2], num[3], dhi, dlo)
     return (rhi, rlo, ihi, ilo)
 

@@ -8,7 +8,10 @@ multiplied out separately, O(N^3) double-double operations in all.  They
 keep every formula literal and serve the tests as an independent reference
 for the nested table and its expansion.  `ddc_horner` is the double-double
 Horner loop as composed calls, before `isospectra.numeric.ddc_horner`
-wrote it out inline.
+wrote it out inline.  `ddc_mul_general`, `ddc_add_general` and
+`ddc_div_general` are the complex double-double product, sum and quotient as
+they were before `isospectra.numeric` gave them a real case: every operand,
+real or not, takes the complex path.
 """
 
 import math
@@ -16,6 +19,10 @@ import math
 from isospectra.errors import InvalidParameters
 from isospectra.families import Family, FamilySpec
 from isospectra.numeric import (
+    _SPLITTER,
+    _dd_add,
+    _dd_div,
+    _dd_mul,
     ddc,
     ddc_add,
     ddc_div,
@@ -24,6 +31,67 @@ from isospectra.numeric import (
     ddc_powi,
     ddc_to_complex,
 )
+
+
+def ddc_mul_general(x, y):
+    """(a+bi)(c+di) = (ac - bd) + (ad + bc) i, four products written out inline."""
+    a, alo, b, blo = x
+    c, clo, d, dlo = y
+    t = _SPLITTER * a
+    ah = t - (t - a)
+    al = a - ah
+    t = _SPLITTER * b
+    bh = t - (t - b)
+    bl = b - bh
+    t = _SPLITTER * c
+    ch = t - (t - c)
+    cl = c - ch
+    t = _SPLITTER * d
+    dh = t - (t - d)
+    dl = d - dh
+    p = a * c
+    e = ((ah * ch - p) + ah * cl + al * ch) + al * cl + (a * clo + alo * c)
+    ac = p + e
+    ac_lo = e - (ac - p)
+    p = b * d
+    e = ((bh * dh - p) + bh * dl + bl * dh) + bl * dl + (b * dlo + blo * d)
+    bd = p + e
+    bd_lo = e - (bd - p)
+    p = a * d
+    e = ((ah * dh - p) + ah * dl + al * dh) + al * dl + (a * dlo + alo * d)
+    ad = p + e
+    ad_lo = e - (ad - p)
+    p = b * c
+    e = ((bh * ch - p) + bh * cl + bl * ch) + bl * cl + (b * clo + blo * c)
+    bc = p + e
+    bc_lo = e - (bc - p)
+    s = ac - bd
+    v = s - ac
+    e = (ac - (s - v)) + (-bd - v) + (ac_lo - bd_lo)
+    re = s + e
+    re_lo = e - (re - s)
+    s = ad + bc
+    v = s - ad
+    e = (ad - (s - v)) + (bc - v) + (ad_lo + bc_lo)
+    im = s + e
+    return (re, re_lo, im, e - (im - s))
+
+
+def ddc_add_general(x, y):
+    rhi, rlo = _dd_add(x[0], x[1], y[0], y[1])
+    ihi, ilo = _dd_add(x[2], x[3], y[2], y[3])
+    return (rhi, rlo, ihi, ilo)
+
+
+def ddc_div_general(x, y):
+    """x / y = x * conj(y) / |y|^2."""
+    num = ddc_mul_general(x, (y[0], y[1], -y[2], -y[3]))
+    m1hi, m1lo = _dd_mul(y[0], y[1], y[0], y[1])
+    m2hi, m2lo = _dd_mul(y[2], y[3], y[2], y[3])
+    dhi, dlo = _dd_add(m1hi, m1lo, m2hi, m2lo)
+    rhi, rlo = _dd_div(num[0], num[1], dhi, dlo)
+    ihi, ilo = _dd_div(num[2], num[3], dhi, dlo)
+    return (rhi, rlo, ihi, ilo)
 
 
 def ddc_pochhammer(a, m: int):

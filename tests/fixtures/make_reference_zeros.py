@@ -26,8 +26,9 @@ DPS = 120
 DIGITS = 30
 FIXTURE = Path(__file__).with_name("reference_zeros.json")
 
-# (label, family, N, alphas, betas, q).  All are draws from the safe box of
-# `isospectra.cli` (numpy rng seed 2026, N = 2..12, 8 per construction).
+# (label, family, N, alphas, betas, q).  The real specs are draws from the
+# safe box of `isospectra.cli` (numpy rng seed 2026, N = 2..12, 8 per
+# construction); the complex ones move the demo parameters off the real axis.
 SPECS = [
     # sums that cancel past double-double precision: a refinement without the
     # evaluation's error bound returned these zeros with tiny estimates
@@ -61,7 +62,29 @@ SPECS = [
     ("qracah N=8", "qracah", 8,
      [1.3377925755485123, 2.6307226609322187, 1.8004910983315718, 2.6861618709500177], [],
      2.249653370564582),
+    # complex parameters, as [re, im] pairs: every double-double operation
+    # with a nonzero imaginary word takes the general complex path
+    ("ghyp N=7 complex", "ghyp", 7, [[1.7, 0.4]], [[2.3, -0.2]], None),
+    ("gbasic N=6 complex", "gbasic", 6, [[1.7, 0.3]], [[2.3, -0.2]], [1.5, 0.1]),
+    ("wilson N=7 complex", "wilson", 7, [[0.7, 0.2], 1.1, [1.6, -0.1], 2.2], [], None),
+    ("racah N=7 complex", "racah", 7, [[1.1, 0.2], 2.2, [0.8, -0.1], 1.4], [], None),
+    ("aw N=7 complex", "aw", 7, [[0.6, 0.1], 1.1, [1.7, -0.2], 1.4], [], 1.4),
+    ("qracah N=6 complex", "qracah", 6, [[1.1, 0.1], 2.2, 0.8, [1.4, -0.1]], [], 1.4),
+    ("jacobi N=8 complex", "jacobi", 8, [[0.5, 0.3], [1.0, -0.2]], [], None),
 ]
+
+
+def parameter(value):
+    """A fixture parameter as a number: a real, or an [re, im] pair."""
+    return complex(*value) if isinstance(value, list) else value
+
+
+def make_spec(family, N, alphas, betas, q):
+    """The spec of one fixture entry, its complex parameters read from pairs."""
+    return families.make_spec(
+        family, N, [parameter(a) for a in alphas], [parameter(b) for b in betas],
+        None if q is None else parameter(q),
+    )
 
 
 def _mp_products(factors):
@@ -116,7 +139,7 @@ def _deriv(coeffs, z):
 def build_fixture():
     entries = []
     for label, family, N, alphas, betas, q in SPECS:
-        spec = families.make_spec(family, N, alphas, betas, q)
+        spec = make_spec(family, N, alphas, betas, q)
         zeros = reference_zeros(spec)
         entries.append({
             "label": label,

@@ -1,7 +1,9 @@
 """Core numeric substrate: symbols, polynomials, roots, eigenvalues, duals."""
 
 import cmath
+import itertools
 import math
+import struct
 import warnings
 from fractions import Fraction
 
@@ -717,8 +719,62 @@ ddc_values = st.one_of(
 
 
 def _bits(x):
-    """The four doubles of a complex double-double, signs of zero included."""
-    return tuple(float(v).hex() for v in x)
+    """The four doubles of a complex double-double as bytes, signs and nans included."""
+    return struct.pack("4d", *x)
+
+
+def _outcome(f, x, y):
+    try:
+        return _bits(f(x, y))
+    except ZeroDivisionError as exc:
+        return repr(exc)
+
+
+# real words of either sign, tiny to huge, with and without a low word (one
+# of them unnormalized); 1e305 overflows the operand split and 1e200 the
+# squared divisor
+_REAL_WORDS = [
+    (hi, lo * abs(hi))
+    for hi in (0.0, -0.0, 1.0, -1.0, 1e200, -1e200, 1e-200, -1e-200, 1.25, 1e305)
+    for lo in (0.0, -0.0, 2.0**-60, -3.0 * 2.0**-58, 0.75)
+] + [(math.inf, 0.0), (-math.inf, 0.0), (math.nan, 0.0)]
+_PRIMITIVES = [
+    (ddc_mul, expansion_reference.ddc_mul_general),
+    (ddc_add, expansion_reference.ddc_add_general),
+    (ddc_div, expansion_reference.ddc_div_general),
+]
+
+
+class TestRealCase:
+    """ddc_mul, ddc_add and ddc_div against their general complex path, word for word."""
+
+    @pytest.mark.parametrize("zeros", itertools.product((0.0, -0.0), repeat=4))
+    @pytest.mark.parametrize("f, general", _PRIMITIVES, ids=["mul", "add", "div"])
+    def test_signed_zero_imaginary_words(self, f, general, zeros):
+        b, blo, d, dlo = zeros
+        for (a, alo), (c, clo) in itertools.product(_REAL_WORDS, repeat=2):
+            x, y = (a, alo, b, blo), (c, clo, d, dlo)
+            assert _outcome(f, x, y) == _outcome(general, x, y), (x, y)
+
+    @pytest.mark.parametrize("y", [(1e200, 0.0, 0.0, 0.0), (-1e160, 0.0, -0.0, 0.0)])
+    def test_non_finite_quotient(self, y):
+        # |y|^2 overflows: the general quotient is nan in all four words
+        x = (1.5, 0.0, -0.0, 0.0)
+        got = ddc_div(x, y)
+        assert all(math.isnan(w) for w in got)
+        assert _bits(got) == _bits(expansion_reference.ddc_div_general(x, y))
+
+    @given(x=ddc_values, y=ddc_values)
+    @settings(max_examples=500)
+    @example(x=ddc(1j), y=ddc(1j))  # a zero imaginary numerator from complex operands
+    @example(x=ddc(2.0), y=ddc(1.0 - 1j))
+    @example(  # unnormalized real operands, whose product the real case renormalizes
+        x=(0.01260770011367418, 0.006768658160037507, 0.0, 0.0),
+        y=(-1.0797288214459728, -0.6960429657386336, -0.0, 0.0),
+    )
+    def test_drawn_operands(self, x, y):
+        for f, general in _PRIMITIVES:
+            assert _outcome(f, x, y) == _outcome(general, x, y)
 
 
 class TestFusedHorner:

@@ -18,7 +18,15 @@ EPS = Fraction(np.finfo(float).eps)
 
 
 def spec_of(entry):
-    return iso.make_spec(entry["family"], entry["N"], entry["alphas"], entry["betas"], entry["q"])
+    """The spec of a fixture entry; complex parameters are stored as [re, im] pairs."""
+    def value(v):
+        return complex(*v) if isinstance(v, list) else v
+
+    q = None if entry["q"] is None else value(entry["q"])
+    return iso.make_spec(
+        entry["family"], entry["N"], [value(a) for a in entry["alphas"]],
+        [value(b) for b in entry["betas"]], q,
+    )
 
 
 def distance_sq(z, ref):
