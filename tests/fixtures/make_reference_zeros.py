@@ -79,14 +79,6 @@ def parameter(value):
     return complex(*value) if isinstance(value, list) else value
 
 
-def make_spec(family, N, alphas, betas, q):
-    """The spec of one fixture entry, its complex parameters read from pairs."""
-    return families.make_spec(
-        family, N, [parameter(a) for a in alphas], [parameter(b) for b in betas],
-        None if q is None else parameter(q),
-    )
-
-
 def _mp_products(factors):
     out = [mp.mpc(1)]
     for f in factors:
@@ -139,7 +131,10 @@ def _deriv(coeffs, z):
 def build_fixture():
     entries = []
     for label, family, N, alphas, betas, q in SPECS:
-        spec = make_spec(family, N, alphas, betas, q)
+        spec = families.make_spec(
+            family, N, [parameter(a) for a in alphas], [parameter(b) for b in betas],
+            None if q is None else parameter(q),
+        )
         zeros = reference_zeros(spec)
         entries.append({
             "label": label,
