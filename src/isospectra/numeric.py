@@ -508,13 +508,13 @@ def dsqrt(x):
 # 4-tuple (re_hi, re_lo, im_hi, im_lo).
 #
 # ddc_mul, ddc_add and ddc_div have a real case: when every imaginary word
-# of the operands is zero, of either sign, the general path's imaginary
-# result is (+0, +0) and its real words are a real double-double operation,
-# so only that is computed.  Real parameters make most of the terms of a
-# family sum real.  The result equals the general path's word for word,
-# signed zeros included.  A product or quotient whose real result is not
-# finite falls through to the general path, whose nans can reach the
-# imaginary words.
+# of the operands (for ddc_div, of the numerator x conj(y)) is zero, of
+# either sign, the general path's imaginary result is (+0, +0) and its real
+# words are a real double-double operation, so only that is computed.
+# Real parameters make most of the terms of a family sum real.  The result
+# equals the general path's word for word, signed zeros included.  A
+# product or quotient whose real result is not finite falls through to the
+# general path, whose nans can reach the imaginary words.
 # ---------------------------------------------------------------------------
 
 _SPLITTER = 134217729.0  # 2**27 + 1
