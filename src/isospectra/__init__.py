@@ -27,24 +27,17 @@ from .families import (
     lift_zero_variables,
     make_spec,
     max_defining_residual,
-    q_to_one_limit_check,
     validate_spec,
 )
 from .matrices import (
-    FGJacobian,
-    FGTable,
     IsospectralMatrix,
     build_matrix,
-    fg_jacobians,
-    fg_tables,
     identity_residual,
-    sigma,
     verify_matrix,
 )
 from .dynamics import (
     CSystem,
     TrajectoryRecord,
-    algebraic_solution,
     algebraic_trajectory,
     c_system,
     equilibrium_residual,
@@ -52,7 +45,6 @@ from .dynamics import (
     integrate,
     linearization_matrix,
     nonlinear_rhs,
-    solve_c,
     to_dynamics_variable,
 )
 from .numeric import (

@@ -5,7 +5,9 @@ product they share, are the one place each family's zero dynamics is
 written: `linearization_matrix` differentiates them into the isospectral
 matrix, and `equilibrium_residual_per_zero` evaluates them at the zeros,
 which is the zeros' system of algebraic identities.  The coefficient
-systems take their diagonal from `families.closed_form_spectrum`.  This
+systems take their diagonal from `families.closed_form_spectrum`, and
+ghyp/gbasic their sub-diagonal and drive from
+`families.operator_multipliers`, the operator that spectrum comes from.  This
 module builds on `families` and `numeric` only; `matrices` consumes it.
 
 Variable conventions for the dynamics (differ from the natural polynomial
@@ -52,6 +54,7 @@ from .numeric import (
     elementary_coeffs_hyp,
     full_degree,
     multiset_match,
+    nearest_pairing,
     pairwise_close,
     poly_roots,
 )
@@ -60,7 +63,7 @@ _TINY = 1e-300
 COLLISION_REL = 1e-9       # pairwise separation guard during integration
 FG_SEP_TOL = 1e-12         # distinctness guard for the recursion denominators
 X_GUARD = 1e-6             # Wilson/Racah: |x_n| (resp. |y_n|) must stay above this
-RK4_FALLBACK_STEP = 1e-4   # solve_c fallback when triangular eigenvalues collide
+RK4_FALLBACK_STEP = 1e-4   # c_flow fallback when triangular eigenvalues collide
 PIVOT_TOL = 1e-12
 
 
@@ -97,31 +100,22 @@ def c_system(spec: fam.FamilySpec) -> CSystem:
     """The family's linear system for the coefficients c_1..c_N (c_0 = 1 fixed).
 
     The diagonal of A is the closed-form spectrum.  ghyp/gbasic are lower
-    bidiagonal with an affine drive from c_0; the four named families are
+    bidiagonal with an affine drive from c_0, both the operator's lowering
+    half (`families.operator_multipliers`); the four named families are
     diagonal in their polynomial bases.
     """
     fam.validate_spec(spec)
     if spec.family == fam.Family.JACOBI:
         return c_system(fam.jacobi_to_ghyp(spec))
+    N = spec.N
     A = np.diag(fam.closed_form_spectrum(spec))
-    h = np.zeros(spec.N, dtype=complex)
-    f = spec.family
-    if f not in (fam.Family.GHYP, fam.Family.GBASIC):
+    h = np.zeros(N, dtype=complex)
+    if spec.family not in (fam.Family.GHYP, fam.Family.GBASIC):
         return CSystem(A=A, h=h, time_factor=time_factor(spec), diagonal=True)
-    N, q = spec.N, spec.q
-    for m in range(1, N + 1):
-        if f == fam.Family.GHYP:
-            sub = complex(N + 1 - m)
-            for al in spec.alphas:
-                sub *= al - 1.0 + m
-        else:
-            sub = q ** (N - m + 1) - 1.0
-            for be in spec.betas:
-                sub *= be * q ** (N - m) - 1.0
-        if m == 1:
-            h[0] = sub
-        else:
-            A[m - 1, m - 2] = sub
+    # row m is lambda_m c_m + lowering(N + 1 - m) c_(m-1), with c_0 = 1
+    lowering = fam.operator_multipliers(spec, range(N, 0, -1))[1]
+    h[0] = lowering[0]
+    A[np.arange(1, N), np.arange(N - 1)] = lowering[1:]
     return CSystem(A=A, h=h, time_factor=time_factor(spec), diagonal=False)
 
 
@@ -170,11 +164,6 @@ def c_flow(cs: CSystem, c0):
         return c
 
     return rk4
-
-
-def solve_c(cs: CSystem, c0, t: float) -> np.ndarray:
-    """Exact solution of cdot = time_factor (A c + h) at time t (`c_flow` at one time)."""
-    return c_flow(cs, c0)(t)
 
 
 # ---------------------------------------------------------------------------
@@ -716,21 +705,6 @@ def _expand_on_basis(B: np.ndarray, target: np.ndarray) -> np.ndarray:
     return c
 
 
-def _match_order(candidates: np.ndarray, previous: np.ndarray) -> np.ndarray:
-    """Order `candidates` by greedy nearest-neighbor continuity with `previous`.
-
-    Each previous value takes its nearest remaining candidate, the first in
-    `candidates` order on a tie; on Python complex scalars, as in
-    `multiset_match`.
-    """
-    cand = candidates.tolist()
-    out = []
-    for p in previous.tolist():
-        d = [abs(cv - p) for cv in cand]
-        out.append(cand.pop(d.index(min(d))))
-    return np.array(out, dtype=complex)
-
-
 def _sqrt_continuous(u: np.ndarray, previous: np.ndarray) -> np.ndarray:
     """Per-component square root with the sign chosen nearest to `previous`."""
     r = np.sqrt(u.astype(complex))
@@ -778,21 +752,13 @@ def algebraic_trajectory(spec: fam.FamilySpec, z0, times) -> np.ndarray:
                 f"coefficient dynamic range exhausted at t = {t:g} "
                 f"(|c_N| <= {DEGREE_REL:g} max|c|, N = {len(z0)})"
             )
-        roots = poly_roots(coeffs).zeros
-        if lifted:
-            u_t = _match_order(roots, prev_u)
-            z_t = _sqrt_continuous(u_t, prev)
-            prev_u = u_t
-        else:
-            z_t = _match_order(roots, prev)
+        # each previous zero takes its nearest remaining root
+        roots = poly_roots(coeffs).zeros.tolist()
+        u_t = np.array(nearest_pairing(roots, prev_u.tolist())[0], dtype=complex)
+        z_t = _sqrt_continuous(u_t, prev) if lifted else u_t
         out[k] = z_t
-        prev = z_t
+        prev, prev_u = z_t, u_t
     return out
-
-
-def algebraic_solution(spec: fam.FamilySpec, z0, t: float) -> np.ndarray:
-    """One-shot oracle: zeros at time t, matched by continuity with z0."""
-    return algebraic_trajectory(spec, z0, [t])[0]
 
 
 def evolve_compare(

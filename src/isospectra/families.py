@@ -12,6 +12,9 @@ Where the textbook sum divides by a Pochhammer symbol that also appears in
 a prefactor (Wilson, Askey-Wilson, Jacobi), the ratio is rewritten
 as a shifted Pochhammer product, so the sums are entire in the parameters
 and `validate_spec` rejects only genuinely vanishing denominators.
+The ghyp/gbasic operator is written once as well, as its multipliers on
+z^k (`operator_multipliers`): they give the closed-form spectrum, the
+coefficient system (`dynamics.c_system`) and the defining equation.
 
 Variable conventions (the "natural" variable of each family):
 
@@ -130,6 +133,50 @@ def jacobi_to_ghyp(spec: FamilySpec) -> FamilySpec:
     return make_spec(Family.GHYP, spec.N, alphas=(spec.N + al + be + 1.0,), betas=(al + 1.0,))
 
 
+def operator_multipliers(spec: FamilySpec, ks) -> tuple:
+    """(diagonal, lowering) multipliers of the ghyp/gbasic operator on z^k, for k in `ks`.
+
+    The operator maps z^k to diagonal_k z^k + lowering_k z^(k-1), so its
+    defining equation on sum_k a_k z^k reads
+    sum_k a_k (diagonal_k z^k + lowering_k z^(k-1)) = 0.  With x = k - N and
+    Q = q^k,
+
+      ghyp    diagonal = -x prod(beta - 1 - x)               lowering = k prod(alpha - x)
+      gbasic  diagonal = -q^((s-r)k) (q^(k-N) - 1) prod(alpha Q - 1)
+              lowering = (Q - 1) prod(beta q^(k-1) - 1)
+
+    The same operator gives the closed-form spectrum, lambda_m = diagonal at
+    k = N - m, and the coefficient system (`dynamics.c_system`), whose
+    sub-diagonal and drive are lowering at k = N + 1 - m.  ghyp multiplies
+    on numpy arrays; gbasic on Python complex scalars, whose integer powers
+    of q are repeated products.
+    """
+    N = spec.N
+    if spec.family == Family.GHYP:
+        k = np.asarray(ks)
+        m = (N - k).astype(complex)
+        diagonal = m.copy()
+        for be in spec.betas:
+            diagonal *= be - 1.0 + m
+        lowering = k.astype(complex)
+        for al in spec.alphas:
+            lowering *= al - 1.0 + (N + 1 - k)
+        return diagonal, lowering
+    q = spec.q
+    r, s = len(spec.alphas), len(spec.betas)
+    diagonal, lowering = [], []
+    for k in ks:
+        rate = -(q ** float((s - r) * k)) * (q ** float(k - N) - 1.0)
+        for al in spec.alphas:
+            rate *= al * q**k - 1.0
+        low = q**k - 1.0
+        for be in spec.betas:
+            low *= be * q ** (k - 1) - 1.0
+        diagonal.append(rate)
+        lowering.append(low)
+    return np.array(diagonal, dtype=complex), np.array(lowering, dtype=complex)
+
+
 def closed_form_spectrum(spec: FamilySpec) -> np.ndarray:
     """The closed-form eigenvalues lambda_1..lambda_N of the family's isospectral matrix.
 
@@ -140,22 +187,10 @@ def closed_form_spectrum(spec: FamilySpec) -> np.ndarray:
     if spec.family == Family.JACOBI:
         return closed_form_spectrum(jacobi_to_ghyp(spec))
     N, fam = spec.N, spec.family
-    if fam == Family.GBASIC:
-        q = spec.q
-        r, s = len(spec.alphas), len(spec.betas)
-        lam = []
-        for m in range(1, N + 1):
-            rate = -(q ** float((s - r) * (N - m))) * (q ** float(-m) - 1.0)
-            for al in spec.alphas:
-                rate *= al * q ** (N - m) - 1.0
-            lam.append(rate)
-        return np.array(lam, dtype=complex)
+    if fam in (Family.GHYP, Family.GBASIC):
+        return operator_multipliers(spec, range(N - 1, -1, -1))[0]
     m = np.arange(1, N + 1, dtype=complex)
-    if fam == Family.GHYP:
-        lam = m.copy()
-        for be in spec.betas:
-            lam *= be - 1.0 + m
-    elif fam == Family.WILSON:
+    if fam == Family.WILSON:
         lam = m * (2 * N - m + sum(spec.alphas) - 1.0)
     elif fam == Family.RACAH:
         al, be = spec.alphas[0], spec.alphas[1]
@@ -666,38 +701,6 @@ def _normalized(terms) -> complex:
     return sum(terms) / max(scale, _TINY)
 
 
-def _ghyp_operator_halves(spec: FamilySpec, c: np.ndarray):
-    """The two halves of the hypergeometric ODE applied to coefficients `c`.
-
-    D_N acts diagonally on coefficients: z^m -> (m - N) z^m, so both operator
-    products reduce to per-coefficient multipliers followed by d/dz on the
-    second half.  Returns both halves as ascending coefficients.
-    """
-    N = spec.N
-    x = np.arange(len(c)) - N
-    mult1 = x.astype(complex)
-    for be in spec.betas:
-        mult1 *= be - 1.0 - x
-    mult2 = np.ones(len(c), dtype=complex)
-    for al in spec.alphas:
-        mult2 *= al - x
-    return c * mult1, npp.polyder(c * mult2)
-
-
-def _gbasic_operator_halves(spec: FamilySpec, c: np.ndarray):
-    N, q = spec.N, spec.q
-    r, s = len(spec.alphas), len(spec.betas)
-    qm = q ** np.arange(len(c), dtype=float)
-    mult1 = (qm - 1.0).astype(complex)
-    for be in spec.betas:
-        mult1 *= be / q * qm - 1.0
-    mult2 = (q ** (-float(N)) * qm - 1.0).astype(complex)
-    for al in spec.alphas:
-        mult2 *= al * qm - 1.0
-    mult2 *= qm ** (s - r)
-    return c * mult1, np.concatenate([[0.0], c * mult2])  # the overall factor z
-
-
 def _check_not_singular(dists, what):
     if min(dists) < SINGULAR_RADIUS:
         raise SingularSample(f"sample within {SINGULAR_RADIUS:g} of a {what} pole")
@@ -707,7 +710,8 @@ def _defining_terms(spec: FamilySpec, poly: Optional[np.ndarray] = None):
     """s -> the top-level additive terms of the defining equation at s, for `spec`.
 
     Everything that does not depend on the sample is set up here once: the
-    ghyp/gbasic operator halves, lambda_N, theta^2, the q-Racah constants.
+    ghyp/gbasic polynomial times its `operator_multipliers`, lambda_N,
+    theta^2, the q-Racah constants.
     Each returned call takes the solution's value at s itself once, so a
     three-term equation costs three structured evaluations.  `poly`, ascending
     coefficients (default: the built polynomial for ghyp/gbasic, the
@@ -717,10 +721,10 @@ def _defining_terms(spec: FamilySpec, poly: Optional[np.ndarray] = None):
     """
     fam = spec.family
     if fam in (Family.GHYP, Family.GBASIC):
-        halves = _ghyp_operator_halves if fam == Family.GHYP else _gbasic_operator_halves
         c = build_polynomial(spec) if poly is None else np.asarray(poly, dtype=complex)
-        first, second = halves(spec, c)
-        return lambda s: [complex(npp.polyval(s, first)), -complex(npp.polyval(s, second))]
+        diagonal, lowering = operator_multipliers(spec, range(len(c)))
+        kept, lowered = c * diagonal, (c * lowering)[1:]
+        return lambda s: [complex(npp.polyval(s, kept)), complex(npp.polyval(s, lowered))]
 
     # structured form by default: immune to the monomial expansion's cancellation
     if poly is None:
@@ -845,29 +849,3 @@ def max_defining_residual(spec: FamilySpec, count: int = 10, seed: int = 0) -> f
     # residual_samples has run _probe_singular on every sample
     return max(abs(_normalized(terms(s))) for s in samples.tolist())
 
-
-def q_to_one_limit_check(spec: FamilySpec, q_near_1: float) -> float:
-    """Coefficient deviation between the q-deformed and plain hypergeometric sums.
-
-    `spec` is a ghyp-style instance whose alphas/betas act as exponents: the
-    basic side uses parameters q^alpha_j, q^beta_k and argument scaled by
-    (q-1)^(s-r).  Both sides are the term-table weights of the ghyp and
-    gbasic sums, taken in the order of m (ghyp's weight of z^(N-m), gbasic's
-    of z^m).  Returns max_m |phi_m - F_m| / max(1, max|F_m|), which is
-    O(|q-1|).  N = 0 is allowed here (both sides are the constant 1).
-    """
-    if not (0.0 < abs(q_near_1 - 1.0) <= 0.01):
-        raise InvalidParameters("q must satisfy 0 < |q-1| <= 0.01")
-    N = spec.N
-    r, s = len(spec.alphas), len(spec.betas)
-    q = float(q_near_1)
-    basic_alphas = [q ** complex(a) for a in spec.alphas]
-    basic_betas = [q ** complex(b) for b in spec.betas]
-    plain, _ = _term_table(make_spec(Family.GHYP, N, spec.alphas, spec.betas))
-    basic, _ = _term_table(make_spec(Family.GBASIC, N, basic_alphas, basic_betas, q))
-    f_side = np.array([ddc_to_complex(w) for w in plain[::-1]])  # ghyp weights run from z^0
-    phi_side = np.array(
-        [ddc_to_complex(w) * (q - 1.0) ** ((s - r) * m) for m, w in enumerate(basic)]
-    )
-    dev = np.max(np.abs(phi_side - f_side))
-    return float(dev / max(1.0, float(np.max(np.abs(f_side)))))

@@ -2,9 +2,10 @@
 
 Polynomials are numpy arrays of ascending coefficients and spectra arrays
 of eigenvalues.  Here: the degree rule, Pochhammer-family symbols,
-polynomial roots, dense eigenvalues, multiset matching, forward-mode dual
-numbers (a value plus a list of partials, or one partial while a dual
-depends on one variable) and compensated (double-double) complex helpers.
+polynomial roots, dense eigenvalues, greedy nearest-neighbour pairing and
+multiset matching, forward-mode dual numbers (a value plus a list of
+partials, or one partial while a dual depends on one variable) and
+compensated (double-double) complex helpers.
 
 All arithmetic is double-precision complex.  Both eigenvalue routines use
 LAPACK's QR algorithm through `numpy.linalg.eigvals`, with no dimension cap:
@@ -230,15 +231,30 @@ def matrix_eigenvalues(m) -> np.ndarray:
     return np.where(keep, values - step, values)
 
 
+def nearest_pairing(candidates: list, targets: list):
+    """Greedy nearest-neighbour pairing of two lists of Python complex scalars.
+
+    Each target in turn takes its nearest unused candidate, the first in
+    `candidates` order on a tie; `candidates` is used up.  Returns the chosen
+    candidates in target order and their distances.  Python scalars, since
+    at the sizes used here (N <= 12) numpy's cost per call exceeds the
+    arithmetic.
+    """
+    chosen, dists = [], []
+    for p in targets:
+        d = [abs(v - p) for v in candidates]
+        nearest = min(d)
+        chosen.append(candidates.pop(d.index(nearest)))
+        dists.append(nearest)
+    return chosen, dists
+
+
 def multiset_match(a, b) -> float:
     """Greedy matched distance between two equal-size multisets.
 
-    Both sides are sorted by (re, im); each element of the first is paired
-    with its nearest unused partner in the second, the first such partner
-    in sorted order on a tie.  The max pairwise distance is returned,
-    normalized by max(1, max |b|).  The pairing runs on Python complex
-    scalars: at the sizes used here (N <= 12) numpy's cost per call exceeds
-    the arithmetic.
+    Both sides are sorted by (re, im) and each element of the first is
+    paired with its nearest unused partner in the second (`nearest_pairing`).
+    The max pairwise distance is returned, normalized by max(1, max |b|).
     """
     va = np.asarray(a, dtype=complex).ravel().tolist()
     vb = np.asarray(b, dtype=complex).ravel().tolist()
@@ -249,13 +265,7 @@ def multiset_match(a, b) -> float:
     scale = max(1.0, max(map(abs, vb)))
     va.sort(key=re_im_key)
     vb.sort(key=re_im_key)
-    worst = 0.0
-    for x in va:
-        d = [abs(v - x) for v in vb]
-        nearest = min(d)
-        worst = max(worst, nearest)
-        del vb[d.index(nearest)]
-    return worst / scale
+    return max([0.0] + nearest_pairing(vb, va)[1]) / scale
 
 
 def pairwise_close(values: list, rel: float) -> bool:

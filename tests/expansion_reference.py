@@ -11,13 +11,16 @@ Horner loop as composed calls, before `isospectra.numeric.ddc_horner`
 wrote it out inline.  `ddc_mul_general`, `ddc_add_general` and
 `ddc_div_general` are the complex double-double product, sum and quotient as
 they were before `isospectra.numeric` gave them a real case: every operand,
-real or not, takes the complex path.
+real or not, takes the complex path.  `q_to_one_limit_check` compares the
+library's ghyp and gbasic term tables in the limit q -> 1.
 """
 
 import math
 
+import numpy as np
+
 from isospectra.errors import InvalidParameters
-from isospectra.families import Family, FamilySpec
+from isospectra.families import Family, FamilySpec, _term_table, make_spec
 from isospectra.numeric import (
     _SPLITTER,
     _dd_add,
@@ -271,3 +274,31 @@ def ddc_expand(terms, degree: int):
             acc[i] = ddc_add(acc[i], ci)
             mags[i] += m[i]
     return acc, mags
+
+
+def q_to_one_limit_check(spec: FamilySpec, q_near_1: float) -> float:
+    """Coefficient deviation between the q-deformed and plain hypergeometric sums.
+
+    `spec` is a ghyp-style instance whose alphas/betas act as exponents: the
+    basic side uses parameters q^alpha_j, q^beta_k and argument scaled by
+    (q-1)^(s-r).  Both sides are the term-table weights of the ghyp and
+    gbasic sums (`families._term_table`), taken in the order of m (ghyp's
+    weight of z^(N-m), gbasic's of z^m).  Returns
+    max_m |phi_m - F_m| / max(1, max|F_m|), which is O(|q-1|).  N = 0 is
+    allowed here (both sides are the constant 1).
+    """
+    if not (0.0 < abs(q_near_1 - 1.0) <= 0.01):
+        raise InvalidParameters("q must satisfy 0 < |q-1| <= 0.01")
+    N = spec.N
+    r, s = len(spec.alphas), len(spec.betas)
+    q = float(q_near_1)
+    basic_alphas = [q ** complex(a) for a in spec.alphas]
+    basic_betas = [q ** complex(b) for b in spec.betas]
+    plain, _ = _term_table(make_spec(Family.GHYP, N, spec.alphas, spec.betas))
+    basic, _ = _term_table(make_spec(Family.GBASIC, N, basic_alphas, basic_betas, q))
+    f_side = np.array([ddc_to_complex(w) for w in plain[::-1]])  # ghyp weights run from z^0
+    phi_side = np.array(
+        [ddc_to_complex(w) * (q - 1.0) ** ((s - r) * m) for m, w in enumerate(basic)]
+    )
+    dev = np.max(np.abs(phi_side - f_side))
+    return float(dev / max(1.0, float(np.max(np.abs(f_side)))))

@@ -10,14 +10,81 @@ expression with mapped arguments, added to the first.  The explicit gbasic
 product identity, kept the same way, checks `identity_residual`.  The f/g
 recursion and the exclusion product are the division-per-pair copies in
 `rhs_reference`, so no reference matrix goes through the kernels' pair tables.
+A padded ghyp matrix appends the pairs alpha = beta = PAD_VALUES[:pad_count]
+(`padded`).
+
+`sigma`, `fg_tables` and `fg_jacobians` read the kernels' own f/g recursion
+(`dynamics.fg_recursion`) and its derivative rule (`dynamics.fg_tangents`)
+as the paper's tables, so the tests can hold them against its sigma-sum
+displays.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
-from isospectra import families as fam
-from isospectra.matrices import DEFAULT_PAD_VALUES
+from isospectra import dynamics, families as fam
+from isospectra.matrices import _zeros_array
 from isospectra.numeric import Dual, ZeroSet, dsqrt, elementary_coeffs_basic, elementary_coeffs_hyp
 from rhs_reference import aw_G, aw_K, basic_f, fg_recursion, qracah_B, qracah_D, qracah_shift
+
+PAD_VALUES = (1.75, 2.25, 2.75, 3.25)   # padded alpha = beta parameters
+
+
+def padded(spec, pad_count: int):
+    """The ghyp spec with the first `pad_count` PAD_VALUES appended as alpha = beta pairs."""
+    pad = PAD_VALUES[:pad_count]
+    return fam.make_spec(spec.family, spec.N, spec.alphas + pad, spec.betas + pad, spec.q)
+
+
+@dataclass
+class FGTable:
+    """f[j][n] for j = 1..J and g[j][n] for j = 0..J (row 0 of f is unused)."""
+
+    f: np.ndarray
+    g: np.ndarray
+
+
+@dataclass
+class FGJacobian:
+    """df[j][n][m] = d f_n^(j) / d zeta_m, same layout as FGTable."""
+
+    df: np.ndarray
+    dg: np.ndarray
+
+
+def sigma(zs, n: int, r: int, rho: int):
+    """sigma_n^(r,rho) = sum_{l != n} zeta_l^r / (zeta_n - zeta_l)^rho; n is 1-based."""
+    z = _zeros_array(zs)
+    if not 1 <= n <= len(z):
+        raise IndexError(f"n = {n} outside 1..{len(z)}")
+    zn = z[n - 1]
+    out = 0.0 + 0.0j
+    for ell, zl in enumerate(z):
+        if ell == n - 1:
+            continue
+        out += zl**r / (zn - zl) ** rho
+    return out
+
+
+def fg_tables(zs, J: int) -> FGTable:
+    """Fill the f/g recursion tables up to order J (J >= 1)."""
+    if J < 1:
+        raise ValueError("J must be >= 1")
+    z = _zeros_array(zs)
+    f_list, g_list = dynamics.fg_recursion(z.tolist(), J)
+    f = np.zeros((J + 1, len(z)), dtype=complex)
+    f[1:] = f_list[1:]
+    return FGTable(f=f, g=np.array(g_list, dtype=complex))
+
+
+def fg_jacobians(zs, J: int) -> FGJacobian:
+    """Exact partials of the f/g tables, by the recursion's own derivative rule."""
+    if J < 1:
+        raise ValueError("J must be >= 1")
+    z = _zeros_array(zs)
+    _, _, df, dg = dynamics.fg_tangents(z.tolist(), np.eye(len(z), dtype=complex), J)
+    return FGJacobian(df=df, dg=dg)
 
 
 def basic_f_exc(s, z, n: int, m: int):
@@ -367,7 +434,7 @@ def reference_matrix(spec, zs, pad_count=0):
     zeta = np.asarray(zs.zeros if isinstance(zs, ZeroSet) else zs, dtype=complex).ravel()
     f = spec.family
     if f == fam.Family.GHYP:
-        return L_ghyp(spec, zeta, pad_values=DEFAULT_PAD_VALUES[:pad_count])
+        return L_ghyp(spec, zeta, pad_values=PAD_VALUES[:pad_count])
     if f in (fam.Family.WILSON, fam.Family.RACAH):
         lifted = fam.lift_zero_variables(spec, zeta)
         return (L_wilson if f == fam.Family.WILSON else L_racah)(spec, lifted)
@@ -381,7 +448,7 @@ def dense_dual_matrix(spec, zs, pad_count=0):
     zeta = np.asarray(zs.zeros if isinstance(zs, ZeroSet) else zs, dtype=complex).ravel()
     if spec.family == fam.Family.JACOBI:
         return L_jacobi_dual(spec, zeta)
-    return L_ghyp(spec, zeta, pad_values=DEFAULT_PAD_VALUES[:pad_count])
+    return L_ghyp(spec, zeta, pad_values=PAD_VALUES[:pad_count])
 
 
 def gbasic_product_identity(spec, zeta: np.ndarray) -> np.ndarray:

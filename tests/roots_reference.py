@@ -4,9 +4,9 @@
 steps over the library's own scalar evaluation (`numeric._newton_point`),
 with no early stop, so a test can show that stopping a root at its first
 rejected step changes nothing.  `multiset_match_numpy` and
-`match_order_numpy` are the numpy forms of `numeric.multiset_match` and
-`dynamics._match_order` as they were before the pairing moved to Python
-scalars; `shuffled_neighbors` draws the multisets they are compared on.
+`match_order_numpy` are the numpy forms of `numeric.multiset_match` and of
+the oracle's continuity order (`numeric.nearest_pairing`) as they were
+before the pairing moved to Python scalars; `shuffled_neighbors` draws the multisets they are compared on.
 `refine_zeros_numpy` is `families.refine_zeros` as it was before its
 iteration moved from numpy scalars to Python complex.
 """

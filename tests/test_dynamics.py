@@ -10,9 +10,9 @@ from hypothesis import assume, given, settings, strategies as st
 import isospectra as iso
 import rhs_reference
 import roots_reference
-from isospectra import dynamics, families
+from isospectra import cli, dynamics, families
 from isospectra.errors import Collision, DivideByZeroVariable, RepeatedZeros, SingularA, SingularDenominator
-from isospectra.numeric import Dual, OneHot, multiset_match
+from isospectra.numeric import Dual, OneHot, multiset_match, nearest_pairing
 
 DYNAMICS_SPECS = [
     iso.make_spec("ghyp", 4, [1.7], [2.3]),
@@ -80,6 +80,27 @@ class TestCSystem:
             want = -(q ** (0 * (n - m))) * (q ** (-m) - 1) * (1.7 * q ** (n - m) - 1)
             assert abs(cs.A[m - 1, m - 1] - want) < 1e-14
 
+    @pytest.mark.parametrize(
+        "construction",
+        [
+            c for c, (f, _, _) in cli.CONSTRUCTIONS.items()
+            if f in (families.Family.GHYP, families.Family.GBASIC, families.Family.JACOBI)
+        ],
+    )
+    def test_polynomial_is_the_fixed_point(self, construction):
+        # the built polynomial solves the defining equation, so its
+        # coefficients, descending and scaled to c_0 = 1, are the fixed point
+        # of the coefficient system: each row of A c + h cancels to rounding
+        rng = np.random.default_rng([17, list(cli.CONSTRUCTIONS).index(construction)])
+        for n in range(1, 9):
+            spec, _ = cli.draw_spec(construction, n, rng, nmin=n)
+            base = iso.jacobi_to_ghyp(spec) if spec.family == families.Family.JACOBI else spec
+            p = iso.build_polynomial(base)[::-1]
+            c = p[1:] / p[0]
+            cs = dynamics.c_system(spec)
+            resid = np.abs(cs.A @ c + cs.h)
+            assert np.all(resid <= 1e-14 * (np.abs(cs.A) @ np.abs(c) + np.abs(cs.h))), spec
+
     def test_jacobi_maps_to_ghyp(self):
         spec = iso.make_spec("jacobi", 3, [0.5, 1.0])
         cs = dynamics.c_system(spec)
@@ -91,12 +112,12 @@ class TestSolveC:
     def test_time_zero(self):
         cs = dynamics.c_system(iso.make_spec("ghyp", 3, [1.7], [2.3]))
         c0 = np.array([0.3, -0.2, 0.1], dtype=complex)
-        np.testing.assert_allclose(dynamics.solve_c(cs, c0, 0.0), c0, atol=1e-14)
+        np.testing.assert_allclose(dynamics.c_flow(cs, c0)(0.0), c0, atol=1e-14)
 
     def test_fixed_point(self):
         cs = dynamics.c_system(iso.make_spec("ghyp", 3, [1.7], [2.3]))
         cp = np.linalg.solve(cs.A, -cs.h)
-        np.testing.assert_allclose(dynamics.solve_c(cs, cp, 0.7), cp, rtol=1e-10)
+        np.testing.assert_allclose(dynamics.c_flow(cs, cp)(0.7), cp, rtol=1e-10)
 
     def test_scalar_closed_form(self):
         # c1(t) = (c1(0) + alpha/beta) e^(beta t) - alpha/beta
@@ -105,7 +126,7 @@ class TestSolveC:
         c0 = np.array([0.4 + 0.1j])
         t = 0.37
         want = (c0[0] + al / be) * np.exp(be * t) - al / be
-        got = dynamics.solve_c(cs, c0, t)[0]
+        got = dynamics.c_flow(cs, c0)(t)[0]
         assert abs(got - want) < 1e-12 * abs(want)
 
     def test_modal_matches_rk4_fallback(self):
@@ -113,13 +134,13 @@ class TestSolveC:
         cs = dynamics.c_system(spec)
         rng = np.random.default_rng(0)
         c0 = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        exact = dynamics.solve_c(cs, c0, 0.3)
+        exact = dynamics.c_flow(cs, c0)(0.3)
         # force the RK4 path through a confluent copy
         squeezed = dynamics.CSystem(
             A=cs.A.copy(), h=cs.h.copy(), time_factor=cs.time_factor, diagonal=False
         )
         squeezed.A[1, 1] = squeezed.A[0, 0]  # duplicate eigenvalue
-        rk = dynamics.solve_c(squeezed, c0, 0.3)
+        rk = dynamics.c_flow(squeezed, c0)(0.3)
         assert np.all(np.isfinite(rk))
         # and the modal path must agree with tiny-step RK4 on the original
         steps = 3000
@@ -133,6 +154,29 @@ class TestSolveC:
             c = c + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
         assert np.max(np.abs(c - exact)) <= 1e-8 * max(1.0, np.max(np.abs(exact)))
 
+    def test_rk4_fallback_matches_expm(self):
+        # a confluent diagonal takes the RK4 fallback; the exact flow is the
+        # exponential of the augmented system d/dt (c, 1) = tau [[A, h], [0, 0]] (c, 1)
+        mp = pytest.importorskip("mpmath")
+        cs = dynamics.c_system(iso.make_spec("ghyp", 4, [1.7], [2.3]))
+        A = cs.A.copy()
+        A[1, 1] = A[0, 0]  # duplicate eigenvalue
+        squeezed = dynamics.CSystem(A=A, h=cs.h, time_factor=cs.time_factor, diagonal=False)
+        rng = np.random.default_rng(0)
+        c0 = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        t = 0.3
+        got = dynamics.c_flow(squeezed, c0)(t)
+        with mp.workdps(40):
+            M = mp.zeros(5, 5)
+            for i in range(4):
+                for j in range(4):
+                    M[i, j] = mp.mpc(A[i, j])
+                M[i, 4] = mp.mpc(cs.h[i])
+            E = mp.expm(M * mp.mpc(cs.time_factor * t))
+            start = mp.matrix([mp.mpc(v) for v in c0] + [1])
+            want = np.array([complex(v) for v in (E * start)[:4]])
+        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
     def test_singular_A_with_drive(self):
         cs = dynamics.CSystem(
             A=np.zeros((2, 2), dtype=complex),
@@ -141,7 +185,7 @@ class TestSolveC:
             diagonal=False,
         )
         with pytest.raises(SingularA):
-            dynamics.solve_c(cs, np.zeros(2, dtype=complex), 1.0)
+            dynamics.c_flow(cs, np.zeros(2, dtype=complex))
 
 
 class TestNonlinearRHS:
@@ -286,7 +330,7 @@ class TestAlgebraicSolution:
     @pytest.mark.parametrize("spec", DYNAMICS_SPECS, ids=lambda s: s.family.value)
     def test_time_zero_roundtrip(self, spec):
         z0 = perturbed_start(spec)
-        back = dynamics.algebraic_solution(spec, z0, 0.0)
+        back = dynamics.algebraic_trajectory(spec, z0, [0.0])[0]
         assert np.max(np.abs(back - z0)) <= 1e-9
 
     @pytest.mark.parametrize("spec", DYNAMICS_SPECS, ids=lambda s: s.family.value)
@@ -314,8 +358,8 @@ class TestAlgebraicSolution:
         cs = dynamics.c_system(spec)
         z0 = np.array([0.5 + 0.2j])
         for t in (0.1, 0.45):
-            c1 = dynamics.solve_c(cs, -z0, t)  # c1(0) = -z1(0)
-            got = dynamics.algebraic_solution(spec, z0, t)
+            c1 = dynamics.c_flow(cs, -z0)(t)  # c1(0) = -z1(0)
+            got = dynamics.algebraic_trajectory(spec, z0, [t])[0]
             assert abs(got[0] + c1[0]) < 1e-10
 
     @pytest.mark.parametrize("spec", DYNAMICS_SPECS, ids=lambda s: s.family.value)
@@ -346,8 +390,8 @@ class TestAlgebraicSolution:
     def test_match_order_tie_takes_first_candidate(self):
         # 0 is as near to 1 as to -1 and takes the first candidate
         for cand in ([1.0, -1.0], [-1.0, 1.0]):
-            got = dynamics._match_order(np.array(cand, dtype=complex), np.array([0.0, 0.5]))
-            assert got.tolist() == cand
+            got, _ = nearest_pairing(list(cand), [0.0, 0.5])
+            assert got == cand
 
     @given(
         n=st.integers(1, 12),
@@ -357,7 +401,7 @@ class TestAlgebraicSolution:
     @settings(deadline=None)
     def test_match_order_matches_numpy_form(self, n, seed, spread):
         previous, candidates = roots_reference.shuffled_neighbors(n, seed, spread)
-        got = dynamics._match_order(candidates, previous)
+        got, _ = nearest_pairing(candidates.tolist(), previous.tolist())
         assert np.array_equal(got, roots_reference.match_order_numpy(candidates, previous))
 
 

@@ -469,10 +469,11 @@ class TestDefiningEquation:
         ids=lambda s: s.family.value,
     )
     def test_operator_halves_built_once_per_call(self, spec, monkeypatch):
-        name = "_gbasic_operator_halves" if spec.family == Family.GBASIC else "_ghyp_operator_halves"
         builds = []
-        halves = getattr(families, name)
-        monkeypatch.setattr(families, name, lambda *a: builds.append(1) or halves(*a))
+        multipliers = families.operator_multipliers
+        monkeypatch.setattr(
+            families, "operator_multipliers", lambda *a: builds.append(1) or multipliers(*a)
+        )
         families.max_defining_residual(spec, count=10, seed=7)
         assert len(builds) == 1
 
@@ -500,22 +501,22 @@ class TestDefiningEquation:
 class TestQToOneLimit:
     def test_small_deviation(self):
         spec = spec_of("ghyp", 3, [1.2], [1.8])
-        assert iso.q_to_one_limit_check(spec, 1.001) <= 0.01
+        assert expansion_reference.q_to_one_limit_check(spec, 1.001) <= 0.01
 
     def test_linear_rate(self):
         spec = spec_of("ghyp", 3, [1.2], [1.8])
-        d1 = iso.q_to_one_limit_check(spec, 1.001)
-        d2 = iso.q_to_one_limit_check(spec, 1.0001)
+        d1 = expansion_reference.q_to_one_limit_check(spec, 1.001)
+        d2 = expansion_reference.q_to_one_limit_check(spec, 1.0001)
         assert 5.0 <= d1 / d2 <= 20.0
 
     def test_degree_zero_edge(self):
         spec = FamilySpec(Family.GHYP, 0, ((1.2 + 0j),), ((1.8 + 0j),), None)
-        assert iso.q_to_one_limit_check(spec, 1.001) == 0.0
+        assert expansion_reference.q_to_one_limit_check(spec, 1.001) == 0.0
 
     def test_rejects_far_q(self):
         spec = spec_of("ghyp", 2, [1.2], [1.8])
         with pytest.raises(InvalidParameters):
-            iso.q_to_one_limit_check(spec, 1.5)
+            expansion_reference.q_to_one_limit_check(spec, 1.5)
 
 
 class TestEvenness:

@@ -8,7 +8,7 @@ import pytest
 
 import isospectra as iso
 import matrix_reference
-from isospectra import cli, dynamics, families, matrices
+from isospectra import cli, dynamics, families
 from isospectra.errors import Collision, InvalidParameters, RepeatedZeros, SingularDenominator
 from isospectra.numeric import Dual, matrix_eigenvalues, multiset_match
 
@@ -39,40 +39,40 @@ def reference_draws(case):
 
 class TestSigma:
     def test_single_zero_empty_sum(self):
-        assert matrices.sigma(np.array([2.0 + 0j]), 1, 3, 2) == 0.0
+        assert matrix_reference.sigma(np.array([2.0 + 0j]), 1, 3, 2) == 0.0
 
     def test_two_zeros_11(self):
-        assert matrices.sigma(np.array([2.0, 1.0], dtype=complex), 1, 1, 1) == 1.0
+        assert matrix_reference.sigma(np.array([2.0, 1.0], dtype=complex), 1, 1, 1) == 1.0
 
     def test_two_zeros_22(self):
-        assert matrices.sigma(np.array([2.0, 1.0], dtype=complex), 1, 2, 2) == 1.0
+        assert matrix_reference.sigma(np.array([2.0, 1.0], dtype=complex), 1, 2, 2) == 1.0
 
     def test_repeated_zeros_rejected(self):
         with pytest.raises(RepeatedZeros):
-            matrices.sigma(np.array([1.0, 1.0], dtype=complex), 1, 1, 1)
+            matrix_reference.sigma(np.array([1.0, 1.0], dtype=complex), 1, 1, 1)
 
 
 class TestFGTables:
     def test_first_row_is_zeros(self):
         z = np.array([2.0, -1.0, 0.5j])
-        tab = matrices.fg_tables(z, 3)
+        tab = matrix_reference.fg_tables(z, 3)
         np.testing.assert_allclose(tab.f[1], z)
         np.testing.assert_allclose(tab.g[0], np.ones(3))
 
     def test_hand_recursion(self):
         # zeta = (2, 1): f2_1 = -2 + (2*1 + 1*2)/(2-1) = 2
-        tab = matrices.fg_tables(np.array([2.0, 1.0], dtype=complex), 2)
+        tab = matrix_reference.fg_tables(np.array([2.0, 1.0], dtype=complex), 2)
         assert abs(tab.f[2, 0] - 2.0) < 1e-14
         # cross-oracle: explicit formula zeta_n(-1 + 2 sigma11)
-        s11 = matrices.sigma(np.array([2.0, 1.0], dtype=complex), 1, 1, 1)
+        s11 = matrix_reference.sigma(np.array([2.0, 1.0], dtype=complex), 1, 1, 1)
         assert abs(tab.f[2, 0] - 2.0 * (-1 + 2 * s11)) < 1e-14
 
     def test_g1_display(self):
         rng = np.random.default_rng(8)
         z = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        tab = matrices.fg_tables(z, 1)
+        tab = matrix_reference.fg_tables(z, 1)
         for n in range(4):
-            s11 = matrices.sigma(z, n + 1, 1, 1)
+            s11 = matrix_reference.sigma(z, n + 1, 1, 1)
             assert abs(tab.g[1, n] - (3 + 2 * s11)) < 1e-12
 
     @pytest.mark.parametrize("n_zeros", [3, 4, 5])
@@ -84,11 +84,11 @@ class TestFGTables:
         rng = np.random.default_rng(100 + n_zeros)
         for _ in range(10):
             z = rng.standard_normal(n_zeros) + 1j * rng.standard_normal(n_zeros)
-            tab = matrices.fg_tables(z, 4)
+            tab = matrix_reference.fg_tables(z, 4)
             for n in range(n_zeros):
-                s11 = matrices.sigma(z, n + 1, 1, 1)
-                s22 = matrices.sigma(z, n + 1, 2, 2)
-                s33 = matrices.sigma(z, n + 1, 3, 3)
+                s11 = matrix_reference.sigma(z, n + 1, 1, 1)
+                s22 = matrix_reference.sigma(z, n + 1, 2, 2)
+                s33 = matrix_reference.sigma(z, n + 1, 3, 3)
                 zn = z[n]
                 N = n_zeros
                 expected = {
@@ -126,21 +126,21 @@ class TestFGTables:
 class TestFGJacobians:
     def test_df1_identity(self):
         z = np.array([2.0, -1.0, 0.5], dtype=complex)
-        jac = matrices.fg_jacobians(z, 2)
+        jac = matrix_reference.fg_jacobians(z, 2)
         np.testing.assert_allclose(jac.df[1], np.eye(3))
         np.testing.assert_allclose(jac.dg[0], np.zeros((3, 3)))
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(5)
         z = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        jac = matrices.fg_jacobians(z, 3)
+        jac = matrix_reference.fg_jacobians(z, 3)
         h = 1e-6
         for j in range(1, 4):
             for m in range(3):
                 e = np.zeros(3, dtype=complex)
                 e[m] = h
-                fp = matrices.fg_tables(z + e, 3)
-                fm = matrices.fg_tables(z - e, 3)
+                fp = matrix_reference.fg_tables(z + e, 3)
+                fm = matrix_reference.fg_tables(z - e, 3)
                 fd_f = (fp.f[j] - fm.f[j]) / (2 * h)
                 fd_g = (fp.g[j] - fm.g[j]) / (2 * h)
                 scale = max(1.0, np.max(np.abs(fd_f)))
@@ -200,7 +200,7 @@ class TestBuildMatrix:
         # paper's componentwise formulas must give the same matrix entrywise
         for spec, zs in reference_draws(case):
             for pad in (0, 1, 2) if spec.family == iso.Family.GHYP else (0,):
-                got = iso.build_matrix(spec, zs, pad_count=pad).L
+                got = iso.build_matrix(matrix_reference.padded(spec, pad), zs).L
                 want = matrix_reference.reference_matrix(spec, zs, pad)
                 assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), (spec, pad)
 
@@ -210,7 +210,7 @@ class TestBuildMatrix:
         # through the division-per-pair recursion, one draw per N = 1..12
         for spec, zs in reference_draws(construction):
             for pad in (0, 1, 2) if spec.family == iso.Family.GHYP else (0,):
-                got = iso.build_matrix(spec, zs, pad_count=pad).L
+                got = iso.build_matrix(matrix_reference.padded(spec, pad), zs).L
                 want = matrix_reference.dense_dual_matrix(spec, zs, pad)
                 assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want)), (spec, pad)
 
@@ -269,18 +269,22 @@ class TestBuildMatrix:
                 iso.build_matrix(spec, zs)
 
     def test_padding_extends_spectrum(self):
+        # the padded spec keeps the polynomial and zeros of the unpadded one
         spec = iso.make_spec("ghyp", 3, [1.7], [2.3])
+        pad = matrix_reference.padded(spec, 1)
         zs = iso.compute_zeros(spec)
-        rep = iso.build_matrix(spec, zs, pad_count=1)
+        np.testing.assert_allclose(iso.compute_zeros(pad).zeros, zs.zeros, rtol=1e-12)
+        rep = iso.build_matrix(pad, zs)
         ev = matrix_eigenvalues(rep.L)
         assert multiset_match(ev, rep.reference_spectrum) <= 1e-8
         plain = iso.build_matrix(spec, zs)
         assert np.max(np.abs(rep.L - plain.L)) > 1e-3
 
     def test_padding_only_for_ghyp(self):
+        # a four-parameter family takes no alpha = beta pair
         spec = iso.make_spec("wilson", 2, [0.7, 1.1, 1.6, 2.2])
         with pytest.raises(InvalidParameters):
-            iso.build_matrix(spec, iso.compute_zeros(spec), pad_count=1)
+            iso.build_matrix(matrix_reference.padded(spec, 1), iso.compute_zeros(spec))
 
     @pytest.mark.parametrize("spec", SAMPLE_SPECS[1:3], ids=lambda s: s.family.value)
     def test_close_distinct_zeros_still_build(self, spec):
