@@ -19,16 +19,8 @@ import zlib
 
 import numpy as np
 
-from . import dynamics, families, matrices
-from .errors import (
-    BranchPoint,
-    Collision,
-    DegenerateInput,
-    InvalidParameters,
-    IsospectraError,
-    NonConvergence,
-    RepeatedZeros,
-)
+from . import dynamics, errors, families, matrices
+from .errors import InvalidParameters, NonConvergence, RepeatedZeros
 from .families import Family, FamilySpec, make_spec
 from .numeric import ZeroSet
 
@@ -39,6 +31,22 @@ EXIT_FAIL = 1
 EXIT_INVALID = 2
 EXIT_DEGENERATE = 3
 EXIT_NONCONVERGENCE = 4
+
+#: the exit code of each error class; `main` prints the error and returns it
+EXIT_CODES = {
+    errors.InvalidParameters: EXIT_INVALID,
+    errors.SingularA: EXIT_INVALID,
+    errors.SingularSample: EXIT_INVALID,
+    errors.CardinalityMismatch: EXIT_INVALID,
+    errors.RepeatedZeros: EXIT_DEGENERATE,
+    errors.Collision: EXIT_DEGENERATE,
+    errors.BranchPoint: EXIT_DEGENERATE,
+    errors.DegenerateInput: EXIT_DEGENERATE,
+    errors.SingularDenominator: EXIT_DEGENERATE,
+    errors.DivideByZeroVariable: EXIT_DEGENERATE,
+    errors.NonConvergence: EXIT_NONCONVERGENCE,
+    errors.BasisIllConditioned: EXIT_NONCONVERGENCE,
+}
 
 FAMILY_ALIASES = {
     "ghyp": Family.GHYP,
@@ -73,6 +81,9 @@ BETA_BOX = (1.5, 4.0)
 Q_BOX = (1.3, 2.5)
 DRAW_MARGIN = 1e-2   # quality margin on q-Pochhammer denominators when drawing
 
+#: the residuals every matrix report carries, each read from `<key>_residual`
+MATRIX_RESIDUALS = ("spectral", "trace", "det")
+
 
 def _c2pair(z) -> list:
     z = complex(z)
@@ -81,10 +92,6 @@ def _c2pair(z) -> list:
 
 def _carray(values) -> list:
     return [_c2pair(v) for v in np.asarray(values).ravel()]
-
-
-def _cmatrix(m) -> list:
-    return [_carray(row) for row in np.asarray(m)]
 
 
 def _parse_complex_list(text):
@@ -184,17 +191,20 @@ def cmd_zeros(args) -> int:
     return EXIT_PASS
 
 
+def _residuals(report: matrices.IsospectralMatrix) -> dict:
+    return {key: getattr(report, f"{key}_residual") for key in MATRIX_RESIDUALS}
+
+
 def _matrix_payload(spec: FamilySpec, zs: ZeroSet, tol_spectral: float) -> tuple[dict, bool]:
+    """The report fields of `matrix` and `verify`, and whether the matrix check passed."""
     report = matrices.verify_matrix(spec, tol_spectral=tol_spectral, zeros=zs)
     payload = {
-        "matrix": _cmatrix(report.L),
+        "spec": _spec_echo(spec),
+        "zeros": _carray(zs.zeros),
+        "matrix": [_carray(row) for row in report.L],
         "computed_spectrum": _carray(report.computed_spectrum),
         "reference_spectrum": _carray(report.reference_spectrum),
-        "residuals": {
-            "spectral": report.spectral_residual,
-            "trace": report.trace_residual,
-            "det": report.det_residual,
-        },
+        "residuals": _residuals(report),
     }
     return payload, bool(report.passed)
 
@@ -203,9 +213,7 @@ def cmd_matrix(args) -> int:
     spec = _spec_from_args(args)
     zs = families.compute_zeros(spec)
     payload, ok = _matrix_payload(spec, zs, args.tol_spectral)
-    out = {"spec": _spec_echo(spec), "zeros": _carray(zs.zeros), "pass": ok}
-    out.update(payload)
-    _emit(out)
+    _emit({**payload, "pass": ok})
     return EXIT_PASS if ok else EXIT_FAIL
 
 
@@ -215,14 +223,10 @@ def cmd_verify(args) -> int:
     payload, mat_ok = _matrix_payload(spec, zs, args.tol_spectral)
     # the zeros' identities are their equilibrium conditions: one residual, both keys
     identity = float(np.max(np.abs(matrices.identity_residual(spec, zs))))
-    defining = families.max_defining_residual(spec, count=10, seed=args.seed)
-    residuals = dict(payload["residuals"])
-    residuals.update({"identity": identity, "equilibrium": identity, "defining_eq": defining})
+    defining = families.max_defining_residual(spec, seed=args.seed)
+    payload["residuals"] |= {"identity": identity, "equilibrium": identity, "defining_eq": defining}
     ok = bool(mat_ok and identity <= args.tol_identity and defining <= args.tol_identity)
-    out = {"spec": _spec_echo(spec), "zeros": _carray(zs.zeros), "pass": ok}
-    out.update(payload)
-    out["residuals"] = residuals
-    _emit(out)
+    _emit({**payload, "pass": ok})
     return EXIT_PASS if ok else EXIT_FAIL
 
 
@@ -292,41 +296,30 @@ def _near_q_pole(spec: FamilySpec) -> bool:
 
 def cmd_sweep(args) -> int:
     names = list(CONSTRUCTIONS) if args.family in (None, "all") else [args.family]
-    for name in names:
-        if name not in CONSTRUCTIONS:
-            raise InvalidParameters(f"unknown construction {name!r}")
+    if not set(names) <= CONSTRUCTIONS.keys():
+        raise InvalidParameters(f"unknown construction {args.family!r}")
     if args.draws < 0:
         raise InvalidParameters("--draws must be >= 0")
     if args.nmax < 2:
         raise InvalidParameters("--nmax must be >= 2")
     results = []
-    worst = {"spectral": 0.0, "trace": 0.0, "det": 0.0}
-    n_pass = 0
-    total = 0
     for name in names:
         for k in range(args.draws):
             rng = np.random.default_rng([args.seed, zlib.crc32(name.encode()), k])
             spec, zs = draw_spec(name, args.nmax, rng)
             report = matrices.verify_matrix(spec, tol_spectral=args.tol_spectral, zeros=zs)
-            total += 1
-            n_pass += bool(report.passed)
-            worst["spectral"] = max(worst["spectral"], report.spectral_residual)
-            worst["trace"] = max(worst["trace"], report.trace_residual)
-            worst["det"] = max(worst["det"], report.det_residual)
             results.append(
                 {
                     "construction": name,
                     "draw": k,
                     "spec": _spec_echo(spec),
-                    "residuals": {
-                        "spectral": report.spectral_residual,
-                        "trace": report.trace_residual,
-                        "det": report.det_residual,
-                    },
+                    "residuals": _residuals(report),
                     "pass": bool(report.passed),
                 }
             )
-    ok = n_pass == total
+    worst = {key: max([0.0] + [r["residuals"][key] for r in results]) for key in MATRIX_RESIDUALS}
+    n_pass = sum(row["pass"] for row in results)
+    ok = n_pass == len(results)
     _emit(
         {
             "constructions": names,
@@ -335,7 +328,7 @@ def cmd_sweep(args) -> int:
             "nmax": args.nmax,
             "results": results,
             "pass_count": n_pass,
-            "total": total,
+            "total": len(results),
             "worst_residuals": worst,
             "pass": bool(ok),
         }
@@ -355,6 +348,15 @@ def _add_spec_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--betas", default=None, help="comma-separated complex list")
     p.add_argument("--q", default=None, help="base q (q-families only)")
     p.add_argument("--spec-file", default=None, help="JSON spec file; flags override")
+
+
+def _add_matrix_flags(p: argparse.ArgumentParser) -> None:
+    _add_spec_flags(p)
+    p.add_argument("--tol-spectral", type=float, default=1e-6, dest="tol_spectral")
+
+
+def _add_verify_flags(p: argparse.ArgumentParser) -> None:
+    _add_spec_flags(p)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol-spectral", type=float, default=1e-6, dest="tol_spectral")
     p.add_argument("--tol-identity", type=float, default=1e-8, dest="tol_identity")
@@ -362,6 +364,7 @@ def _add_spec_flags(p: argparse.ArgumentParser) -> None:
 
 def _add_evolve_flags(p: argparse.ArgumentParser) -> None:
     _add_spec_flags(p)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--t1", type=float, default=0.5)
     p.add_argument("--steps", type=int, default=2000)
     p.add_argument("--perturb", type=float, default=1e-3)
@@ -380,8 +383,8 @@ def _add_sweep_flags(p: argparse.ArgumentParser) -> None:
 #: subcommand -> (handler, the function that adds its arguments)
 _SUBCOMMANDS = {
     "zeros": (cmd_zeros, _add_spec_flags),
-    "matrix": (cmd_matrix, _add_spec_flags),
-    "verify": (cmd_verify, _add_spec_flags),
+    "matrix": (cmd_matrix, _add_matrix_flags),
+    "verify": (cmd_verify, _add_verify_flags),
     "evolve": (cmd_evolve, _add_evolve_flags),
     "sweep": (cmd_sweep, _add_sweep_flags),
 }
@@ -421,21 +424,11 @@ def main(argv=None) -> int:
     log.info("command %s", args.command)
     try:
         return args.func(args)
-    except InvalidParameters as exc:
-        log.info("invalid input: %s", exc)
+    except tuple(EXIT_CODES) as exc:
+        code = EXIT_CODES[type(exc)]
+        log.info("exit %d: %s", code, exc)
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except (RepeatedZeros, Collision, BranchPoint, DegenerateInput) as exc:
-        log.info("degenerate zeros: %s", exc)
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
-    except NonConvergence as exc:
-        log.info("non-convergence: %s", exc)
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NONCONVERGENCE
-    except IsospectraError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+        return code
 
 
 if __name__ == "__main__":

@@ -538,10 +538,22 @@ def _rhs_terms_qracah(spec, z):
     return rows
 
 
+def jacobi_image(spec: fam.FamilySpec, x: list) -> tuple:
+    """The ghyp instance and its variables z = 2/(1 - x) for Jacobi's x.
+
+    x = 1 raises SingularDenominator; x that crowd together in z raise RepeatedZeros.
+    """
+    try:
+        z = [2.0 / (1.0 - v) for v in x]
+    except ZeroDivisionError:
+        raise SingularDenominator("jacobi zero at x = 1") from None
+    check_distinct(z)
+    return fam.jacobi_to_ghyp(spec), z
+
+
 def _rhs_terms_jacobi(spec, x):
-    zvar = [2.0 / (1.0 - v) for v in x]
-    check_distinct(zvar)  # distinct x can still crowd together in z = 2/(1 - x)
-    rows = _rhs_terms_ghyp(fam.jacobi_to_ghyp(spec), zvar)
+    gh, zvar = jacobi_image(spec, x)
+    rows = _rhs_terms_ghyp(gh, zvar)
     # pushforward: x = 1 - 2/z, so xdot = (2/z^2) zdot, applied termwise
     return [[t * w for t in row] for row, w in zip(rows, [2.0 / (v * v) for v in zvar])]
 
@@ -723,6 +735,7 @@ def algebraic_trajectory(spec: fam.FamilySpec, z0, times) -> np.ndarray:
     """
     if spec.family == fam.Family.JACOBI:
         gh = fam.jacobi_to_ghyp(spec)
+        # not jacobi_image: numpy's complex division differs from Python's in the last bit
         ztraj = algebraic_trajectory(gh, 2.0 / (1.0 - np.asarray(z0, dtype=complex)), times)
         return 1.0 - 2.0 / ztraj
     z0 = np.asarray(z0, dtype=complex).ravel()

@@ -1,6 +1,6 @@
 """Exception taxonomy shared by all modules.
 
-The CLI maps these onto exit codes; see `isospectra.cli`.
+`isospectra.cli.EXIT_CODES` is the one table of each class's exit code.
 """
 
 

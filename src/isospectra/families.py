@@ -81,6 +81,7 @@ REFINE_STEPS = 12          # Newton-step cap of the structured refinement
 BRANCH_TOL = 1e-10
 REAL_AXIS_REL = 8 * 2.0**-52  # Im below this share of the operands' size is rounding noise
 SINGULAR_RADIUS = 1e-3     # exclusion radius around defining-equation poles
+DEFINING_SAMPLES = 10      # samples of max_defining_residual
 
 
 class Family(str, Enum):
@@ -833,19 +834,17 @@ def _probe_singular(spec: FamilySpec, s: complex) -> None:
         )
 
 
-def max_defining_residual(spec: FamilySpec, count: int = 10, seed: int = 0) -> float:
-    """Max |normalized residual| over `count` >= 1 seeded random samples.
+def max_defining_residual(spec: FamilySpec, seed: int = 0) -> float:
+    """Max |normalized residual| over DEFINING_SAMPLES seeded random samples.
 
     The equation is set up once (`_defining_terms`) and applied to every
     sample.  ghyp and gbasic (jacobi through ghyp) act on the coefficients of
     the built polynomial; the other families evaluate the structured sum,
     since their residuals cancel below coefficient rounding.
     """
-    if count < 1:
-        raise InvalidParameters(f"residual sample count must be >= 1, got {count}")
     base = jacobi_to_ghyp(spec) if spec.family == Family.JACOBI else spec
     terms = _defining_terms(base)
-    samples = residual_samples(base, count, np.random.default_rng(seed))
+    samples = residual_samples(base, DEFINING_SAMPLES, np.random.default_rng(seed))
     # residual_samples has run _probe_singular on every sample
     return max(abs(_normalized(terms(s))) for s in samples.tolist())
 

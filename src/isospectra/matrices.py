@@ -21,7 +21,7 @@ import numpy as np
 
 from . import dynamics
 from . import families as fam
-from .errors import InvalidParameters, SingularDenominator
+from .errors import InvalidParameters
 from .numeric import (
     ZeroSet,
     matrix_eigenvalues,
@@ -67,16 +67,10 @@ def build_matrix(spec: fam.FamilySpec, zs) -> IsospectralMatrix:
     zeta = _zeros_array(zs)
     if len(zeta) != spec.N:
         raise InvalidParameters(f"expected {spec.N} zeros, got {len(zeta)}")
-    dyn_spec = spec
     if spec.family == fam.Family.JACOBI:
-        dyn_spec = fam.jacobi_to_ghyp(spec)
-        try:
-            z = [2.0 / (1.0 - x) for x in zeta.tolist()]
-        except ZeroDivisionError:
-            raise SingularDenominator("jacobi zero at x = 1") from None
-        dynamics.check_distinct(z)  # distinct x can still crowd together in z
+        dyn_spec, z = dynamics.jacobi_image(spec, zeta.tolist())
     else:
-        z = dynamics.to_dynamics_variable(spec, zeta)
+        dyn_spec, z = spec, dynamics.to_dynamics_variable(spec, zeta)
     L = dynamics.linearization_matrix(dyn_spec, z) / dynamics.time_factor(spec)
     return IsospectralMatrix(L=L, reference_spectrum=fam.closed_form_spectrum(dyn_spec))
 

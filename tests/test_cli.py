@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from isospectra import cli, families
+from isospectra.errors import IsospectraError
 
 # -h screens and argparse errors, taken at COLUMNS=80 under Python 3.11
 CLI_SCREENS = json.loads((Path(__file__).parent / "fixtures" / "cli_screens.json").read_text())
@@ -349,6 +350,52 @@ class TestInputErrors:
         assert proc.stdout == ""
         lines = proc.stderr.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+class TestExitCodes:
+    """Each error class has one exit code, looked up in `cli.EXIT_CODES`."""
+
+    def test_every_error_class_has_an_exit_code(self):
+        missing = set(IsospectraError.__subclasses__()) - set(cli.EXIT_CODES)
+        assert not missing, missing
+        assert set(cli.EXIT_CODES.values()) == {
+            cli.EXIT_INVALID, cli.EXIT_DEGENERATE, cli.EXIT_NONCONVERGENCE
+        }
+
+    @pytest.mark.parametrize(
+        "error, code", list(cli.EXIT_CODES.items()), ids=lambda v: getattr(v, "__name__", str(v))
+    )
+    def test_main_returns_the_table_code(self, monkeypatch, capsys, error, code):
+        def raising(spec):
+            raise error("raised here")
+
+        monkeypatch.setattr(families, "compute_zeros", raising)
+        got = cli.main(["zeros", "--family", "ghyp", "-N", "1", "--alphas", "2", "--betas", "3"])
+        assert got == code
+        assert capsys.readouterr() == ("", "error: raised here\n")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # the trajectory reaches a pole of the Askey-Wilson kernel
+            ["evolve", "--family", "aw", "-N", "4", "--alphas", "0.6,1.1,1.7,1.4", "--q", "1.4",
+             "--t1", "20", "--steps", "400", "--perturb", "0.3", "--seed", "0", "--record-every", "50"],
+            # alpha = -1 puts a Jacobi zero at x = 1, where z = 2/(1 - x) has no value
+            ["matrix", "--family", "jacobi", "-N", "2", "--alphas=-1,0.5"],
+        ],
+        ids=["aw-pole", "jacobi-x-1"],
+    )
+    def test_state_at_a_pole_exit_3(self, argv):
+        import subprocess
+        import sys
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "isospectra.cli", *argv], capture_output=True, text=True
+        )
+        assert proc.returncode == cli.EXIT_DEGENERATE
+        assert proc.stdout == ""
+        lines = proc.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
 
 
 class TestRefinementGuard:

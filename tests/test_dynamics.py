@@ -11,7 +11,14 @@ import isospectra as iso
 import rhs_reference
 import roots_reference
 from isospectra import cli, dynamics, families
-from isospectra.errors import Collision, DivideByZeroVariable, RepeatedZeros, SingularA, SingularDenominator
+from isospectra.errors import (
+    BasisIllConditioned,
+    Collision,
+    DivideByZeroVariable,
+    RepeatedZeros,
+    SingularA,
+    SingularDenominator,
+)
 from isospectra.numeric import Dual, OneHot, multiset_match, nearest_pairing
 
 DYNAMICS_SPECS = [
@@ -387,6 +394,14 @@ class TestAlgebraicSolution:
         with pytest.raises(iso.NonConvergence, match=r"t = 100000 \(non-finite coefficient\)"):
             dynamics.algebraic_trajectory(spec, perturbed_start(spec), [0.0, 1e5])
 
+    @pytest.mark.parametrize("scale", [1.0, 1e3])
+    def test_negligible_pivot_guard(self, scale):
+        # the head of column 0 is 1e-13 of the column's largest entry, below PIVOT_TOL
+        B = np.eye(3, dtype=complex)
+        B[:, 0] = [scale, 0.0, 1e-13 * scale]
+        with pytest.raises(BasisIllConditioned, match="at degree 2"):
+            dynamics._expand_on_basis(B, np.array([1.0, 0.0, 1.0]))
+
     def test_match_order_tie_takes_first_candidate(self):
         # 0 is as near to 1 as to -1 and takes the first candidate
         for cand in ([1.0, -1.0], [-1.0, 1.0]):
@@ -626,6 +641,12 @@ class TestScalarKernels:
         # the reference returns inf/nan here; the scalar kernels raise instead
         with pytest.raises(SingularDenominator):
             dynamics.nonlinear_rhs(spec, z)
+
+    def test_jacobi_zero_at_x_1(self):
+        # z = 2/(1 - x) has no value there, and the error says so
+        spec = iso.make_spec("jacobi", 2, [0.5, 1.0])
+        with pytest.raises(SingularDenominator, match="jacobi zero at x = 1"):
+            dynamics.nonlinear_rhs(spec, [1.0, 0.3])
 
     @pytest.mark.parametrize("gap", [0.0, 1e-160], ids=["coincident", "1e-160"])
     def test_fg_jacobian_singular_pair(self, gap):

@@ -390,7 +390,7 @@ class TestLiftZeroVariables:
 class TestDefiningEquation:
     @pytest.mark.parametrize("spec", SAMPLE_SPECS, ids=lambda s: s.family.value)
     def test_solution_residual_small(self, spec):
-        assert iso.max_defining_residual(spec, count=10, seed=7) <= 1e-9
+        assert iso.max_defining_residual(spec, seed=7) <= 1e-9
 
     @pytest.mark.parametrize("spec", SAMPLE_SPECS, ids=lambda s: s.family.value)
     def test_perturbed_polynomial_detected(self, spec):
@@ -444,7 +444,7 @@ class TestDefiningEquation:
             base = iso.jacobi_to_ghyp(spec) if spec.family == Family.JACOBI else spec
             samples = families.residual_samples(base, 10, np.random.default_rng(n))
             want = max(abs(families.defining_equation_residual(spec, s)) for s in samples)
-            assert iso.max_defining_residual(spec, count=10, seed=n) == want, n
+            assert iso.max_defining_residual(spec, seed=n) == want, n
 
     @pytest.mark.parametrize(
         "spec",
@@ -457,7 +457,7 @@ class TestDefiningEquation:
         monkeypatch.setattr(
             families, "structured_eval", lambda *a: evaluations.append(1) or structured_eval(*a)
         )
-        families.max_defining_residual(spec, count=10, seed=7)
+        families.max_defining_residual(spec, seed=7)
         assert len(evaluations) == 3 * 10
         evaluations.clear()
         families.defining_equation_residual(spec, 1.3 + 0.4j)
@@ -474,13 +474,8 @@ class TestDefiningEquation:
         monkeypatch.setattr(
             families, "operator_multipliers", lambda *a: builds.append(1) or multipliers(*a)
         )
-        families.max_defining_residual(spec, count=10, seed=7)
+        families.max_defining_residual(spec, seed=7)
         assert len(builds) == 1
-
-    @pytest.mark.parametrize("count", [0, -1])
-    def test_empty_sample_count_rejected(self, count):
-        with pytest.raises(InvalidParameters, match="sample count"):
-            iso.max_defining_residual(SAMPLE_SPECS[0], count=count)
 
     def test_ghyp_hand_case(self):
         # operator on z - 2/3 with (alpha, beta) = (2, 3) vanishes identically
