@@ -11,9 +11,11 @@ Set ISOSPECTRA_LOG=debug|info for stderr diagnostics.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import os
+import shutil
 import sys
 import zlib
 
@@ -91,7 +93,7 @@ def _c2pair(z) -> list:
 
 
 def _carray(values) -> list:
-    return [_c2pair(v) for v in np.asarray(values).ravel()]
+    return [[z.real, z.imag] for z in np.asarray(values, dtype=complex).ravel().tolist()]
 
 
 def _parse_complex_list(text):
@@ -405,12 +407,17 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
     if argv is None:
         argv = sys.argv[1:]
     named = next((tok for tok in argv if not tok.startswith("-")), None)
-    ap = argparse.ArgumentParser(prog="isospectra", description=__doc__)
+    # argparse's default width, read once: its formatter asks the terminal
+    # again for every argument added
+    formatter = functools.partial(
+        argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2
+    )
+    ap = argparse.ArgumentParser(prog="isospectra", description=__doc__, formatter_class=formatter)
     alone = bool(argv) and argv[0] in _SUBCOMMANDS
     sub = ap.add_subparsers(dest="command", required=True, metavar=_CHOICES if alone else None)
     for name in [named] if alone else _SUBCOMMANDS:
         fn, add_flags = _SUBCOMMANDS[name]
-        p = sub.add_parser(name)
+        p = sub.add_parser(name, formatter_class=formatter)
         p.set_defaults(func=fn)
         if name == named:
             add_flags(p)

@@ -214,10 +214,19 @@ def validate_spec(spec: FamilySpec) -> None:
 
     Rejections mirror the "after appropriate cancellations the denominators do
     not vanish" convention: only symbols that actually survive in a denominator
-    (or in the leading coefficient) are checked.
+    (or in the leading coefficient) are checked.  The checks run once per
+    spec (`_check_spec` is cached); a rejection is not cached, so an invalid
+    spec raises on every call.
     """
+    # outside the cache: a plain string equals, and hashes like, its Family member
     if not isinstance(spec.family, Family):
         raise InvalidParameters(f"unknown family {spec.family!r}")
+    _check_spec(spec)
+
+
+@lru_cache(maxsize=512)
+def _check_spec(spec: FamilySpec) -> None:
+    """`validate_spec`'s checks on a spec whose family is a `Family`."""
     if spec.N < 1:
         raise InvalidParameters("N must be >= 1")
     fam = spec.family
@@ -712,9 +721,10 @@ def _defining_terms(spec: FamilySpec, poly: Optional[np.ndarray] = None):
 
     Everything that does not depend on the sample is set up here once: the
     ghyp/gbasic polynomial times its `operator_multipliers`, lambda_N,
-    theta^2, the q-Racah constants.
+    theta^2, the q-Racah constants, the structured sum's expansion.
     Each returned call takes the solution's value at s itself once, so a
-    three-term equation costs three structured evaluations.  `poly`, ascending
+    three-term equation costs three double-double Horner passes, with no
+    derivative or error bound.  `poly`, ascending
     coefficients (default: the built polynomial for ghyp/gbasic, the
     structured sum otherwise), is the function the equation is applied to;
     `s` must be a Python complex in the residual variable, already checked
@@ -727,9 +737,11 @@ def _defining_terms(spec: FamilySpec, poly: Optional[np.ndarray] = None):
         kept, lowered = c * diagonal, (c * lowering)[1:]
         return lambda s: [complex(npp.polyval(s, kept)), complex(npp.polyval(s, lowered))]
 
-    # structured form by default: immune to the monomial expansion's cancellation
+    # structured form by default: immune to the monomial expansion's cancellation;
+    # the value alone, as `structured_eval` computes it
     if poly is None:
-        value = lambda u: structured_eval(spec, u)[0]
+        coeffs = _expansion(spec)[0]
+        value = lambda u: ddc_to_complex(ddc_horner(coeffs, u))
     else:
         value = lambda u: complex(npp.polyval(u, poly))
     lam = complex(closed_form_spectrum(spec)[-1])
@@ -801,15 +813,24 @@ def defining_equation_residual(spec: FamilySpec, sample, poly: Optional[np.ndarr
 
 
 def residual_samples(spec: FamilySpec, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Non-singular samples in the annulus 0.3 <= |.| <= 2 of the residual variable."""
+    """Non-singular samples in the annulus 0.3 <= |.| <= 2 of the residual variable.
+
+    Sample k is r e^(2 pi i t), with radius r = 0.3 + 1.7 u and angle t from
+    the draws u, t of `rng` in order; a sample that `_probe_singular` rejects
+    is skipped and the stream goes on.  The pairs are drawn with one
+    `rng.random` call per round, for the samples still missing, which gives
+    the values one `rng.uniform(0.3, 2.0)` and one `rng.uniform()` per sample
+    give, bit for bit, and leaves `rng` in the same state.
+    """
     out = []
     while len(out) < count:
-        s = complex(rng.uniform(0.3, 2.0) * np.exp(2j * np.pi * rng.uniform()))
-        try:
-            _probe_singular(spec, s)
-        except SingularSample:
-            continue
-        out.append(s)
+        u = rng.random(2 * (count - len(out)))
+        for s in ((0.3 + 1.7 * u[0::2]) * np.exp(2j * np.pi * u[1::2])).tolist():
+            try:
+                _probe_singular(spec, s)
+            except SingularSample:
+                continue
+            out.append(s)
     return np.array(out)
 
 

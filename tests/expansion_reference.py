@@ -13,13 +13,17 @@ wrote it out inline.  `ddc_mul_general`, `ddc_add_general` and
 they were before `isospectra.numeric` gave them a real case: every operand,
 real or not, takes the complex path.  `q_to_one_limit_check` compares the
 library's ghyp and gbasic term tables in the limit q -> 1.
+`residual_samples` is the defining-equation sample loop as it was before
+`isospectra.families.residual_samples` drew its pairs with one
+`rng.random` call: two scalar `rng.uniform` calls per sample.
 """
 
 import math
 
 import numpy as np
 
-from isospectra.errors import InvalidParameters
+from isospectra import families
+from isospectra.errors import InvalidParameters, SingularSample
 from isospectra.families import Family, FamilySpec, _term_table, make_spec
 from isospectra.numeric import (
     _SPLITTER,
@@ -302,3 +306,16 @@ def q_to_one_limit_check(spec: FamilySpec, q_near_1: float) -> float:
     )
     dev = np.max(np.abs(phi_side - f_side))
     return float(dev / max(1.0, float(np.max(np.abs(f_side)))))
+
+
+def residual_samples(spec: FamilySpec, count: int, rng: np.random.Generator) -> np.ndarray:
+    """Non-singular samples in the annulus 0.3 <= |.| <= 2, one sample per two scalar draws."""
+    out = []
+    while len(out) < count:
+        s = complex(rng.uniform(0.3, 2.0) * np.exp(2j * np.pi * rng.uniform()))
+        try:
+            families._probe_singular(spec, s)
+        except SingularSample:
+            continue
+        out.append(s)
+    return np.array(out)

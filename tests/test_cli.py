@@ -3,6 +3,9 @@
 import contextlib
 import io
 import json
+import os
+import shutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -431,6 +434,35 @@ class TestParserScreens:
             cli.main(case["argv"])
         assert exc.value.code == case["code"]
         assert capsys.readouterr() == (case["stdout"], case["stderr"])
+
+
+class TestParserWidth:
+    """argparse's default help width, read from the terminal once per parser."""
+
+    def test_terminal_size_read_once(self, monkeypatch):
+        calls = []
+        get_terminal_size = shutil.get_terminal_size
+        monkeypatch.setattr(
+            shutil, "get_terminal_size", lambda *a: calls.append(1) or get_terminal_size(*a)
+        )
+        argv = ["verify", "--family", "ghyp", "-N", "4", "--alphas", "1.7", "--betas", "2.3"]
+        assert cli.build_parser(argv).parse_args(argv).command == "verify"
+        assert len(calls) <= 1
+
+    def test_screen_follows_terminal_width(self):
+        # at 60 columns every line fits; at 50 argparse cannot break a
+        # 29-character usage group after its 25-character indent
+        def screen(columns):
+            proc = subprocess.run(
+                [sys.executable, "-m", "isospectra.cli", "verify", "-h"],
+                capture_output=True, text=True, check=True,
+                env={**os.environ, "COLUMNS": str(columns)},
+            )
+            return proc.stdout
+
+        narrow = screen(60)
+        assert max(len(line) for line in narrow.splitlines()) <= 60
+        assert narrow != screen(80)
 
 
 class TestConsoleEntryPoint:

@@ -1,6 +1,8 @@
 """Family builders, zeros, variable lifts, defining equations, q->1 limit."""
 
+import dataclasses
 import re
+import struct
 from fractions import Fraction
 
 import numpy as np
@@ -172,6 +174,29 @@ DENOMINATOR_POLES = [
 def test_validate_rejects_vanishing_denominator(spec, label):
     with pytest.raises(InvalidParameters, match=re.escape(label)):
         families.validate_spec(spec)
+
+
+class TestValidateSpecCache:
+    def test_invalid_spec_raises_on_every_call(self):
+        spec = spec_of("ghyp", 3, [1.7], [-1.0])  # (beta)_3 vanishes
+        for _ in range(3):
+            with pytest.raises(InvalidParameters, match=re.escape("beta_1")):
+                families.validate_spec(spec)
+
+    def test_valid_spec_checked_once(self):
+        spec = spec_of("qracah", 5, [1.1, 2.2, 0.8, 1.4], q=1.6)
+        families._check_spec.cache_clear()
+        for _ in range(3):
+            families.validate_spec(spec)
+        assert families._check_spec.cache_info()[:2] == (2, 1)  # hits, misses
+
+    def test_string_family_rejected_after_its_member(self):
+        # "ghyp" == Family.GHYP and both hash alike, so the family's type is
+        # checked outside the cache
+        spec = spec_of("ghyp", 3, [1.7], [2.3])
+        families.validate_spec(spec)
+        with pytest.raises(InvalidParameters, match="unknown family"):
+            families.validate_spec(dataclasses.replace(spec, family="ghyp"))
 
 
 class TestStructuredEval:
@@ -423,6 +448,42 @@ class TestDefiningEquation:
             -0.14481667049353425 + 0.8021882638928559j,
         ]
 
+    @pytest.mark.parametrize("reject_every", [None, 3], ids=["probe", "every-third-rejected"])
+    @pytest.mark.parametrize("seed", [0, 1, 7, 13, 2026])
+    @pytest.mark.parametrize("spec", [SAMPLE_SPECS[i] for i in (0, 2, 5)], ids=lambda s: s.family.value)
+    def test_samples_match_scalar_loop(self, spec, seed, reject_every, monkeypatch):
+        # the same samples, bit for bit, and the same generator state after;
+        # rejecting every third draw takes the redraw path, which the
+        # benchmark's seeds do not reach
+        probe = families._probe_singular
+
+        def draw(sampler):
+            probed = []
+
+            def rejecting(spec, s):
+                probed.append(s)
+                if reject_every and len(probed) % reject_every == 0:
+                    raise SingularSample("rejected by the test")
+                probe(spec, s)
+
+            monkeypatch.setattr(families, "_probe_singular", rejecting)
+            rng = np.random.default_rng(seed)
+            samples = sampler(spec, 10, rng)
+            return samples, probed, rng.bit_generator.state
+
+        got, got_probed, got_state = draw(families.residual_samples)
+        want, want_probed, want_state = draw(expansion_reference.residual_samples)
+
+        def as_bytes(values):
+            return struct.pack(f"{2 * len(values)}d", *[p for z in values for p in (z.real, z.imag)])
+
+        assert got.dtype == want.dtype == complex and len(got) == 10
+        assert as_bytes(got.tolist()) == as_bytes(want.tolist())
+        assert as_bytes(got_probed) == as_bytes(want_probed)
+        assert got_state == want_state
+        if reject_every:
+            assert len(got_probed) >= 14  # 10 kept, every third of the draws rejected
+
     @pytest.mark.parametrize("spec", SAMPLE_SPECS, ids=lambda s: s.family.value)
     def test_perturbed_polynomial_one_setup(self, spec):
         # the equation set up once for the perturbed polynomial and applied to
@@ -452,11 +513,14 @@ class TestDefiningEquation:
         ids=lambda s: s.family.value,
     )
     def test_three_structured_evaluations_per_sample(self, spec, monkeypatch):
+        # each evaluation is one double-double Horner pass for the value
+        # alone: no derivative or error bound (`structured_eval`) is formed
         evaluations = []
-        structured_eval = families.structured_eval
+        ddc_horner = families.ddc_horner
         monkeypatch.setattr(
-            families, "structured_eval", lambda *a: evaluations.append(1) or structured_eval(*a)
+            families, "ddc_horner", lambda *a: evaluations.append(1) or ddc_horner(*a)
         )
+        monkeypatch.setattr(families, "structured_eval", None)
         families.max_defining_residual(spec, seed=7)
         assert len(evaluations) == 3 * 10
         evaluations.clear()

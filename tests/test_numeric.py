@@ -470,6 +470,33 @@ class TestMatrixEigenvalues:
             det = np.linalg.det(m)
             assert abs(ev.prod() - det) <= 1e-8 * max(1.0, abs(det))
 
+    def test_jordan_block_keeps_qr_values(self):
+        # defective: V is singular to working precision and the double
+        # eigenvalue has no gap, so QR's values come back, with no warning
+        jordan = np.array([[2.0, 1.0], [0.0, 2.0]], dtype=complex)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ev = matrix_eigenvalues(jordan)
+        assert ev.tobytes() == np.linalg.eig(jordan)[0].tobytes()
+
+    def test_singular_eigenvector_basis_keeps_qr_values(self, monkeypatch):
+        values = np.array([2.0 + 0j, 2.0 + 1e-9j])
+        monkeypatch.setattr(np.linalg, "eig", lambda a: (values, np.ones((2, 2), dtype=complex)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ev = matrix_eigenvalues([[2.0, 1.0], [0.0, 2.0]])
+        assert ev.tobytes() == values.tobytes()
+
+    def test_triangular_non_normal_exact(self):
+        # upper triangular, strictly upper part ten times the diagonal: the
+        # eigenvalues are the diagonal.  The determinant Newton step that the
+        # two-sided correction replaced returned them with error 0.0 on this
+        # matrix (measured once), and the correction must be no worse.
+        rng = np.random.default_rng(0)
+        diag = np.arange(1, 7) + 0.5j * rng.standard_normal(6)
+        upper = np.triu(10 * rng.standard_normal((6, 6)) + 10j * rng.standard_normal((6, 6)), 1)
+        assert multiset_match(matrix_eigenvalues(np.diag(diag) + upper), diag) <= 0.0
+
     def test_rejects_bad_input(self):
         with pytest.raises(DegenerateInput):
             matrix_eigenvalues(np.ones((2, 3)))
