@@ -197,8 +197,10 @@ def _residuals(report: matrices.IsospectralMatrix) -> dict:
     return {key: getattr(report, f"{key}_residual") for key in MATRIX_RESIDUALS}
 
 
-def _matrix_payload(spec: FamilySpec, zs: ZeroSet, tol_spectral: float) -> tuple[dict, bool]:
-    """The report fields of `matrix` and `verify`, and whether the matrix check passed."""
+def _matrix_payload(
+    spec: FamilySpec, zs: ZeroSet, tol_spectral: float
+) -> tuple[dict, matrices.IsospectralMatrix]:
+    """The report fields of `matrix` and `verify`, and the matrix report they come from."""
     report = matrices.verify_matrix(spec, tol_spectral=tol_spectral, zeros=zs)
     payload = {
         "spec": _spec_echo(spec),
@@ -208,26 +210,27 @@ def _matrix_payload(spec: FamilySpec, zs: ZeroSet, tol_spectral: float) -> tuple
         "reference_spectrum": _carray(report.reference_spectrum),
         "residuals": _residuals(report),
     }
-    return payload, bool(report.passed)
+    return payload, report
 
 
 def cmd_matrix(args) -> int:
     spec = _spec_from_args(args)
     zs = families.compute_zeros(spec)
-    payload, ok = _matrix_payload(spec, zs, args.tol_spectral)
-    _emit({**payload, "pass": ok})
-    return EXIT_PASS if ok else EXIT_FAIL
+    payload, report = _matrix_payload(spec, zs, args.tol_spectral)
+    _emit({**payload, "pass": report.passed})
+    return EXIT_PASS if report.passed else EXIT_FAIL
 
 
 def cmd_verify(args) -> int:
     spec = _spec_from_args(args)
     zs = families.compute_zeros(spec)
-    payload, mat_ok = _matrix_payload(spec, zs, args.tol_spectral)
-    # the zeros' identities are their equilibrium conditions: one residual, both keys
-    identity = float(np.max(np.abs(matrices.identity_residual(spec, zs))))
+    payload, report = _matrix_payload(spec, zs, args.tol_spectral)
+    # the zeros' identities are their equilibrium conditions, whose terms the
+    # matrix's Jacobian pass evaluated: one residual, both keys
+    identity = float(np.max(np.abs(dynamics.normalized_row_sums(report.terms))))
     defining = families.max_defining_residual(spec, seed=args.seed)
     payload["residuals"] |= {"identity": identity, "equilibrium": identity, "defining_eq": defining}
-    ok = bool(mat_ok and identity <= args.tol_identity and defining <= args.tol_identity)
+    ok = bool(report.passed and identity <= args.tol_identity and defining <= args.tol_identity)
     _emit({**payload, "pass": ok})
     return EXIT_PASS if ok else EXIT_FAIL
 
@@ -390,33 +393,34 @@ _SUBCOMMANDS = {
     "evolve": (cmd_evolve, _add_evolve_flags),
     "sweep": (cmd_sweep, _add_sweep_flags),
 }
-_CHOICES = "{" + ",".join(_SUBCOMMANDS) + "}"
+
+
+def _help_formatter():
+    """argparse's default help formatter at its default width, the terminal's read once.
+
+    argparse's own formatter asks the terminal again for every argument added.
+    """
+    return functools.partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
 
 
 def build_parser(argv=None) -> argparse.ArgumentParser:
-    """The parser for `argv` (default `sys.argv[1:]`).
+    """The full parser for `argv` (default `sys.argv[1:]`): all five subcommands.
 
     Only the subcommand argv names gets its arguments: adding them is most
     of the cost of building the parser, and one run parses one subcommand.
     The top level has no option but -h, so the first token that is not an
-    option is the subcommand.  When argv starts with it, that subcommand is
-    the only one registered, under the metavar the full parser prints; every
-    other argv registers all five.  Usage lines, choice errors and every -h
-    screen are those of the full parser.
+    option is the subcommand.  `main` builds this parser only where the
+    subcommand's own parser (`parse_args`) does not settle the argv: when
+    argv does not start with a subcommand (the top-level -h, usage and
+    choice errors), and to report tokens that parser left over.
     """
     if argv is None:
         argv = sys.argv[1:]
     named = next((tok for tok in argv if not tok.startswith("-")), None)
-    # argparse's default width, read once: its formatter asks the terminal
-    # again for every argument added
-    formatter = functools.partial(
-        argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2
-    )
+    formatter = _help_formatter()
     ap = argparse.ArgumentParser(prog="isospectra", description=__doc__, formatter_class=formatter)
-    alone = bool(argv) and argv[0] in _SUBCOMMANDS
-    sub = ap.add_subparsers(dest="command", required=True, metavar=_CHOICES if alone else None)
-    for name in [named] if alone else _SUBCOMMANDS:
-        fn, add_flags = _SUBCOMMANDS[name]
+    sub = ap.add_subparsers(dest="command", required=True)
+    for name, (fn, add_flags) in _SUBCOMMANDS.items():
         p = sub.add_parser(name, formatter_class=formatter)
         p.set_defaults(func=fn)
         if name == named:
@@ -424,10 +428,34 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
     return ap
 
 
+def parse_args(argv=None) -> argparse.Namespace:
+    """Parse `argv` (default `sys.argv[1:]`) with one parser where one suffices.
+
+    When argv[0] names a subcommand, only that subcommand's parser is
+    built, standalone, as `isospectra <cmd>`: the subparser the full parser
+    would hand the rest of argv to, with the same arguments, formatter,
+    usage line, -h screen and errors.  A token it leaves over goes to the
+    full parser (`build_parser`), which prints the top-level "unrecognized
+    arguments" error, as before.  Any other argv goes to the full parser.
+    """
+    if argv is None:
+        argv = sys.argv[1:]
+    if argv and argv[0] in _SUBCOMMANDS:
+        name = argv[0]
+        fn, add_flags = _SUBCOMMANDS[name]
+        p = argparse.ArgumentParser(prog=f"isospectra {name}", formatter_class=_help_formatter())
+        p.set_defaults(func=fn, command=name)
+        add_flags(p)
+        args, extra = p.parse_known_args(argv[1:])
+        if not extra:
+            return args
+    return build_parser(argv).parse_args(argv)
+
+
 def main(argv=None) -> int:
     level = os.environ.get("ISOSPECTRA_LOG", "warning").upper()
     logging.basicConfig(stream=sys.stderr, level=getattr(logging, level, logging.WARNING))
-    args = build_parser(argv).parse_args(argv)
+    args = parse_args(argv)
     log.info("command %s", args.command)
     try:
         return args.func(args)

@@ -2,9 +2,10 @@
 
 The right-hand-side kernels, with the f/g recursion and the exclusion
 product they share, are the one place each family's zero dynamics is
-written: `linearization_matrix` differentiates them into the isospectral
-matrix, and `equilibrium_residual_per_zero` evaluates them at the zeros,
-which is the zeros' system of algebraic identities.  The coefficient
+written: `linearization` differentiates them into the isospectral matrix,
+and `equilibrium_residual_per_zero` evaluates them at the zeros, which is
+the zeros' system of algebraic identities; the Jacobian pass holds those
+terms' values too, so one pass gives both.  The coefficient
 systems take their diagonal from `families.closed_form_spectrum`, and
 ghyp/gbasic their sub-diagonal and drive from
 `families.operator_multipliers`, the operator that spectrum comes from.  This
@@ -185,7 +186,8 @@ def c_flow(cs: CSystem, c0):
 # of `basic_f` on dense duals, so those matrices are the dense pass's bit for
 # bit.  The f/g recursion couples every zero in every step, so its rule
 # (`fg_tangents`) carries each level's tangent as one N x N array, and the
-# ghyp kernel folds a row's terms into one `Dual` per row.  A kernel binds
+# ghyp kernel hands a row's term values with the tangent of their sum on the
+# first, so each row still sums to its dual.  A kernel binds
 # its family's constants once per call, outside the per-zero loops (cached
 # per parameter set where forming them costs arithmetic), and calls the
 # `families` helpers that take them unpacked.
@@ -408,12 +410,18 @@ def _rhs_terms_ghyp(spec, z):
     a, b = _coeff_lists(elementary_coeffs_hyp, spec.alphas, spec.betas)
     J = max(len(b), len(a) - 1)
     if isinstance(z[0], Dual):
-        # each row's terms folded into their sum b.f - a.g, value and tangent
+        # a row's terms b_k f_k - a_j g_j as values, the first carrying the
+        # tangent of their sum b.f - a.g, so each row sums to that sum's dual
         f, g, F, G = fg_tangents([v.val for v in z], np.array([v.eps for v in z]), J)
         kb, ka = len(b), len(a)
-        val = np.dot(b, f[1 : kb + 1]) - np.dot(a, g[:ka])
+        terms = np.concatenate(
+            [np.array(b)[:, None] * f[1 : kb + 1], -np.array(a)[:, None] * g[:ka]]
+        )
         tan = np.dot(b, F[1 : kb + 1].reshape(kb, -1)) - np.dot(a, G[:ka].reshape(ka, -1))
-        return [[Dual(v, t)] for v, t in zip(val.tolist(), tan.reshape(F.shape[1:]).tolist())]
+        return [
+            [Dual(row[0], t), *row[1:]]
+            for row, t in zip(terms.T.tolist(), tan.reshape(F.shape[1:]).tolist())
+        ]
     f, g = fg_recursion(z, J)
     return [
         [bk * f[k][n] for k, bk in enumerate(b, 1)] + [-aj * g[j][n] for j, aj in enumerate(a)]
@@ -597,15 +605,24 @@ def nonlinear_rhs(spec: fam.FamilySpec, z) -> np.ndarray:
     return np.array([sum(row) for row in _term_rows(spec, z)], dtype=complex)
 
 
+def normalized_row_sums(terms) -> np.ndarray:
+    """Each row of `terms` summed and divided by its largest term magnitude (at least _TINY).
+
+    At an equilibrium the rows are its zeros' additive RHS terms, and this is
+    the per-zero residual of their algebraic identities.
+    """
+    terms = np.asarray(terms, dtype=complex)
+    scale = np.maximum(np.max(np.abs(terms), axis=1), _TINY)
+    return terms.sum(axis=1) / scale
+
+
 def equilibrium_residual_per_zero(spec: fam.FamilySpec, zeros_natural) -> np.ndarray:
     """Per-zero dynamics residual at natural-variable zeros, term-normalized.
 
     Zeros are equilibria of their dynamics, so this is each family's system of
     algebraic identities for its zeros (`matrices.identity_residual`).
     """
-    terms = rhs_terms(spec, to_dynamics_variable(spec, zeros_natural))
-    scale = np.maximum(np.max(np.abs(terms), axis=1), _TINY)
-    return terms.sum(axis=1) / scale
+    return normalized_row_sums(rhs_terms(spec, to_dynamics_variable(spec, zeros_natural)))
 
 
 def equilibrium_residual(spec: fam.FamilySpec, zs) -> float:
@@ -795,22 +812,31 @@ def evolve_compare(
     )
 
 
-def linearization_matrix(spec: fam.FamilySpec, z) -> np.ndarray:
-    """Exact Jacobian of the dynamics RHS at `z`, in the dynamics variable.
+def linearization(spec: fam.FamilySpec, z) -> tuple[np.ndarray, list]:
+    """Exact Jacobian of the dynamics RHS at `z`, and the RHS terms there, from one pass.
 
     The family's kernel runs once on `OneHot.seed(z)`, so each entry is the
     derivative of the RHS formula itself, not a difference quotient: one
     forward pass in which each zero's terms carry one partial until the
     exclusion product or the f/g recursion couples them into a dense list
-    of all N partials.  A division by zero inside the pass
-    (`_kernel_rows`) and a result that is not finite (a pair 1e-160 apart
-    overflows either primitive's squared reciprocal) raise
-    `SingularDenominator`.  The collision guard of `nonlinear_rhs` is not
-    applied: it protects trajectories, and
-    `build_matrix` checks distinctness at its own threshold.
+    of all N partials.  The same pass holds every row's term values (the
+    exclusion families' terms' `.val`; ghyp's b_k f_k and -a_j g_j), returned
+    as a list of rows: at the zeros, `normalized_row_sums` of them is the
+    identity residual, with no second run of the kernel.  A division by
+    zero inside the pass (`_kernel_rows`) and a Jacobian that is not finite
+    (a pair 1e-160 apart overflows either primitive's squared reciprocal)
+    raise `SingularDenominator`.  The collision guard of `nonlinear_rhs` is
+    not applied: it protects trajectories, and `build_matrix` checks
+    distinctness at its own threshold.
     """
     z = np.asarray(z, dtype=complex).ravel()
-    L = np.array([sum(row).eps for row in _kernel_rows(spec, OneHot.seed(z))], dtype=complex)
+    rows = _kernel_rows(spec, OneHot.seed(z))
+    L = np.array([sum(row).eps for row in rows], dtype=complex)
     if not np.isfinite(L).all():
         raise SingularDenominator("Jacobian entry not finite at this state")
-    return L
+    return L, [[t.val if isinstance(t, Dual) else t for t in row] for row in rows]
+
+
+def linearization_matrix(spec: fam.FamilySpec, z) -> np.ndarray:
+    """Exact Jacobian of the dynamics RHS at `z`, in the dynamics variable (`linearization`)."""
+    return linearization(spec, z)[0]

@@ -51,6 +51,7 @@ from .errors import (
 from .numeric import (
     DEGREE_REL,
     ZeroSet,
+    companion_eigvals,
     ddc,
     ddc_add,
     ddc_div,
@@ -66,7 +67,6 @@ from .numeric import (
     dsqrt,
     full_degree,
     min_separation,
-    poly_roots,
     re_im_key,
 )
 
@@ -447,8 +447,17 @@ def _tails(factors):
 
 @lru_cache(maxsize=512)
 def _expansion(spec: FamilySpec):
-    """(double-double coefficients, their rounded doubles, magnitudes M_k) of the sum."""
-    coeffs, mags = ddc_expand(*_term_table(spec))
+    """(double-double coefficients, their rounded doubles, magnitudes M_k) of the sum.
+
+    A term table whose factorials no longer fit a double (N >= 171, or
+    m! N! for jacobi) raises DegenerateInput, as a non-finite coefficient
+    does in `build_polynomial`.
+    """
+    try:
+        table = _term_table(spec)
+    except OverflowError:
+        raise DegenerateInput("non-finite polynomial coefficient") from None
+    coeffs, mags = ddc_expand(*table)
     return tuple(coeffs), tuple(ddc_to_complex(c) for c in coeffs), tuple(mags)
 
 
@@ -515,16 +524,18 @@ def refine_zeros(spec: FamilySpec, roots: np.ndarray):
 def compute_zeros(spec: FamilySpec) -> ZeroSet:
     """Zeros in the family's natural variable, sorted by (re, im).
 
-    Roots come from `poly_roots` on the rounded coefficients, then are
-    polished against the structured sum (which keeps the digits the rounding
-    cancels); max_poly_residual on the result is `refine_zeros`' worst
-    relative forward-error estimate, and above ZERO_TOL raises NonConvergence.
+    The companion eigenvalues of the rounded coefficients
+    (`numeric.companion_eigvals`) go straight into `refine_zeros`, whose
+    Newton on the structured sum (which keeps the digits the rounding
+    cancels) is the one polish; `poly_roots`' coefficient-space polish and
+    its ROOT_TOL gate serve the algebraic oracle, not this.
+    max_poly_residual on the result is `refine_zeros`' worst relative
+    forward-error estimate, and above ZERO_TOL raises NonConvergence.
     Raises RepeatedZeros when the minimal pairwise separation drops below
     ZERO_SEP_REL times the zero scale; every downstream construction assumes
     distinct zeros.
     """
-    zs = poly_roots(build_polynomial(spec))
-    refined, worst = refine_zeros(spec, zs.zeros)
+    refined, worst = refine_zeros(spec, companion_eigvals(build_polynomial(spec))[1])
     if worst > ZERO_TOL:
         raise NonConvergence(
             f"zero forward-error estimate {worst:.3e} > tol {ZERO_TOL:.1e} after refinement"
@@ -682,14 +693,15 @@ def qracah_Z(k: QRacahConstants, z, root):
     return (z + root) / k.two_gdq
 
 
-def qracah_companions(k: QRacahConstants, z):
+def qracah_companions(k: QRacahConstants, z, shifts=None):
     """(z^+, z^-, B(z), D(z)) at z, from one square root.
 
     B and D, the coefficients of the q-Racah q-difference equation, are
-    rational in Z = q^x.
+    rational in Z = q^x.  `shifts` is `qracah_shifts(k, z)` where the caller
+    already has it.
     """
     _, _, _, _, _, _, alq, bedq, gaq, gdq, gdqq, q, al, be, ga, de, gd = k
-    root, zp, zm = qracah_shifts(k, z)
+    root, zp, zm = qracah_shifts(k, z) if shifts is None else shifts
     Z = qracah_Z(k, z, root)
     Z2 = Z * Z
     B = (1.0 - alq * Z) * (1.0 - bedq * Z) * (1.0 - gaq * Z) * (1.0 - gdq * Z) / (
@@ -724,7 +736,9 @@ def _defining_terms(spec: FamilySpec, poly: Optional[np.ndarray] = None):
     theta^2, the q-Racah constants, the structured sum's expansion.
     Each returned call takes the solution's value at s itself once, so a
     three-term equation costs three double-double Horner passes, with no
-    derivative or error bound.  `poly`, ascending
+    derivative or error bound.  It takes s and, optionally, what
+    `_probe_singular` returned for s: q-Racah's shifts, so a sample's square
+    root is taken once.  `poly`, ascending
     coefficients (default: the built polynomial for ghyp/gbasic, the
     structured sum otherwise), is the function the equation is applied to;
     `s` must be a Python complex in the residual variable, already checked
@@ -735,7 +749,9 @@ def _defining_terms(spec: FamilySpec, poly: Optional[np.ndarray] = None):
         c = build_polynomial(spec) if poly is None else np.asarray(poly, dtype=complex)
         diagonal, lowering = operator_multipliers(spec, range(len(c)))
         kept, lowered = c * diagonal, (c * lowering)[1:]
-        return lambda s: [complex(npp.polyval(s, kept)), complex(npp.polyval(s, lowered))]
+        return lambda s, probe=None: [
+            complex(npp.polyval(s, kept)), complex(npp.polyval(s, lowered))
+        ]
 
     # structured form by default: immune to the monomial expansion's cancellation;
     # the value alone, as `structured_eval` computes it
@@ -749,7 +765,7 @@ def _defining_terms(spec: FamilySpec, poly: Optional[np.ndarray] = None):
     if fam == Family.WILSON:
         w = lambda x: value(x * x)
 
-        def terms(s):
+        def terms(s, probe=None):
             ws = w(s)
             return [
                 wilson_B(spec, -s) * (ws - w(s + 1j)),
@@ -762,7 +778,7 @@ def _defining_terms(spec: FamilySpec, poly: Optional[np.ndarray] = None):
         t2 = racah_theta(spec) ** 2
         qt = lambda y: value(y * y - t2)
 
-        def terms(s):
+        def terms(s, probe=None):
             qs = qt(s)
             return [
                 racah_Dtilde(spec, s) * (qt(s + 1.0) - qs),
@@ -775,7 +791,7 @@ def _defining_terms(spec: FamilySpec, poly: Optional[np.ndarray] = None):
         q = spec.q
         Q = lambda z: value((z * z + 1.0) / (2.0 * z))
 
-        def terms(s):
+        def terms(s, probe=None):
             Qs = Q(s)
             return [
                 lam * Qs,
@@ -787,8 +803,8 @@ def _defining_terms(spec: FamilySpec, poly: Optional[np.ndarray] = None):
     if fam == Family.QRACAH:
         k = qracah_constants(spec)
 
-        def terms(s):
-            zp, zm, B, D = qracah_companions(k, s)
+        def terms(s, probe=None):
+            zp, zm, B, D = qracah_companions(k, s, probe)
             vs = value(s)
             return [B * (value(zp) - vs), D * (value(zm) - vs), -lam * vs]
         return terms
@@ -808,8 +824,8 @@ def defining_equation_residual(spec: FamilySpec, sample, poly: Optional[np.ndarr
     s = complex(sample)
     if spec.family == Family.JACOBI:
         return defining_equation_residual(jacobi_to_ghyp(spec), s, poly)
-    _probe_singular(spec, s)
-    return _normalized(_defining_terms(spec, poly)(s))
+    probe = _probe_singular(spec, s)
+    return _normalized(_defining_terms(spec, poly)(s, probe))
 
 
 def residual_samples(spec: FamilySpec, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -822,19 +838,29 @@ def residual_samples(spec: FamilySpec, count: int, rng: np.random.Generator) -> 
     the values one `rng.uniform(0.3, 2.0)` and one `rng.uniform()` per sample
     give, bit for bit, and leaves `rng` in the same state.
     """
+    return np.array([s for s, _ in _probed_samples(spec, count, rng)])
+
+
+def _probed_samples(spec: FamilySpec, count: int, rng: np.random.Generator) -> list:
+    """`residual_samples`' samples as (s, what `_probe_singular` returned for s) pairs."""
     out = []
     while len(out) < count:
         u = rng.random(2 * (count - len(out)))
         for s in ((0.3 + 1.7 * u[0::2]) * np.exp(2j * np.pi * u[1::2])).tolist():
             try:
-                _probe_singular(spec, s)
+                probe = _probe_singular(spec, s)
             except SingularSample:
                 continue
-            out.append(s)
-    return np.array(out)
+            out.append((s, probe))
+    return out
 
 
-def _probe_singular(spec: FamilySpec, s: complex) -> None:
+def _probe_singular(spec: FamilySpec, s: complex):
+    """Raise SingularSample when `s` lies within SINGULAR_RADIUS of a pole of the equation.
+
+    Returns what the defining terms can reuse at s: q-Racah's
+    `qracah_shifts`, whose square root the pole check takes; None otherwise.
+    """
     fam = spec.family
     if fam == Family.WILSON:
         _check_not_singular([abs(s), abs(s - 0.5j), abs(s + 0.5j)], "wilson B(x)")
@@ -849,10 +875,13 @@ def _probe_singular(spec: FamilySpec, s: complex) -> None:
         k = qracah_constants(spec)
         if abs(s * s - k.four_gdq) < SINGULAR_RADIUS:
             raise SingularSample("sample at the q-racah square-root branch point")
-        Z2 = qracah_Z(k, s, qracah_shifts(k, s)[0]) ** 2
+        shifts = qracah_shifts(k, s)
+        Z2 = qracah_Z(k, s, shifts[0]) ** 2
         _check_not_singular(
             [abs(1.0 - k.gdq * Z2), abs(1.0 - k.gdqq * Z2), abs(1.0 - k.gd * Z2)], "q-racah B/D"
         )
+        return shifts
+    return None
 
 
 def max_defining_residual(spec: FamilySpec, seed: int = 0) -> float:
@@ -865,7 +894,6 @@ def max_defining_residual(spec: FamilySpec, seed: int = 0) -> float:
     """
     base = jacobi_to_ghyp(spec) if spec.family == Family.JACOBI else spec
     terms = _defining_terms(base)
-    samples = residual_samples(base, DEFINING_SAMPLES, np.random.default_rng(seed))
-    # residual_samples has run _probe_singular on every sample
-    return max(abs(_normalized(terms(s))) for s in samples.tolist())
+    samples = _probed_samples(base, DEFINING_SAMPLES, np.random.default_rng(seed))
+    return max(abs(_normalized(terms(s, probe))) for s, probe in samples)
 

@@ -8,8 +8,10 @@ spectrum is `families.closed_form_spectrum`.
 The componentwise formulas of the paper are kept in the tests as the reference
 the Jacobian is checked against entrywise.  The zeros' algebraic identities
 are their equilibrium conditions, so `identity_residual` is the dynamics
-residual.  This module consumes `dynamics` and `families` and adds
-`verify_matrix`, which checks a matrix against its reference spectrum.
+residual, and the pass that builds a matrix holds its terms too
+(`IsospectralMatrix.terms`).  This module consumes `dynamics` and `families`
+and adds `verify_matrix`, which checks a matrix against its reference
+spectrum.
 """
 
 from __future__ import annotations
@@ -33,10 +35,18 @@ TOL_TRACEDET = 1e-8   # verify_matrix's relative trace and determinant tolerance
 
 @dataclass
 class IsospectralMatrix:
-    """Dense matrix, its closed-form reference spectrum, and the residual report."""
+    """Dense matrix, its closed-form reference spectrum, and the residual report.
+
+    `terms` holds, per zero, the additive RHS terms of the dynamics the
+    matrix linearizes, at the zeros, so `dynamics.normalized_row_sums(terms)`
+    is the identity residual.  jacobi's are the terms of its ghyp image,
+    each row the jacobi row over one common factor, which leaves the
+    residual's modulus as it is.
+    """
 
     L: np.ndarray
     reference_spectrum: np.ndarray
+    terms: list
     computed_spectrum: Optional[np.ndarray] = None
     spectral_residual: Optional[float] = None
     trace_residual: Optional[float] = None
@@ -62,6 +72,10 @@ def build_matrix(spec: fam.FamilySpec, zs) -> IsospectralMatrix:
     A padded ghyp matrix is this one on the spec with equal alpha/beta pairs
     appended: the polynomial and its zeros stay those of the unpadded spec,
     but the matrix and its spectrum change.
+
+    The one Jacobian pass also hands over the RHS terms at the zeros
+    (`dynamics.linearization`), kept as `terms`; nothing is computed from
+    them here, so a caller that reports no identity residual pays nothing.
     """
     fam.validate_spec(spec)
     zeta = _zeros_array(zs)
@@ -71,8 +85,12 @@ def build_matrix(spec: fam.FamilySpec, zs) -> IsospectralMatrix:
         dyn_spec, z = dynamics.jacobi_image(spec, zeta.tolist())
     else:
         dyn_spec, z = spec, dynamics.to_dynamics_variable(spec, zeta)
-    L = dynamics.linearization_matrix(dyn_spec, z) / dynamics.time_factor(spec)
-    return IsospectralMatrix(L=L, reference_spectrum=fam.closed_form_spectrum(dyn_spec))
+    L, terms = dynamics.linearization(dyn_spec, z)
+    return IsospectralMatrix(
+        L=L / dynamics.time_factor(spec),
+        reference_spectrum=fam.closed_form_spectrum(dyn_spec),
+        terms=terms,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -85,6 +103,8 @@ def identity_residual(spec: fam.FamilySpec, zs) -> np.ndarray:
     The identities are the equilibrium conditions of the zero dynamics, so
     this is `dynamics.equilibrium_residual_per_zero`: each zero's b.f - a.g
     (resp. difference-equation) terms summed and normalized by the largest.
+    It runs the kernel on the zeros; a caller that builds the matrix anyway
+    reads the same residual from `build_matrix(...).terms`.
     """
     return dynamics.equilibrium_residual_per_zero(spec, _zeros_array(zs))
 

@@ -138,15 +138,27 @@ def re_im_key(v: complex) -> tuple[float, float]:
     return v.real, v.imag
 
 
-def poly_roots(p, tol: float = ROOT_TOL) -> ZeroSet:
-    """All roots of `p` as eigenvalues of its companion matrix.
+def companion_eigvals(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ascending coefficients `c` over their largest magnitude, and their roots.
 
-    The max-normalized coefficients go into `numpy.polynomial`'s companion
-    matrix, whose eigenvalues LAPACK's balanced QR algorithm finds backward
-    stably (Edelman & Murakami 1995).  Every root then gets a guarded Newton
-    polish on the coefficients, on Python complex scalars: up to three
-    steps, each kept only if the scaled backward error
-    |p(z)| / sum |c_i| |z|^i improves.  A root stops at its first rejected
+    The roots are the eigenvalues of the normalized coefficients' companion
+    matrix (`numpy.polynomial`'s), which LAPACK's balanced QR algorithm finds
+    backward stably (Edelman & Murakami 1995), in no particular order and
+    unpolished.  `c` must be finite, with a nonzero last entry and degree
+    >= 1.
+    """
+    c = c / np.max(np.abs(c))
+    return c, np.linalg.eigvals(npp.polycompanion(c))
+
+
+def poly_roots(p, tol: float = ROOT_TOL) -> ZeroSet:
+    """All roots of `p` as eigenvalues of its companion matrix (`companion_eigvals`).
+
+    Every root gets a guarded Newton polish on the coefficients, on Python
+    complex scalars: up to three steps, each kept only if the scaled
+    backward error |p(z)| / sum |c_i| |z|^i improves.  The algebraic oracle
+    (`dynamics.algebraic_trajectory`) relies on it; `families.compute_zeros`
+    polishes with the structured Newton instead.  A root stops at its first rejected
     step, since a rejected step leaves z, p(z) and p'(z) as they were and
     every later step would propose the same candidate again; an accepted
     candidate carries its own evaluation into the next step, so each step
@@ -166,12 +178,12 @@ def poly_roots(p, tol: float = ROOT_TOL) -> ZeroSet:
     c = c[: nonzero[-1] + 1 if len(nonzero) else 0]  # trailing exact zeros dropped
     if len(c) < 2:
         raise DegenerateInput("poly_roots needs degree >= 1")
-    c = c / np.max(np.abs(c))
+    c, eigenvalues = companion_eigvals(c)
     desc = c[::-1].tolist()
     mods = [abs(ci) for ci in desc]
 
     roots, worst = [], 0.0
-    for z in np.linalg.eigvals(npp.polycompanion(c)).tolist():
+    for z in eigenvalues.tolist():
         step, res = _newton_point(desc, mods, z)
         for _ in range(3):
             cand = z - step

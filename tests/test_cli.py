@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from isospectra import cli, families
+from isospectra import cli, dynamics, families
 from isospectra.errors import IsospectraError
 
 # -h screens and argparse errors, taken at COLUMNS=80 under Python 3.11
@@ -123,6 +123,24 @@ class TestVerify:
         solved = count_zero_solves(monkeypatch)
         code, _ = run(capsys, ["verify", "--family", "wilson", "-N", "3", "--alphas", "0.7,1.1,1.6,2.2"])
         assert code == 0 and len(solved) == 1
+
+    @pytest.mark.parametrize(
+        "spec",
+        ["ghyp -N 4 --alphas 1.7 --betas 2.3", "gbasic -N 4 --alphas 1.7 --betas 2.3 --q 1.5",
+         "wilson -N 4 --alphas 0.7,1.1,1.6,2.2", "racah -N 4 --alphas 1.1,2.2,0.8,1.4",
+         "aw -N 4 --alphas 0.6,1.1,1.7,1.4 --q 1.4", "qracah -N 3 --alphas 1.1,2.2,0.8,1.4 --q 1.4",
+         "jacobi -N 4 --alphas 0.5,1.0"],
+        ids=lambda s: s.split()[0],
+    )
+    def test_one_kernel_pass(self, capsys, monkeypatch, spec):
+        # the matrix's Jacobian pass also gives the identity residual's terms
+        calls = []
+        kernel_rows = dynamics._kernel_rows
+        monkeypatch.setattr(
+            dynamics, "_kernel_rows", lambda *a: calls.append(1) or kernel_rows(*a)
+        )
+        code, _ = run(capsys, ["verify", "--family", *spec.split()])
+        assert code == 0 and len(calls) == 1
 
     def test_aw_large_numerator_passes(self, capsys):
         # (abcd q^(N-1); q)_m dwarfs (q; q)_m here; no denominator is near zero
@@ -400,6 +418,23 @@ class TestExitCodes:
         lines = proc.stderr.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["zeros", "--family", "ghyp", "-N", "171", "--alphas", "1.7", "--betas", "2.3"],
+            ["zeros", "--family", "wilson", "-N", "171", "--alphas", "0.7,1.1,1.6,2.2"],
+            ["zeros", "--family", "racah", "-N", "171", "--alphas", "1.1,2.2,0.8,1.4"],
+            ["zeros", "--family", "jacobi", "-N", "100", "--alphas", "0.5,1.0"],
+            ["verify", "--family", "ghyp", "-N", "171", "--alphas", "1.7", "--betas", "2.3"],
+        ],
+        ids=["ghyp-171", "wilson-171", "racah-171", "jacobi-100", "verify-ghyp-171"],
+    )
+    def test_factorial_past_double_exit_3(self, capsys, argv):
+        # a factorial of the term table that no longer fits a double is the
+        # non-finite coefficient N = 170 already reports
+        assert cli.main(argv) == cli.EXIT_DEGENERATE
+        assert capsys.readouterr() == ("", "error: non-finite polynomial coefficient\n")
+
 
 class TestRefinementGuard:
     def test_sum_cancelling_past_double_double_exit_4(self):
@@ -434,6 +469,56 @@ class TestParserScreens:
             cli.main(case["argv"])
         assert exc.value.code == case["code"]
         assert capsys.readouterr() == (case["stdout"], case["stderr"])
+
+
+class TestStandaloneParser:
+    """A subcommand's own parser settles argv as the full parser would."""
+
+    WILSON = ["--family", "wilson", "-N", "4", "--alphas", "0.7,1.1,1.6,2.2"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--fam", "wilson", "-N", "4", "--alphas", "0.7,1.1,1.6,2.2"],
+            ["verify", "--family", "wilson", "-N", "4", "--alphas=0.7,1.1,1.6,2.2"],
+            ["matrix", "--family", "ghyp", "-N8", "--alphas", "1.7", "--betas", "2.3"],
+            ["verify", *WILSON, "--seed", "3", "--seed", "5", "--tol-spectral", "1e-5"],
+            ["sweep", "--draws", "2", "--nmax", "3"],
+            ["evolve", "--family", "ghyp", "--steps", "5", "--t1=0.1"],
+        ],
+        ids=["abbreviation", "equals", "attached-N", "repeated", "sweep", "evolve"],
+    )
+    def test_same_namespace(self, argv):
+        assert cli.parse_args(argv) == cli.build_parser(argv).parse_args(argv)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", *WILSON, "--bogus"],
+            ["verify", *WILSON, "extra"],
+            ["verify", *WILSON, "--seed", "x"],
+            ["verify", *WILSON, "--tol", "1e-7"],
+            ["zeros", "-N"],
+        ],
+        ids=["bad-flag", "extra-token", "bad-value", "ambiguous-abbreviation", "missing-value"],
+    )
+    def test_same_error(self, monkeypatch, capsys, argv):
+        monkeypatch.setenv("COLUMNS", "80")
+        screens = []
+        for parse in (cli.parse_args, lambda a: cli.build_parser(a).parse_args(a)):
+            with pytest.raises(SystemExit) as exc:
+                parse(argv)
+            screens.append((exc.value.code, capsys.readouterr()))
+        assert screens[0] == screens[1]
+        assert screens[0][0] == 2
+
+    def test_leftover_token_gets_the_top_level_usage(self, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit):
+            cli.main(["verify", *self.WILSON, "--bogus"])
+        err = capsys.readouterr().err.splitlines()
+        assert err[0] == "usage: isospectra [-h] {zeros,matrix,verify,evolve,sweep} ..."
+        assert err[-1] == "isospectra: error: unrecognized arguments: --bogus"
 
 
 class TestParserWidth:

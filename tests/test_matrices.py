@@ -381,6 +381,35 @@ class TestIdentityResidual:
         assert np.max(np.abs(res)) >= 1e-5
 
 
+def _fixture_specs():
+    """The fixture's specs that compute_zeros accepts, complex ones included, and each at N = 1."""
+    from test_reference_zeros import REFERENCE, spec_of
+
+    entries = [e for e in REFERENCE["specs"] if "too coarse" not in e["label"]]
+    params = [pytest.param(spec_of(e), id=e["label"]) for e in entries]
+    return params + [
+        pytest.param(iso.make_spec(s.family, 1, s.alphas, s.betas, s.q), id=f"{p.id} at N=1")
+        for p in params
+        for s in p.values
+    ]
+
+
+class TestIdentityFromJacobianPass:
+    """The identity residual read from `build_matrix`'s terms, with no second kernel run."""
+
+    @pytest.mark.parametrize("spec", _fixture_specs())
+    def test_matches_identity_residual(self, spec):
+        # at the zeros both are rounding noise; off them (about 1e-3 away)
+        # they are O(1e-3..1), so agreement to a few roundings is a real check.
+        # jacobi's terms are its ghyp image's, so the two residuals differ
+        # by a factor of modulus 1 per zero: compare moduli
+        zs = iso.compute_zeros(spec)
+        for z in (zs.zeros, zs.zeros * (1.0 + 1e-3) + 1e-3j):
+            got = np.abs(dynamics.normalized_row_sums(iso.build_matrix(spec, z).terms))
+            want = np.abs(iso.identity_residual(spec, z))
+            assert np.max(np.abs(got - want)) <= 16 * np.finfo(float).eps, spec
+
+
 class TestVerifyMatrix:
     def test_ghyp_trivial(self):
         rep = iso.verify_matrix(iso.make_spec("ghyp", 1, [2.0], [3.0]))
