@@ -174,6 +174,19 @@ def _emit(report: dict) -> None:
     sys.stdout.write(json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n")
 
 
+def _check_numbers(args, finite=(), tolerances=()) -> None:
+    """Raise InvalidParameters for a negative --seed, a non-finite value of a
+    `finite` flag, or a `tolerances` flag that is not finite and >= 0."""
+    if getattr(args, "seed", 0) < 0:
+        raise InvalidParameters("--seed must be >= 0")
+    for dest in finite:
+        if not np.isfinite(getattr(args, dest)):
+            raise InvalidParameters(f"--{dest.replace('_', '-')} must be finite")
+    for dest in tolerances:
+        if not 0.0 <= getattr(args, dest) < np.inf:
+            raise InvalidParameters(f"--{dest.replace('_', '-')} must be finite and >= 0")
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -214,6 +227,7 @@ def _matrix_payload(
 
 
 def cmd_matrix(args) -> int:
+    _check_numbers(args, tolerances=("tol_spectral",))
     spec = _spec_from_args(args)
     zs = families.compute_zeros(spec)
     payload, report = _matrix_payload(spec, zs, args.tol_spectral)
@@ -222,6 +236,7 @@ def cmd_matrix(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    _check_numbers(args, tolerances=("tol_spectral", "tol_identity"))
     spec = _spec_from_args(args)
     zs = families.compute_zeros(spec)
     payload, report = _matrix_payload(spec, zs, args.tol_spectral)
@@ -238,6 +253,7 @@ def cmd_verify(args) -> int:
 def cmd_evolve(args) -> int:
     if args.steps < 1 or args.record_every < 1:
         raise InvalidParameters("--steps and --record-every must be >= 1")
+    _check_numbers(args, finite=("t1", "perturb"), tolerances=("tol_deviation",))
     spec = _spec_from_args(args)
     zs = families.compute_zeros(spec)
     start = dynamics.to_dynamics_variable(spec, zs.zeros)
@@ -307,6 +323,7 @@ def cmd_sweep(args) -> int:
         raise InvalidParameters("--draws must be >= 0")
     if args.nmax < 2:
         raise InvalidParameters("--nmax must be >= 2")
+    _check_numbers(args, tolerances=("tol_spectral",))
     results = []
     for name in names:
         for k in range(args.draws):

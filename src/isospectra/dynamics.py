@@ -176,21 +176,26 @@ def c_flow(cs: CSystem, c0):
 # (README, "Zero-dynamics kernels").  Fed one-hot duals (`OneHot.seed`)
 # instead, the same kernels return the exact Jacobian
 # (`linearization_matrix`), which is the family's isospectral matrix.  Every
-# kernel rests on one of two shared primitives over one `pair_reciprocals`
-# table of 1 / (u_n - u_l): the f/g recursion (ghyp, jacobi) or the
-# exclusion product (the five difference and q-difference families), which
-# `exclusion_table` hands out with its table.  Everything in row n but the
-# two primitives depends on zero n alone, so it stays one-hot, and each
-# primitive takes its partials from its own rule over a table of plain
-# values.  The exclusion product's rule (`basic_f_dual`) keeps the rounding
-# of `basic_f` on dense duals, so those matrices are the dense pass's bit for
-# bit.  The f/g recursion couples every zero in every step, so its rule
-# (`fg_tangents`) carries each level's tangent as one N x N array, and the
-# ghyp kernel hands a row's term values with the tangent of their sum on the
-# first, so each row still sums to its dual.  A kernel binds
-# its family's constants once per call, outside the per-zero loops (cached
-# per parameter set where forming them costs arithmetic), and calls the
-# `families` helpers that take them unpacked.
+# kernel rests on one of two shared primitives: the f/g recursion (ghyp,
+# jacobi) or the exclusion product (the five difference and q-difference
+# families), which `exclusion_table` hands out.  On Python complex numbers
+# (`integrate`, `nonlinear_rhs`, `rhs_terms`) each pair term divides by its
+# own difference u_n - u_l and no table is built: at small N a table of
+# reciprocals costs more than the divisions it saves.  The Jacobian pass,
+# which reuses each reciprocal for the partials, and the dense-dual pass it
+# is tested against read one `pair_reciprocals` table of 1 / (u_n - u_l).
+# Everything in row n but the two primitives depends on zero n alone, so it
+# stays one-hot, and each primitive takes its partials from its own rule
+# over a table of plain values.  The exclusion product's rule
+# (`basic_f_dual`) keeps the rounding of `basic_f` on dense duals over a dual
+# table, so those matrices are the dense pass's bit for bit.  The f/g
+# recursion couples every zero in every step, so its rule (`fg_tangents`)
+# carries each level's tangent as one N x N array, and the ghyp kernel hands
+# a row's term values with the tangent of their sum on the first, so each
+# row still sums to its dual.  A kernel binds its family's constants once per
+# call, outside the per-zero loops (cached per parameter set where forming
+# them costs arithmetic), and calls the `families` helpers that take them
+# unpacked.
 # ---------------------------------------------------------------------------
 
 def check_distinct(z: list) -> None:
@@ -202,9 +207,11 @@ def check_distinct(z: list) -> None:
 def pair_reciprocals(z: list) -> list:
     """inv[n][l] = 1 / (z_n - z_l) for l != n; the diagonal is None.
 
-    Each unordered pair is inverted once and its mirror stores the negation,
-    so a kernel's pair terms need one reciprocal per pair and no division.
-    `z` is a list of Python complex numbers or of `Dual`s.
+    Each unordered pair is inverted once and its mirror stores the negation.
+    The Jacobian pass's rules (`basic_f_dual`, `fg_tangents`) read it over
+    the zeros' values, and `basic_f` over dense duals; the kernels on Python
+    complex numbers divide instead.  `z` is a list of Python complex numbers
+    or of `Dual`s.
     """
     n_zeros = len(z)
     inv = [[None] * n_zeros for _ in range(n_zeros)]
@@ -222,14 +229,14 @@ def fg_recursion(zeta, J: int):
 
     f^(j+1)_n = -f^(j)_n + sum_{l != n} (z_n f^(j)_l + z_l f^(j)_n) / (z_n - z_l) and
     g^(j)_n = sum_{l != n} (f^(j)_n + f^(j)_l) / (z_n - z_l).  Both pair terms are
-    antisymmetric in (n, l), so each is formed once per unordered pair, added
-    to row n and subtracted from row l; every row still accumulates its terms
-    in ascending l.  Returns lists f[j][n] (j = 1..J, f[0] is None) and
-    g[j][n] (j = 0..J).  The Jacobian pass takes its derivative rule instead
-    (`fg_tangents`).
+    antisymmetric in (n, l), so each is formed once per unordered pair, with
+    one division by z_n - z_l and no table of reciprocals, added to row n and
+    subtracted from row l; every row still accumulates its terms in
+    ascending l.  A coincident pair raises ZeroDivisionError.  Returns lists
+    f[j][n] (j = 1..J, f[0] is None) and g[j][n] (j = 0..J).  The Jacobian
+    pass takes its derivative rule instead (`fg_tangents`).
     """
     n_zeros = len(zeta)
-    inv = pair_reciprocals(zeta)
     zero = zeta[0] * 0.0
     f = [None] * (J + 1)
     g = [None] * (J + 1)
@@ -239,19 +246,20 @@ def fg_recursion(zeta, J: int):
         fj = f[j]
         acc = [-v for v in fj]
         for n, zn in enumerate(zeta):
-            fjn, inv_n = fj[n], inv[n]
+            fjn = fj[n]
             for ell in range(n + 1, n_zeros):
-                t = (zn * fj[ell] + zeta[ell] * fjn) * inv_n[ell]
+                zl = zeta[ell]
+                t = (zn * fj[ell] + zl * fjn) / (zn - zl)
                 acc[n] = acc[n] + t
                 acc[ell] = acc[ell] - t
         f[j + 1] = acc
     for j in range(1, J + 1):
         fj = f[j]
         acc = [zero] * n_zeros
-        for n in range(n_zeros):
-            fjn, inv_n = fj[n], inv[n]
+        for n, zn in enumerate(zeta):
+            fjn = fj[n]
             for ell in range(n + 1, n_zeros):
-                t = (fjn + fj[ell]) * inv_n[ell]
+                t = (fjn + fj[ell]) / (zn - zeta[ell])
                 acc[n] = acc[n] + t
                 acc[ell] = acc[ell] - t
         g[j] = acc
@@ -324,13 +332,25 @@ def fg_tangents(z: list, T: np.ndarray, J: int):
 # The Askey-Wilson pair factor K(z_n, z_m) = q (X(q z_n) - x_m) / (x_n - x_m),
 # so its product is q^(N-1) times the exclusion product and needs the lift
 # z_n = x_n + sqrt(x_n^2 - 1) of zero n only.  A kernel takes the product
-# and the table from `exclusion_table(u)`: `basic_f_dual` over the table of
-# u's values on one-hot duals, `basic_f` over `pair_reciprocals(u)` on Python
-# complex numbers or dense duals.
+# and its table from `exclusion_table(u)`: `basic_f_dual` over the table of
+# u's values on one-hot duals, `basic_f` over `pair_reciprocals(u)` on dense
+# duals, and `basic_f` with no table, one division per factor, on Python
+# complex numbers.
 
-def basic_f(s, u, n: int, inv_n: list):
-    """prod_{l != n} (s - u_l) / (u_n - u_l), as products with inv_n[l] = 1 / (u_n - u_l)."""
+def basic_f(s, u, n: int, inv_n=None):
+    """prod_{l != n} (s - u_l) / (u_n - u_l), one factor at a time in ascending l.
+
+    Without `inv_n` (Python complex numbers) each factor is one division.
+    Given inv_n[l] = 1 / (u_n - u_l) (dense duals over `pair_reciprocals(u)`,
+    the pass whose rounding `basic_f_dual` repeats), each is one product.
+    """
     out = 1.0 + 0.0j
+    if inv_n is None:
+        un = u[n]
+        for ell, ul in enumerate(u):
+            if ell != n:
+                out = (s - ul) / (un - ul) * out
+        return out
     for ell, ul in enumerate(u):
         if ell != n:
             out = (s - ul) * inv_n[ell] * out
@@ -391,12 +411,15 @@ def exclusion_table(u: list):
 
     One-hot u (the Jacobian pass): `basic_f_dual` over the table of u's
     values, since that rule carries the table's derivative itself and no
-    `Dual` reciprocal is formed.  Python complex numbers or dense duals:
-    `basic_f` over `pair_reciprocals(u)`.
+    `Dual` reciprocal is formed.  Dense duals: `basic_f` over
+    `pair_reciprocals(u)`.  Python complex numbers: `basic_f` with a row of
+    None per zero, so each factor divides by u_n - u_l and no table is built.
     """
     if isinstance(u[0], OneHot):
         return basic_f_dual, pair_reciprocals([v.val for v in u])
-    return basic_f, pair_reciprocals(u)
+    if isinstance(u[0], Dual):
+        return basic_f, pair_reciprocals(u)
+    return basic_f, [None] * len(u)
 
 
 @lru_cache(maxsize=512)

@@ -356,8 +356,10 @@ class TestInputErrors:
             ["zeros", "--family", "ghyp", "-N", "2", "--alphas", "2,x", "--betas", "3"],
             ["zeros", "--spec-file", "{tmp}/no-such-spec.json"],
             ["sweep", "--draws", "-1"],
+            ["verify", "--family", "wilson", "-N", "4", "--alphas", "0.7,1.1,1.6,2.2", "--seed", "-1"],
         ],
-        ids=["steps-0", "record-every-0", "bad-alpha", "missing-spec-file", "negative-draws"],
+        ids=["steps-0", "record-every-0", "bad-alpha", "missing-spec-file", "negative-draws",
+             "negative-seed"],
     )
     def test_exit_2(self, tmp_path, argv):
         import subprocess
@@ -371,6 +373,58 @@ class TestInputErrors:
         assert proc.stdout == ""
         lines = proc.stderr.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+class TestNumericFlagErrors:
+    """A negative --seed, a non-finite --t1 or --perturb, and a --tol-* flag
+    that is not finite and >= 0 exit 2 with one error line, from the handler."""
+
+    VERIFY = ["verify", "--family", "wilson", "-N", "4", "--alphas", "0.7,1.1,1.6,2.2"]
+    MATRIX = ["matrix", "--family", "ghyp", "-N", "4", "--alphas", "1.7", "--betas", "2.3"]
+    EVOLVE = ["evolve", "--family", "ghyp", "-N", "4", "--alphas", "1.7", "--betas", "2.3", "--steps", "10"]
+    SWEEP = ["sweep", "--draws", "1", "--nmax", "3"]
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (VERIFY + ["--seed", "-1"], "--seed must be >= 0"),
+            (EVOLVE + ["--seed", "-1"], "--seed must be >= 0"),
+            (SWEEP + ["--seed", "-1"], "--seed must be >= 0"),
+            (["sweep", "--draws", "0", "--seed", "-1"], "--seed must be >= 0"),
+            (EVOLVE + ["--t1", "nan"], "--t1 must be finite"),
+            (EVOLVE + ["--t1", "inf"], "--t1 must be finite"),
+            (EVOLVE + ["--t1=-inf"], "--t1 must be finite"),
+            (EVOLVE + ["--perturb", "nan"], "--perturb must be finite"),
+            (EVOLVE + ["--perturb", "inf"], "--perturb must be finite"),
+            (EVOLVE + ["--tol-deviation", "nan"], "--tol-deviation must be finite and >= 0"),
+            (EVOLVE + ["--tol-deviation=-1e-6"], "--tol-deviation must be finite and >= 0"),
+            (EVOLVE + ["--tol-deviation", "inf"], "--tol-deviation must be finite and >= 0"),
+            (VERIFY + ["--tol-spectral", "nan"], "--tol-spectral must be finite and >= 0"),
+            (VERIFY + ["--tol-spectral", "-1"], "--tol-spectral must be finite and >= 0"),
+            (VERIFY + ["--tol-identity", "nan"], "--tol-identity must be finite and >= 0"),
+            (VERIFY + ["--tol-identity=-1e-8"], "--tol-identity must be finite and >= 0"),
+            (VERIFY + ["--tol-identity", "inf"], "--tol-identity must be finite and >= 0"),
+            (MATRIX + ["--tol-spectral", "inf"], "--tol-spectral must be finite and >= 0"),
+            (MATRIX + ["--tol-spectral", "-1"], "--tol-spectral must be finite and >= 0"),
+            (SWEEP + ["--tol-spectral", "nan"], "--tol-spectral must be finite and >= 0"),
+            (SWEEP + ["--tol-spectral", "-1"], "--tol-spectral must be finite and >= 0"),
+        ],
+    )
+    def test_exit_2(self, capsys, argv, message):
+        assert cli.main(argv) == cli.EXIT_INVALID
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [VERIFY + ["--seed", "0", "--tol-spectral", "0", "--tol-identity", "0"],
+         EVOLVE + ["--t1", "-0.01", "--perturb=-1e-3", "--tol-deviation", "0"]],
+        ids=["verify", "evolve"],
+    )
+    def test_boundary_values_are_valid(self, capsys, argv):
+        # a zero tolerance is a strict check, and a negative --t1 or
+        # --perturb a valid run, not invalid input
+        assert cli.main(argv) in (cli.EXIT_PASS, cli.EXIT_FAIL)
+        json.loads(capsys.readouterr().out)
 
 
 class TestExitCodes:
@@ -566,9 +620,14 @@ class TestConsoleEntryPoint:
 
 
 # argv fuzz domain: every subcommand, valid and invalid families, degrees,
-# step counts and draw sizes around their limits, and malformed value tokens
+# step counts, draw sizes and seeds around their limits, and malformed value
+# tokens, also on the tolerance flags
 VALUE_TOKENS = ["nan", "1e300", "", "x", "1+1i", "0", "-1", "1.4", "1.7", "2.3,3.1",
                 "0.5,1.0", "0.7,1.1,1.6,2.2", "1.1,2.2,0.8,1.4"]
+TOL_FLAGS = ("--tol-spectral", "--tol-identity", "--tol-deviation")
+INVALID_VALUES = {("--seed", "-1"), ("--t1", "nan"), ("--perturb", "nan")} | {
+    (flag, value) for flag in TOL_FLAGS for value in ("nan", "-1")
+}
 FUZZ_FAMILIES = ["ghyp", "gbasic", "wilson", "racah", "aw", "askey-wilson", "qracah", "jacobi", "nope"]
 
 
@@ -585,7 +644,8 @@ def cli_argv(draw):
             _flag("--family", st.sampled_from([*cli.CONSTRUCTIONS, "all", "nope"])),
             _flag("--draws", st.integers(-1, 1)),
             _flag("--nmax", st.integers(-1, 4)),
-            _flag("--seed", st.integers(0, 3)),
+            _flag("--seed", st.integers(-1, 3)),
+            _flag("--tol-spectral", tokens),
         ]
     else:
         groups = [
@@ -595,6 +655,10 @@ def cli_argv(draw):
             _flag("--betas", tokens),
             _flag("--q", tokens),
         ]
+        if command in ("matrix", "verify"):
+            groups.append(_flag("--tol-spectral", tokens))
+        if command == "verify":
+            groups += [_flag("--seed", st.integers(-1, 3)), _flag("--tol-identity", tokens)]
         if command == "evolve":
             # --steps is always given: the default 2000 steps is slow for a fuzz case
             groups += [
@@ -602,6 +666,8 @@ def cli_argv(draw):
                 _flag("--record-every", st.integers(0, 7)),
                 _flag("--t1", tokens),
                 _flag("--perturb", tokens),
+                _flag("--seed", st.integers(-1, 3)),
+                _flag("--tol-deviation", tokens),
             ]
     return [command] + [tok for group in groups for tok in draw(group)]
 
@@ -619,3 +685,6 @@ class TestArgvFuzz:
                 code = exc.code
         assert code in (0, 1, 2, 3, 4), (argv, code)
         assert "Traceback" not in err.getvalue(), argv
+        # a value that every handler rejects makes any argv invalid input
+        if any(pair in INVALID_VALUES for pair in zip(argv, argv[1:])):
+            assert code == 2, (argv, code)

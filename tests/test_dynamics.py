@@ -666,6 +666,34 @@ class TestScalarKernels:
                     dynamics.linearization_matrix(spec, [gap, 0j, -0.7])
 
     @pytest.mark.parametrize("spec", DEMO_SPECS, ids=lambda s: s.family.value)
+    def test_scalar_path_builds_no_pair_table(self, monkeypatch, spec):
+        # on Python complex numbers each pair term divides by its own
+        # difference; only the Jacobian pass reads a table of reciprocals
+        class PairTableBuilt(Exception):
+            pass
+
+        def no_table(z):
+            raise PairTableBuilt
+
+        z0 = perturbed_start(spec)
+        monkeypatch.setattr(dynamics, "pair_reciprocals", no_table)
+        assert np.all(np.isfinite(dynamics.nonlinear_rhs(spec, z0)))
+        assert np.all(np.isfinite(dynamics.rhs_terms(spec, z0)))
+        _, traj = dynamics.integrate(spec, z0, 0.01, 5)
+        assert traj.shape == (6, spec.N)
+        with pytest.raises(PairTableBuilt):
+            dynamics.linearization(spec, z0)
+
+    @pytest.mark.parametrize("family", ["gbasic", "qracah", "aw", "ghyp"])
+    def test_coincident_pair_in_kernel(self, family):
+        # the collision guard of nonlinear_rhs stops this state first;
+        # straight into the kernel, the pair's division by zero is reported
+        spec = next(s for s in DEMO_SPECS if s.family.value == family)
+        z = [0.3 + 0.1j, 0.3 + 0.1j, -0.7 + 0.2j, 1.9 - 0.3j]
+        with pytest.raises(SingularDenominator, match="division by zero"):
+            dynamics._kernel_rows(spec, z)
+
+    @pytest.mark.parametrize("spec", DEMO_SPECS, ids=lambda s: s.family.value)
     def test_trajectory_equals_vector_rk4(self, spec):
         # the list RK4 keeps the vector form's operation order
         z0 = perturbed_start(spec)
