@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 import numpy.polynomial.polynomial as npp
@@ -170,32 +169,40 @@ def c_flow(cs: CSystem, c0):
 # ---------------------------------------------------------------------------
 # Nonlinear right-hand sides
 #
-# Each kernel takes the state as a list of Python complex numbers and returns
-# the per-component terms as a list of rows.  Up to N of about 6 these scalar
-# loops beat masked N x N numpy arrays, whose fixed cost per call dominates
-# (README, "Zero-dynamics kernels").  Fed one-hot duals (`OneHot.seed`)
-# instead, the same kernels return the exact Jacobian
-# (`linearization_matrix`), which is the family's isospectral matrix.  Every
-# kernel rests on one of two shared primitives: the f/g recursion (ghyp,
-# jacobi) or the exclusion product (the five difference and q-difference
-# families), which `exclusion_table` hands out.  On Python complex numbers
-# (`integrate`, `nonlinear_rhs`, `rhs_terms`) each pair term divides by its
-# own difference u_n - u_l and no table is built: at small N a table of
-# reciprocals costs more than the divisions it saves.  The Jacobian pass,
-# which reuses each reciprocal for the partials, and the dense-dual pass it
-# is tested against read one `pair_reciprocals` table of 1 / (u_n - u_l).
-# Everything in row n but the two primitives depends on zero n alone, so it
-# stays one-hot, and each primitive takes its partials from its own rule
-# over a table of plain values.  The exclusion product's rule
-# (`basic_f_dual`) keeps the rounding of `basic_f` on dense duals over a dual
-# table, so those matrices are the dense pass's bit for bit.  The f/g
-# recursion couples every zero in every step, so its rule (`fg_tangents`)
-# carries each level's tangent as one N x N array, and the ghyp kernel hands
-# a row's term values with the tangent of their sum on the first, so each
-# row still sums to its dual.  A kernel binds its family's constants once per
-# call, outside the per-zero loops (cached per parameter set where forming
-# them costs arithmetic), and calls the `families` helpers that take them
-# unpacked.
+# Each family has one binder in `_BINDERS`.  `binder(spec)` forms the
+# family's constants once (the elementary coefficient lists, the gbasic
+# shifts and row weights, the Wilson symmetric functions, Racah's 2 alpha
+# and 2 beta, the Askey-Wilson prefactor, the q-Racah constants, Jacobi's
+# ghyp image) and returns `rows(z)`, the family's row formula, the one place
+# it is written: it takes the state as a list and returns the per-component
+# terms as a list of rows.  `integrate` binds once per integration;
+# `_kernel_rows` binds and calls, for a single pass (`nonlinear_rhs`,
+# `rhs_terms`, `linearization`).  Up to N of about 6 these scalar loops beat
+# masked N x N numpy arrays, whose fixed cost per call dominates (README,
+# "Zero-dynamics kernels").  Fed one-hot duals (`OneHot.seed`) instead, the
+# same row formulas return the exact Jacobian (`linearization_matrix`),
+# which is the family's isospectral matrix.  Every row formula rests on one
+# of two shared primitives: the f/g recursion (ghyp, jacobi) or the
+# exclusion product (the five difference and q-difference families), which
+# `exclusion_table` hands out.  On Python complex numbers (`integrate`,
+# `nonlinear_rhs`, `rhs_terms`) each pair difference u_n - u_l is formed
+# once per row and pass and divided by, and no table is built: the f/g
+# recursion forms f_(j+1) and g_j in one pass over the pairs per level, and
+# a row's two exclusion products share one pass over l (`basic_f2`).  At
+# small N a table of reciprocals costs more than the divisions it saves.
+# The Jacobian pass, which reuses each reciprocal for the partials, and the
+# dense-dual pass it is tested against read one `pair_reciprocals` table of
+# 1 / (u_n - u_l) and take each shift's product on its own.  Everything in
+# row n but the two primitives depends on zero n alone, so it stays
+# one-hot, and each primitive takes its partials from its own rule over a
+# table of plain values.  The exclusion product's rule (`basic_f_dual`)
+# keeps the rounding of `basic_f` on dense duals over a dual table, so
+# those matrices are the dense pass's bit for bit.  The f/g recursion
+# couples every zero in every step, so its rule (`fg_tangents`) carries
+# each level's tangent as one N x N array, and the ghyp row formula hands a
+# row's term values with the tangent of their sum on the first, so each row
+# still sums to its dual.  The row formulas call the `families` helpers that
+# take the bound constants unpacked.
 # ---------------------------------------------------------------------------
 
 def check_distinct(z: list) -> None:
@@ -209,9 +216,9 @@ def pair_reciprocals(z: list) -> list:
 
     Each unordered pair is inverted once and its mirror stores the negation.
     The Jacobian pass's rules (`basic_f_dual`, `fg_tangents`) read it over
-    the zeros' values, and `basic_f` over dense duals; the kernels on Python
-    complex numbers divide instead.  `z` is a list of Python complex numbers
-    or of `Dual`s.
+    the zeros' values, and `basic_f` over dense duals; the row formulas on
+    Python complex numbers divide instead.  `z` is a list of Python complex
+    numbers or of `Dual`s.
     """
     n_zeros = len(z)
     inv = [[None] * n_zeros for _ in range(n_zeros)]
@@ -229,12 +236,13 @@ def fg_recursion(zeta, J: int):
 
     f^(j+1)_n = -f^(j)_n + sum_{l != n} (z_n f^(j)_l + z_l f^(j)_n) / (z_n - z_l) and
     g^(j)_n = sum_{l != n} (f^(j)_n + f^(j)_l) / (z_n - z_l).  Both pair terms are
-    antisymmetric in (n, l), so each is formed once per unordered pair, with
-    one division by z_n - z_l and no table of reciprocals, added to row n and
-    subtracted from row l; every row still accumulates its terms in
-    ascending l.  A coincident pair raises ZeroDivisionError.  Returns lists
-    f[j][n] (j = 1..J, f[0] is None) and g[j][n] (j = 0..J).  The Jacobian
-    pass takes its derivative rule instead (`fg_tangents`).
+    antisymmetric in (n, l) and both read f^(j), so one pass over the
+    unordered pairs per level forms z_n - z_l once and each term with one
+    division by it, added to row n and subtracted from row l; every row
+    still accumulates each table's terms in ascending l.  No table of
+    reciprocals is built.  A coincident pair raises ZeroDivisionError.
+    Returns lists f[j][n] (j = 1..J, f[0] is None) and g[j][n] (j = 0..J).
+    The Jacobian pass takes its derivative rule instead (`fg_tangents`).
     """
     n_zeros = len(zeta)
     zero = zeta[0] * 0.0
@@ -242,27 +250,26 @@ def fg_recursion(zeta, J: int):
     g = [None] * (J + 1)
     f[1] = list(zeta)
     g[0] = [zero + 1.0] * n_zeros
-    for j in range(1, J):
-        fj = f[j]
-        acc = [-v for v in fj]
-        for n, zn in enumerate(zeta):
-            fjn = fj[n]
-            for ell in range(n + 1, n_zeros):
-                zl = zeta[ell]
-                t = (zn * fj[ell] + zl * fjn) / (zn - zl)
-                acc[n] = acc[n] + t
-                acc[ell] = acc[ell] - t
-        f[j + 1] = acc
     for j in range(1, J + 1):
         fj = f[j]
-        acc = [zero] * n_zeros
+        next_f = j < J  # the last level forms g alone
+        acc_f = [-v for v in fj]
+        acc_g = [zero] * n_zeros
         for n, zn in enumerate(zeta):
             fjn = fj[n]
             for ell in range(n + 1, n_zeros):
-                t = (fjn + fj[ell]) / (zn - zeta[ell])
-                acc[n] = acc[n] + t
-                acc[ell] = acc[ell] - t
-        g[j] = acc
+                zl, fjl = zeta[ell], fj[ell]
+                d = zn - zl
+                if next_f:
+                    t = (zn * fjl + zl * fjn) / d
+                    acc_f[n] = acc_f[n] + t
+                    acc_f[ell] = acc_f[ell] - t
+                t = (fjn + fjl) / d
+                acc_g[n] = acc_g[n] + t
+                acc_g[ell] = acc_g[ell] - t
+        if next_f:
+            f[j + 1] = acc_f
+        g[j] = acc_g
     return f, g
 
 
@@ -331,18 +338,23 @@ def fg_tangents(z: list, T: np.ndarray, J: int):
 #
 # The Askey-Wilson pair factor K(z_n, z_m) = q (X(q z_n) - x_m) / (x_n - x_m),
 # so its product is q^(N-1) times the exclusion product and needs the lift
-# z_n = x_n + sqrt(x_n^2 - 1) of zero n only.  A kernel takes the product
-# and its table from `exclusion_table(u)`: `basic_f_dual` over the table of
-# u's values on one-hot duals, `basic_f` over `pair_reciprocals(u)` on dense
-# duals, and `basic_f` with no table, one division per factor, on Python
-# complex numbers.
+# z_n = x_n + sqrt(x_n^2 - 1) of zero n only.  Every row but gbasic's takes
+# the product at two shifts, and gbasic takes its shifts two at a time.  A
+# row formula takes the one-shift and the two-shift product and their table
+# from `exclusion_table(u)`: `basic_f_dual` over the table of u's values on
+# one-hot duals, `basic_f` over `pair_reciprocals(u)` on dense duals, each
+# shift on its own, and on Python complex numbers `basic_f2`, one pass over
+# l for both shifts with one division per factor and no table.
 
 def basic_f(s, u, n: int, inv_n=None):
     """prod_{l != n} (s - u_l) / (u_n - u_l), one factor at a time in ascending l.
 
-    Without `inv_n` (Python complex numbers) each factor is one division.
-    Given inv_n[l] = 1 / (u_n - u_l) (dense duals over `pair_reciprocals(u)`,
-    the pass whose rounding `basic_f_dual` repeats), each is one product.
+    Without `inv_n` (Python complex numbers) each factor is one division;
+    the row formulas take their shifts two at a time through `basic_f2`,
+    which makes these operations for both in one pass, and this form only
+    for gbasic's odd shift.  Given inv_n[l] = 1 / (u_n - u_l) (dense duals
+    over `pair_reciprocals(u)`, the pass whose rounding `basic_f_dual`
+    repeats), each is one product.
     """
     out = 1.0 + 0.0j
     if inv_n is None:
@@ -355,6 +367,27 @@ def basic_f(s, u, n: int, inv_n=None):
         if ell != n:
             out = (s - ul) * inv_n[ell] * out
     return out
+
+
+def basic_f2(s, t, u, n: int, inv_n=None):
+    """(`basic_f` at s, `basic_f` at t): the exclusion products of one row at two shifts.
+
+    Without `inv_n` (Python complex numbers) one pass over l forms
+    d = u_n - u_l once and each factor as (s - u_l) / d times the product so
+    far, in ascending l: the operations `basic_f` makes, so both results are
+    its results bit for bit.  Given `inv_n` (dense duals) it is `basic_f`
+    twice.
+    """
+    if inv_n is not None:
+        return basic_f(s, u, n, inv_n), basic_f(t, u, n, inv_n)
+    un = u[n]
+    out_s = out_t = 1.0 + 0.0j
+    for ell, ul in enumerate(u):
+        if ell != n:
+            d = un - ul
+            out_s = (s - ul) / d * out_s
+            out_t = (t - ul) / d * out_t
+    return out_s, out_t
 
 
 def basic_f_dual(s, u, n: int, inv_n: list):
@@ -406,171 +439,197 @@ def basic_f_dual(s, u, n: int, inv_n: list):
     return out if len(u) == 1 else Dual(out, eps)
 
 
-def exclusion_table(u: list):
-    """The exclusion product for the table variable u, and the pair table it reads.
+def basic_f_dual2(s, t, u, n: int, inv_n: list):
+    """(`basic_f_dual` at s, `basic_f_dual` at t), each shift on its own."""
+    return basic_f_dual(s, u, n, inv_n), basic_f_dual(t, u, n, inv_n)
 
-    One-hot u (the Jacobian pass): `basic_f_dual` over the table of u's
-    values, since that rule carries the table's derivative itself and no
-    `Dual` reciprocal is formed.  Dense duals: `basic_f` over
-    `pair_reciprocals(u)`.  Python complex numbers: `basic_f` with a row of
-    None per zero, so each factor divides by u_n - u_l and no table is built.
+
+def exclusion_table(u: list):
+    """The exclusion product for the table variable u at one and at two shifts, and its pair table.
+
+    Returns (product, product2, inv), called as product(s, u, n, inv[n]) and
+    product2(s, t, u, n, inv[n]).  One-hot u (the Jacobian pass):
+    `basic_f_dual` over the table of u's values, since that rule carries the
+    table's derivative itself and no `Dual` reciprocal is formed.  Dense
+    duals: `basic_f` over `pair_reciprocals(u)`.  Python complex numbers:
+    `basic_f` and `basic_f2` with a row of None per zero, so each factor
+    divides by u_n - u_l, a row's two shifts share one pass over l, and no
+    table is built.
     """
     if isinstance(u[0], OneHot):
-        return basic_f_dual, pair_reciprocals([v.val for v in u])
+        return basic_f_dual, basic_f_dual2, pair_reciprocals([v.val for v in u])
     if isinstance(u[0], Dual):
-        return basic_f, pair_reciprocals(u)
-    return basic_f, [None] * len(u)
+        return basic_f, basic_f2, pair_reciprocals(u)
+    return basic_f, basic_f2, [None] * len(u)
 
 
-@lru_cache(maxsize=512)
-def _coeff_lists(elementary_coeffs, alphas: tuple, betas: tuple):
-    """`elementary_coeffs(alphas, betas)` as Python lists, once per parameter set."""
-    a, b = elementary_coeffs(alphas, betas)
-    return a.tolist(), b.tolist()
-
-
-def _rhs_terms_ghyp(spec, z):
-    a, b = _coeff_lists(elementary_coeffs_hyp, spec.alphas, spec.betas)
+def _bind_ghyp(spec):
+    a, b = (c.tolist() for c in elementary_coeffs_hyp(spec.alphas, spec.betas))
+    neg_a = [-aj for aj in a]
     J = max(len(b), len(a) - 1)
-    if isinstance(z[0], Dual):
-        # a row's terms b_k f_k - a_j g_j as values, the first carrying the
-        # tangent of their sum b.f - a.g, so each row sums to that sum's dual
-        f, g, F, G = fg_tangents([v.val for v in z], np.array([v.eps for v in z]), J)
-        kb, ka = len(b), len(a)
-        terms = np.concatenate(
-            [np.array(b)[:, None] * f[1 : kb + 1], -np.array(a)[:, None] * g[:ka]]
-        )
-        tan = np.dot(b, F[1 : kb + 1].reshape(kb, -1)) - np.dot(a, G[:ka].reshape(ka, -1))
+    kb, ka = len(b), len(a)
+
+    def rows(z):
+        if isinstance(z[0], Dual):
+            # a row's terms b_k f_k - a_j g_j as values, the first carrying the
+            # tangent of their sum b.f - a.g, so each row sums to that sum's dual
+            f, g, F, G = fg_tangents([v.val for v in z], np.array([v.eps for v in z]), J)
+            terms = np.concatenate(
+                [np.array(b)[:, None] * f[1 : kb + 1], -np.array(a)[:, None] * g[:ka]]
+            )
+            tan = np.dot(b, F[1 : kb + 1].reshape(kb, -1)) - np.dot(a, G[:ka].reshape(ka, -1))
+            return [
+                [Dual(row[0], t), *row[1:]]
+                for row, t in zip(terms.T.tolist(), tan.reshape(F.shape[1:]).tolist())
+            ]
+        f, g = fg_recursion(z, J)
         return [
-            [Dual(row[0], t), *row[1:]]
-            for row, t in zip(terms.T.tolist(), tan.reshape(F.shape[1:]).tolist())
+            [bk * f[k][n] for k, bk in enumerate(b, 1)] + [aj * g[j][n] for j, aj in enumerate(neg_a)]
+            for n in range(len(z))
         ]
-    f, g = fg_recursion(z, J)
-    return [
-        [bk * f[k][n] for k, bk in enumerate(b, 1)] + [-aj * g[j][n] for j, aj in enumerate(a)]
-        for n in range(len(z))
-    ]
+
+    return rows
 
 
-@lru_cache(maxsize=512)
-def _gbasic_constants(q, N: int, alphas: tuple, betas: tuple):
-    """The gbasic kernel's constants, once per parameter set.
-
-    Returns (shifts, c1, beta_terms, alpha_terms, sgn_r).  `shifts` lists
-    (p, q^p) for the exclusion products f_n(p, z) = basic_f(q^p z_n, ...)
-    that a row needs, except p = 0: f_n(0, z) only appears times
-    q^0 - 1 = 0, so it stands in as 0 and is never formed.  Row n is
-    c1 f_n(1, z), then c (u f_n(hi, z) - v f_n(lo, z)) for each
+def _bind_gbasic(spec):
+    """Row n is c1 f_n(1, z), then c (u f_n(hi, z) - v f_n(lo, z)) for each
     (c, u, hi, v, lo) of beta_terms, then the same times sgn_r z_n for each
-    of alpha_terms.
+    of alpha_terms, with f_n(p, z) = basic_f(q^p z_n, z, n).  f_n(0, z) only
+    appears times q^0 - 1 = 0, so it stands in as 0 and is never formed; the
+    other shifts are taken two at a time, an odd one left over on its own.
+    fn[p - p_min] holds f_n(p, z).
     """
+    q, alphas, betas = spec.q, spec.alphas, spec.betas
     r, s = len(alphas), len(betas)
-    a, b = _coeff_lists(elementary_coeffs_basic, alphas, betas)
-    qn = q ** float(-N)
+    a, b = (c.tolist() for c in elementary_coeffs_basic(alphas, betas))
+    qn = q ** float(-spec.N)
     sgn_s = (-1.0) ** (s + 1)
-    qp = {p: q ** float(p) for p in range(min(1, s - r), s + 2)}  # every shift q^p used
+    sgn_r = (-1.0) ** r
+    c1 = sgn_s * (q - 1.0)
+    p_min = min(1, s - r)
+    qp = {p: q ** float(p) for p in range(p_min, s + 2)}  # every shift q^p used
     qm1 = {p: v - 1.0 for p, v in qp.items()}
     cb = [sgn_s * b[k - 1] * (-1.0) ** k / q**k for k in range(1, s + 1)]
     ca = [1.0] + [a[j - 1] * (-1.0) ** j for j in range(1, r + 1)]
-    beta_terms = [(c, qm1[k + 1], k + 1, qm1[k], k) for k, c in enumerate(cb, 1)]
-    alpha_terms = [(c, qn * qm1[p + 1], p + 1, qm1[p], p) for p, c in enumerate(ca, s - r)]
-    shifts = [(p, v) for p, v in qp.items() if p != 0]
-    return shifts, sgn_s * (q - 1.0), beta_terms, alpha_terms, (-1.0) ** r
+    beta_terms = [(c, qm1[k + 1], k + 1 - p_min, qm1[k], k - p_min) for k, c in enumerate(cb, 1)]
+    alpha_terms = [
+        (c, qn * qm1[p + 1], p + 1 - p_min, qm1[p], p - p_min) for p, c in enumerate(ca, s - r)
+    ]
+    one = 1 - p_min
+    shifts = [(p - p_min, v) for p, v in qp.items() if p != 0]
+    pairs = [(i, qi, k, qk) for (i, qi), (k, qk) in zip(shifts[::2], shifts[1::2])]
+    odd = shifts[2 * len(pairs):]
 
+    def rows(z):
+        product, product2, inv = exclusion_table(z)
+        out = []
+        for n, zn in enumerate(z):
+            inv_n = inv[n]
+            fn = [0j] * len(qp)
+            for i, qi, k, qk in pairs:
+                fn[i], fn[k] = product2(qi * zn, qk * zn, z, n, inv_n)
+            for i, qi in odd:
+                fn[i] = product(qi * zn, z, n, inv_n)
+            sz = sgn_r * zn
+            row = [c1 * fn[one]]
+            row += [c * (u * fn[hi] - v * fn[lo]) for c, u, hi, v, lo in beta_terms]
+            row += [sz * c * (u * fn[hi] - v * fn[lo]) for c, u, hi, v, lo in alpha_terms]
+            out.append(row)
+        return out
 
-def _rhs_terms_gbasic(spec, z):
-    shifts, c1, beta_terms, alpha_terms, sgn_r = _gbasic_constants(
-        spec.q, spec.N, spec.alphas, spec.betas
-    )
-    product, inv = exclusion_table(z)
-    rows = []
-    for n, zn in enumerate(z):
-        inv_n = inv[n]
-        fn = {0: 0j}
-        for p, qp in shifts:
-            fn[p] = product(qp * zn, z, n, inv_n)
-        sz = sgn_r * zn
-        row = [c1 * fn[1]]
-        row += [c * (u * fn[hi] - v * fn[lo]) for c, u, hi, v, lo in beta_terms]
-        row += [sz * c * (u * fn[hi] - v * fn[lo]) for c, u, hi, v, lo in alpha_terms]
-        rows.append(row)
     return rows
 
 
-def _rhs_terms_wilson(spec, x):
-    if any(abs(v) < X_GUARD for v in x):
-        raise DivideByZeroVariable("wilson dynamics needs |x_n| > 0")
+def _bind_wilson(spec):
     s1, s2, s3, s4 = fam.wilson_sym(spec)
     quartic = fam.wilson_quartic
-    u = [v * v for v in x]
-    product, inv = exclusion_table(u)
-    rows = []
-    for n, xn in enumerate(x):
-        pref = -1j / (2.0 * xn)
-        row = []
-        for xs in (xn, -xn):
-            t = 2j * xs
-            prod = product(u[n] - 1.0 - t, u, n, inv[n])  # at (x_s - i)^2
-            row.append(pref * (quartic(s1, s2, s3, s4, xs) / t * prod))
-        rows.append(row)
+
+    def rows(x):
+        if any(abs(v) < X_GUARD for v in x):
+            raise DivideByZeroVariable("wilson dynamics needs |x_n| > 0")
+        u = [v * v for v in x]
+        _, product2, inv = exclusion_table(u)
+        out = []
+        for n, xp in enumerate(x):
+            xm = -xp
+            tp, tm = 2j * xp, 2j * xm
+            un = u[n]
+            pp, pm = product2(un - 1.0 - tp, un - 1.0 - tm, u, n, inv[n])  # at (x_s - i)^2
+            pref = -1j / (2.0 * xp)
+            out.append([
+                pref * (quartic(s1, s2, s3, s4, xp) / tp * pp),
+                pref * (quartic(s1, s2, s3, s4, xm) / tm * pm),
+            ])
+        return out
+
     return rows
 
 
-def _rhs_terms_racah(spec, y):
-    if any(abs(v) < X_GUARD for v in y):
-        raise DivideByZeroVariable("racah dynamics needs |y_n| > 0")
+def _bind_racah(spec):
     al, be, ga, de = spec.alphas
     al2, be2 = 2.0 * al, 2.0 * be
     dtilde = fam.racah_dtilde
-    u = [v * v for v in y]
-    product, inv = exclusion_table(u)
-    rows = []
-    for n, yn in enumerate(y):
-        pref = -1j / (2.0 * yn)
-        row = []
-        for ys in (yn, -yn):
-            w = 1.0 + 2.0 * ys
-            prod = product(u[n] + w, u, n, inv[n])  # at (y_s + 1)^2
-            row.append(pref * (dtilde(al2, be2, ga, de, ys) * w * prod))
-        rows.append(row)
+
+    def rows(y):
+        if any(abs(v) < X_GUARD for v in y):
+            raise DivideByZeroVariable("racah dynamics needs |y_n| > 0")
+        u = [v * v for v in y]
+        _, product2, inv = exclusion_table(u)
+        out = []
+        for n, yp in enumerate(y):
+            ym = -yp
+            wp, wm = 1.0 + 2.0 * yp, 1.0 + 2.0 * ym
+            un = u[n]
+            pp, pm = product2(un + wp, un + wm, u, n, inv[n])  # at (y_s + 1)^2
+            pref = -1j / (2.0 * yp)
+            out.append([
+                pref * (dtilde(al2, be2, ga, de, yp) * wp * pp),
+                pref * (dtilde(al2, be2, ga, de, ym) * wm * pm),
+            ])
+        return out
+
     return rows
 
 
-def _rhs_terms_aw(spec, x):
+def _bind_aw(spec):
     q = spec.q
     a, b, c, d = spec.alphas
-    g = fam.aw_g
     pref = (q - 1.0) / (2.0 * q)
+    g = fam.aw_g
     lift = fam.aw_lift
-    product, inv = exclusion_table(x)
-    rows = []
-    for n, xn in enumerate(x):
-        zn = lift(xn)
-        row = []
-        for zs in (zn, 1.0 / zn):
-            w = q * zs
-            prod = product(0.5 * (w + 1.0 / w), x, n, inv[n])  # at X(q z_s)
-            row.append(pref * (g(a, b, c, d, q, zs) * prod))
-        rows.append(row)
+
+    def rows(x):
+        _, product2, inv = exclusion_table(x)
+        out = []
+        for n, xn in enumerate(x):
+            zp = lift(xn)
+            zm = 1.0 / zp
+            wp, wm = q * zp, q * zm
+            pp, pm = product2(0.5 * (wp + 1.0 / wp), 0.5 * (wm + 1.0 / wm), x, n, inv[n])  # at X(q z_s)
+            out.append([pref * (g(a, b, c, d, q, zp) * pp), pref * (g(a, b, c, d, q, zm) * pm)])
+        return out
+
     return rows
 
 
-def _rhs_terms_qracah(spec, z):
+def _bind_qracah(spec):
     k = fam.qracah_constants(spec)
     companions = fam.qracah_companions
-    product, inv = exclusion_table(z)
-    rows = []
-    for n, zn in enumerate(z):
-        zp, zm, B, D = companions(k, zn)
-        rows.append([
-            B * (zp - zn) * product(zp, z, n, inv[n]),
-            D * (zm - zn) * product(zm, z, n, inv[n]),
-        ])
+
+    def rows(z):
+        _, product2, inv = exclusion_table(z)
+        out = []
+        for n, zn in enumerate(z):
+            zp, zm, B, D = companions(k, zn)
+            pp, pm = product2(zp, zm, z, n, inv[n])
+            out.append([B * (zp - zn) * pp, D * (zm - zn) * pm])
+        return out
+
     return rows
 
 
-def jacobi_image(spec: fam.FamilySpec, x: list) -> tuple:
-    """The ghyp instance and its variables z = 2/(1 - x) for Jacobi's x.
+def jacobi_variables(x: list) -> list:
+    """The ghyp variables z = 2/(1 - x) for Jacobi's x (the ghyp instance is `fam.jacobi_to_ghyp`).
 
     x = 1 raises SingularDenominator; x that crowd together in z raise RepeatedZeros.
     """
@@ -579,24 +638,29 @@ def jacobi_image(spec: fam.FamilySpec, x: list) -> tuple:
     except ZeroDivisionError:
         raise SingularDenominator("jacobi zero at x = 1") from None
     check_distinct(z)
-    return fam.jacobi_to_ghyp(spec), z
+    return z
 
 
-def _rhs_terms_jacobi(spec, x):
-    gh, zvar = jacobi_image(spec, x)
-    rows = _rhs_terms_ghyp(gh, zvar)
-    # pushforward: x = 1 - 2/z, so xdot = (2/z^2) zdot, applied termwise
-    return [[t * w for t in row] for row, w in zip(rows, [2.0 / (v * v) for v in zvar])]
+def _bind_jacobi(spec):
+    ghyp_rows = _bind_ghyp(fam.jacobi_to_ghyp(spec))
+
+    def rows(x):
+        zvar = jacobi_variables(x)
+        terms = ghyp_rows(zvar)
+        # pushforward: x = 1 - 2/z, so xdot = (2/z^2) zdot, applied termwise
+        return [[t * w for t in row] for row, w in zip(terms, [2.0 / (v * v) for v in zvar])]
+
+    return rows
 
 
-_RHS_TERMS = {
-    fam.Family.GHYP: _rhs_terms_ghyp,
-    fam.Family.GBASIC: _rhs_terms_gbasic,
-    fam.Family.WILSON: _rhs_terms_wilson,
-    fam.Family.RACAH: _rhs_terms_racah,
-    fam.Family.AW: _rhs_terms_aw,
-    fam.Family.QRACAH: _rhs_terms_qracah,
-    fam.Family.JACOBI: _rhs_terms_jacobi,
+_BINDERS = {
+    fam.Family.GHYP: _bind_ghyp,
+    fam.Family.GBASIC: _bind_gbasic,
+    fam.Family.WILSON: _bind_wilson,
+    fam.Family.RACAH: _bind_racah,
+    fam.Family.AW: _bind_aw,
+    fam.Family.QRACAH: _bind_qracah,
+    fam.Family.JACOBI: _bind_jacobi,
 }
 
 
@@ -605,11 +669,17 @@ def _check_separation(z: list) -> None:
         raise Collision(f"pairwise separation fell below {COLLISION_REL:g} * scale")
 
 
+def _not_finite(exc: ArithmeticError) -> SingularDenominator:
+    # Python scalars raise where numpy gives inf/nan
+    return SingularDenominator(f"zero-dynamics term not finite at this state: {exc}")
+
+
 def _kernel_rows(spec: fam.FamilySpec, z: list) -> list:
+    """One kernel pass: bind `spec`'s row formula (`_BINDERS`) and call it at z."""
     try:
-        return _RHS_TERMS[spec.family](spec, z)
-    except ArithmeticError as exc:  # Python scalars raise where numpy gives inf/nan
-        raise SingularDenominator(f"zero-dynamics term not finite at this state: {exc}") from None
+        return _BINDERS[spec.family](spec)(z)
+    except ArithmeticError as exc:
+        raise _not_finite(exc) from None
 
 
 def _term_rows(spec: fam.FamilySpec, z) -> list:
@@ -671,43 +741,53 @@ def integrate(spec: fam.FamilySpec, z0, t1: float, steps: int, record_every: int
 
     Returns (times, trajectory) as arrays, where trajectory[k] is the state
     at times[k]; states are recorded every `record_every` steps (first and
-    last always).  The state is a list of Python complex numbers and each
-    stage is one comprehension, in the operation order of the vector form
-    z + (h/6) (k1 + 2 k2 + 2 k3 + k4), so trajectories equal those of RK4
-    on numpy vectors over `nonlinear_rhs` bit for bit.  Every state the
-    right-hand side is evaluated at, and the final state, is checked for
-    collisions (Collision) once: a step's new state is the next step's first
-    stage.  A recorded state that is not finite (the step overflowed the
-    dynamic range of doubles) raises NonConvergence.
+    last always).  `steps` or `record_every` below 1 raises ValueError.  The
+    family's row formula is bound once (`_BINDERS`), so its constants are
+    formed once per integration, not per right-hand-side call.  The state is
+    a list of Python complex numbers and each stage is one comprehension, in
+    the operation order of the vector form z + (h/6) (k1 + 2 k2 + 2 k3 + k4),
+    so trajectories equal those of RK4 on numpy vectors over `nonlinear_rhs`
+    bit for bit.  Every state the right-hand side is evaluated at, and the
+    final state, is checked for collisions (Collision) once: a step's new
+    state is the next step's first stage.  An arithmetic error in a step (a
+    term's division by zero or overflow) raises SingularDenominator, and a
+    recorded state that is not finite (the step overflowed the dynamic range
+    of doubles) raises NonConvergence.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
+    if record_every < 1:
+        raise ValueError("record_every must be >= 1")
     z = np.asarray(z0, dtype=complex).ravel().tolist()
     h = t1 / steps
     hh, h6 = 0.5 * h, h / 6.0
     times = [0.0]
     traj = [z]
-
-    def rhs(state):
-        return [sum(row) for row in _kernel_rows(spec, state)]
-
-    def checked_rhs(state):
-        _check_separation(state)
-        return rhs(state)
-
     _check_separation(z)
-    for k in range(1, steps + 1):
-        k1 = rhs(z)
-        k2 = checked_rhs([v + hh * d for v, d in zip(z, k1)])
-        k3 = checked_rhs([v + hh * d for v, d in zip(z, k2)])
-        k4 = checked_rhs([v + h * d for v, d in zip(z, k3)])
-        z = [v + h6 * (a + 2 * b + 2 * c + d) for v, a, b, c, d in zip(z, k1, k2, k3, k4)]
-        _check_separation(z)
-        if k % record_every == 0 or k == steps:
-            if not all(map(cmath.isfinite, z)):
-                raise NonConvergence(f"integration state not finite at t = {k * h:g}")
-            times.append(k * h)
-            traj.append(z)
+    try:
+        rows = _BINDERS[spec.family](spec)
+
+        def rhs(state):
+            return [sum(row) for row in rows(state)]
+
+        def checked_rhs(state):
+            _check_separation(state)
+            return rhs(state)
+
+        for k in range(1, steps + 1):
+            k1 = rhs(z)
+            k2 = checked_rhs([v + hh * d for v, d in zip(z, k1)])
+            k3 = checked_rhs([v + hh * d for v, d in zip(z, k2)])
+            k4 = checked_rhs([v + h * d for v, d in zip(z, k3)])
+            z = [v + h6 * (a + 2 * b + 2 * c + d) for v, a, b, c, d in zip(z, k1, k2, k3, k4)]
+            _check_separation(z)
+            if k % record_every == 0 or k == steps:
+                if not all(map(cmath.isfinite, z)):
+                    raise NonConvergence(f"integration state not finite at t = {k * h:g}")
+                times.append(k * h)
+                traj.append(z)
+    except ArithmeticError as exc:
+        raise _not_finite(exc) from None
     return np.asarray(times), np.array(traj, dtype=complex)
 
 
@@ -775,7 +855,7 @@ def algebraic_trajectory(spec: fam.FamilySpec, z0, times) -> np.ndarray:
     """
     if spec.family == fam.Family.JACOBI:
         gh = fam.jacobi_to_ghyp(spec)
-        # not jacobi_image: numpy's complex division differs from Python's in the last bit
+        # not jacobi_variables: numpy's complex division differs from Python's in the last bit
         ztraj = algebraic_trajectory(gh, 2.0 / (1.0 - np.asarray(z0, dtype=complex)), times)
         return 1.0 - 2.0 / ztraj
     z0 = np.asarray(z0, dtype=complex).ravel()

@@ -82,7 +82,7 @@ def build_matrix(spec: fam.FamilySpec, zs) -> IsospectralMatrix:
     if len(zeta) != spec.N:
         raise InvalidParameters(f"expected {spec.N} zeros, got {len(zeta)}")
     if spec.family == fam.Family.JACOBI:
-        dyn_spec, z = dynamics.jacobi_image(spec, zeta.tolist())
+        dyn_spec, z = fam.jacobi_to_ghyp(spec), dynamics.jacobi_variables(zeta.tolist())
     else:
         dyn_spec, z = spec, dynamics.to_dynamics_variable(spec, zeta)
     L, terms = dynamics.linearization(dyn_spec, z)

@@ -306,13 +306,75 @@ class TestIntegrate:
         # z_1 to 8 R(-1) = 3, R(x) = 1 + x + x^2/2 + x^3/6 + x^4/24 being RK4's
         # stability polynomial.  The stage states (2, 8), (2.5, 4), (2.5, 6) and
         # (3, 2) are well apart, so only the check on the final state sees it.
-        kernel = lambda spec, z: [[1.0 + 0j], [-z[1]]]  # noqa: E731
-        monkeypatch.setitem(dynamics._RHS_TERMS, families.Family.GHYP, kernel)
+        binder = lambda spec: lambda z: [[1.0 + 0j], [-z[1]]]  # noqa: E731
+        monkeypatch.setitem(dynamics._BINDERS, families.Family.GHYP, binder)
         spec = iso.make_spec("ghyp", 2, [1.7], [2.3])
         with pytest.raises(Collision):
             dynamics.integrate(spec, [2.0, 8.0], 1.0, 1)
         _, traj = dynamics.integrate(spec, [2.0, 8.5], 1.0, 1)
         np.testing.assert_allclose(traj[-1], [3.0, 8.5 * 0.375], rtol=1e-15)
+
+    @pytest.mark.parametrize("stage, calls_before, z1", [("k2", 1, 1.0), ("k3", 2, 2 / 3), ("k4", 3, 4.0)])
+    def test_collision_at_stage(self, monkeypatch, stage, calls_before, z1):
+        # zdot = (1, -z_1) from (0, z1), one step of h = 1: the stage states
+        # are (0.5, z1/2), (0.5, 3 z1/4) and (1, z1/4), the final state
+        # (1, 3 z1/8).  Each z1 makes exactly one stage state a coincident
+        # pair, and the kernel has run once per earlier stage when it trips
+        calls = []
+
+        def binder(spec):
+            def rows(z):
+                calls.append(1)
+                return [[1.0 + 0j], [-z[1]]]
+
+            return rows
+
+        monkeypatch.setitem(dynamics._BINDERS, families.Family.GHYP, binder)
+        spec = iso.make_spec("ghyp", 2, [1.7], [2.3])
+        with pytest.raises(Collision):
+            dynamics.integrate(spec, [0.0, z1], 1.0, 1)
+        assert len(calls) == calls_before
+
+    @pytest.mark.parametrize("record_every", [0, -1])
+    def test_record_every_below_1(self, record_every):
+        spec = iso.make_spec("ghyp", 2, [1.7], [2.3])
+        z0 = perturbed_start(spec)
+        for run in (dynamics.integrate, dynamics.evolve_compare):
+            with pytest.raises(ValueError, match="record_every"):
+                run(spec, z0, 0.5, 10, record_every=record_every)
+
+    @pytest.mark.parametrize("spec", DEMO_SPECS, ids=lambda s: s.family.value)
+    def test_constants_bound_once(self, monkeypatch, spec):
+        # one integration forms its family's constants once, not once per
+        # right-hand-side call (20 calls for 5 steps)
+        counts = {}
+
+        def counting(module, name):
+            fn = getattr(module, name)
+
+            def wrapper(*args):
+                counts[name] = counts.get(name, 0) + 1
+                return fn(*args)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        for name in ("wilson_sym", "qracah_constants", "jacobi_to_ghyp"):
+            counting(families, name)
+        for name in ("elementary_coeffs_hyp", "elementary_coeffs_basic"):
+            counting(dynamics, name)
+        z0 = perturbed_start(spec)
+        _, traj = dynamics.integrate(spec, z0, 0.01, 5)
+        assert traj.shape == (6, spec.N)
+        want = {
+            "ghyp": {"elementary_coeffs_hyp": 1},
+            "gbasic": {"elementary_coeffs_basic": 1},
+            "wilson": {"wilson_sym": 1},
+            "racah": {},
+            "aw": {},
+            "qracah": {"qracah_constants": 1},
+            "jacobi": {"jacobi_to_ghyp": 1, "elementary_coeffs_hyp": 1},
+        }[spec.family.value]
+        assert counts == want
 
     def test_zero_horizon(self):
         spec = iso.make_spec("ghyp", 3, [1.7], [2.3])
@@ -521,13 +583,26 @@ class TestPairPrimitives:
         z = spiral(n, scale, turn, jitter)
         zeta = seeded(z, seed)
         ref = z if seed == "complex" else Dual.seed(z)
-        product, inv = dynamics.exclusion_table(zeta)
+        product, product2, inv = dynamics.exclusion_table(zeta)
+        shifts = (lambda v: q * v, lambda v: v / q, lambda v: q * q * v, lambda v: 0.3 + 0.2j)
         for i in range(n):
-            for shift in (lambda v: q * v, lambda v: v / q, lambda v: q * q * v, lambda v: 0.3 + 0.2j):
+            for shift in shifts:
                 got = product(shift(zeta[i]), zeta, i, inv[i])
                 assert_matches_product(got, shift(ref[i]), ref, i)
                 if seed == "onehot":
                     assert_equals_dense_pass(got, shift(ref[i]), ref, i)
+            # the two-shift form: both products in one pass, each equal to
+            # the one-shift product bit for bit
+            for s_shift, t_shift in zip(shifts, shifts[1:] + shifts[:1]):
+                got_s, got_t = product2(s_shift(zeta[i]), t_shift(zeta[i]), zeta, i, inv[i])
+                assert_matches_product(got_s, s_shift(ref[i]), ref, i)
+                assert_matches_product(got_t, t_shift(ref[i]), ref, i)
+                for got, shift in ((got_s, s_shift), (got_t, t_shift)):
+                    want = product(shift(zeta[i]), zeta, i, inv[i])
+                    if isinstance(want, Dual):
+                        assert got.val == want.val and got.eps == want.eps
+                    else:
+                        assert got == want
 
     @pytest.mark.parametrize("seed", ["dual", "onehot"])
     @pytest.mark.parametrize("n", range(2, 7))
@@ -540,7 +615,7 @@ class TestPairPrimitives:
         z = spiral(n, scale, turn, jitter)
         zeta = seeded(z, seed)
         ref = Dual.seed(z)
-        product, inv = dynamics.exclusion_table(zeta)
+        product, _, inv = dynamics.exclusion_table(zeta)
         for i in range(n):
             for ell in range(n):
                 if ell != i:
