@@ -2,7 +2,6 @@
 special polynomial families (plus the Jacobi specialization)."""
 
 from .errors import (
-    BasisIllConditioned,
     BranchPoint,
     CardinalityMismatch,
     Collision,

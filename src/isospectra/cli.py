@@ -47,7 +47,6 @@ EXIT_CODES = {
     errors.SingularDenominator: EXIT_DEGENERATE,
     errors.DivideByZeroVariable: EXIT_DEGENERATE,
     errors.NonConvergence: EXIT_NONCONVERGENCE,
-    errors.BasisIllConditioned: EXIT_NONCONVERGENCE,
 }
 
 FAMILY_ALIASES = {

@@ -33,11 +33,9 @@ from dataclasses import dataclass
 
 import numpy as np
 import numpy.polynomial.polynomial as npp
-from numpy.polynomial import Polynomial
 
 from . import families as fam
 from .errors import (
-    BasisIllConditioned,
     Collision,
     DivideByZeroVariable,
     NonConvergence,
@@ -64,7 +62,6 @@ COLLISION_REL = 1e-9       # pairwise separation guard during integration
 FG_SEP_TOL = 1e-12         # distinctness guard for the recursion denominators
 X_GUARD = 1e-6             # Wilson/Racah: |x_n| (resp. |y_n|) must stay above this
 RK4_FALLBACK_STEP = 1e-4   # c_flow fallback when triangular eigenvalues collide
-PIVOT_TOL = 1e-12
 
 
 @dataclass
@@ -795,48 +792,6 @@ def integrate(spec: fam.FamilySpec, z0, t1: float, steps: int, record_every: int
 # Algebraic oracle
 # ---------------------------------------------------------------------------
 
-def _basis_matrix(spec: fam.FamilySpec) -> np.ndarray:
-    """Columns j = 0..N: coefficients (ascending, length N+1) of the degree-(N-j)
-    basis polynomial in the oracle variable (u = x^2 / y^2 for wilson/racah)."""
-    N = spec.N
-    B = np.zeros((N + 1, N + 1), dtype=complex)
-    f = spec.family
-    if f in (fam.Family.GHYP, fam.Family.GBASIC):
-        for j in range(N + 1):
-            B[N - j, j] = 1.0
-        return B
-    for j in range(N + 1):
-        deg = N - j
-        if deg == 0:
-            B[0, j] = 1.0
-            continue
-        sub = fam.make_spec(f, deg, spec.alphas, spec.betas, spec.q)
-        p = fam.build_polynomial(sub)
-        if f == fam.Family.WILSON:
-            p = p / p[-1]
-        elif f == fam.Family.RACAH:
-            shift = Polynomial([-fam.racah_theta(spec) ** 2, 1.0])  # u -> u - theta^2
-            p = Polynomial(p / p[-1])(shift).coef
-        B[: deg + 1, j] = p
-    return B
-
-
-def _expand_on_basis(B: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """Solve target = sum_j c_j * B[:, j] by leading-term elimination."""
-    N = B.shape[0] - 1
-    resid = target.astype(complex).copy()
-    c = np.zeros(N + 1, dtype=complex)
-    for j in range(N + 1):
-        deg = N - j
-        pivot = B[deg, j]
-        # the elimination is only trustworthy while each head dominates its column
-        if abs(pivot) < PIVOT_TOL * max(1.0, float(np.max(np.abs(B[:, j])))):
-            raise BasisIllConditioned(f"basis pivot |{abs(pivot):.3e}| at degree {deg}")
-        c[j] = resid[deg] / pivot
-        resid -= c[j] * B[:, j]
-    return c
-
-
 def _sqrt_continuous(u: np.ndarray, previous: np.ndarray) -> np.ndarray:
     """Per-component square root with the sign chosen nearest to `previous`."""
     r = np.sqrt(u.astype(complex))
@@ -847,11 +802,16 @@ def _sqrt_continuous(u: np.ndarray, previous: np.ndarray) -> np.ndarray:
 def algebraic_trajectory(spec: fam.FamilySpec, z0, times) -> np.ndarray:
     """Zeros of the exactly evolved polynomial at each time, continuity-matched.
 
-    `z0` is the start in the dynamics variable.  Steps: (1) expand the initial
-    monic polynomial on the family basis, (2) evolve the coefficients with the
-    exact linear flow, (3) re-assemble and take roots, (4) map back through the
-    square root where the dynamics runs in a lifted variable, (5) order each
-    time slice by continuity with the previous one.
+    `z0` is the start in the dynamics variable.  Steps: (1) expand the start
+    polynomial prod (u - r_m) on the family basis, (2) evolve its coefficients
+    e with the exact linear flow, (3) take each slice's roots, (4) map back
+    through the square root where the dynamics runs in a lifted variable, (5)
+    order each slice by continuity with the previous one.  ghyp and gbasic's
+    basis is the monomials, rooted by `poly_roots`.  Wilson, Racah,
+    Askey-Wilson and q-Racah expand by one product per zero on their
+    three-term recurrence (`families.recurrence`), whose flow is diagonal, so
+    no basis member's scale enters, and root a slice as the eigenvalues of its
+    comrade matrix (Barnett 1975).
     """
     if spec.family == fam.Family.JACOBI:
         gh = fam.jacobi_to_ghyp(spec)
@@ -859,35 +819,43 @@ def algebraic_trajectory(spec: fam.FamilySpec, z0, times) -> np.ndarray:
         ztraj = algebraic_trajectory(gh, 2.0 / (1.0 - np.asarray(z0, dtype=complex)), times)
         return 1.0 - 2.0 / ztraj
     z0 = np.asarray(z0, dtype=complex).ravel()
-    B = _basis_matrix(spec)
+    N = len(z0)
     lifted = spec.family in fam.LIFTED_FAMILIES
     u0 = z0 * z0 if lifted else z0
-    target = npp.polyfromroots(u0)
-    if spec.family in (fam.Family.AW, fam.Family.QRACAH):
-        target = target * B[spec.N, 0]  # match the basis head's leading coefficient
-    c_full = _expand_on_basis(B, target)
+    if spec.family in (fam.Family.GHYP, fam.Family.GBASIC):
+        e = npp.polyfromroots(u0)
+        roots_of = lambda c: poly_roots(c).zeros.tolist()
+    else:
+        alpha, beta, gamma = fam.recurrence(spec, N)
+        T = np.diag(beta) + np.diag(alpha[:-1], 1) + np.diag(gamma[1:], -1)
+        M = np.zeros((N + 1, N + 1), dtype=complex)  # M e: the coefficients of u sum_k e_k P_k
+        M[:N, :N], M[N, N - 1] = T.T, alpha[-1]
+        e = np.eye(N + 1, dtype=complex)[0]
+        for r in u0:  # beta_k - r is formed before it multiplies e_k
+            e = (M - r * np.eye(N + 1)) @ e
+        last = np.eye(N)[-1]  # the comrade matrix takes alpha_(N-1) e[:N] / e_N from T's last row
+        roots_of = lambda c: np.linalg.eigvals(T - np.outer(last, alpha[-1] * c[:N] / c[N])).tolist()
+
     with np.errstate(over="ignore", invalid="ignore"):
-        flow = c_flow(c_system(spec), c_full[1:])
-    out = np.empty((len(times), len(z0)), dtype=complex)
-    prev = z0
-    prev_u = u0
+        flow = c_flow(c_system(spec), e[N - 1 :: -1])  # c_j multiplies the degree-(N - j) basis member
+    out = np.empty((len(times), N), dtype=complex)
+    prev, prev_u = z0, u0
     for k, t in enumerate(times):
         with np.errstate(over="ignore", invalid="ignore"):
-            coeffs = B @ np.concatenate([[c_full[0]], flow(float(t))])
+            coeffs = np.append(flow(float(t))[::-1], e[N])
         if not np.all(np.isfinite(coeffs)):
             raise NonConvergence(
                 f"coefficient dynamic range exhausted at t = {t:g} (non-finite coefficient)"
             )
         if not full_degree(coeffs):
-            # the z^N coefficient c_full[0] * B[N, 0] is constant; growing
-            # modes have pushed the others past it by the degree rule's ratio
+            # the head e_N is constant; growing modes have pushed the
+            # others past it by the degree rule's ratio
             raise NonConvergence(
                 f"coefficient dynamic range exhausted at t = {t:g} "
-                f"(|c_N| <= {DEGREE_REL:g} max|c|, N = {len(z0)})"
+                f"(|c_N| <= {DEGREE_REL:g} max|c|, N = {N})"
             )
         # each previous zero takes its nearest remaining root
-        roots = poly_roots(coeffs).zeros.tolist()
-        u_t = np.array(nearest_pairing(roots, prev_u.tolist())[0], dtype=complex)
+        u_t = np.array(nearest_pairing(roots_of(coeffs), prev_u.tolist())[0], dtype=complex)
         z_t = _sqrt_continuous(u_t, prev) if lifted else u_t
         out[k] = z_t
         prev, prev_u = z_t, u_t

@@ -50,7 +50,3 @@ class DivideByZeroVariable(IsospectraError):
 
 class SingularA(IsospectraError):
     """Affine coefficient system with singular matrix and nonzero drive."""
-
-
-class BasisIllConditioned(IsospectraError):
-    """Leading-term elimination hit a negligible pivot."""

@@ -46,6 +46,7 @@ from .errors import (
     InvalidParameters,
     NonConvergence,
     RepeatedZeros,
+    SingularDenominator,
     SingularSample,
 )
 from .numeric import (
@@ -207,6 +208,52 @@ def closed_form_spectrum(spec: FamilySpec) -> np.ndarray:
     else:
         raise InvalidParameters(f"no spectrum formula for {fam!r}")
     return np.asarray(lam, dtype=complex)
+
+
+def recurrence(spec: FamilySpec, n: int) -> tuple:
+    """(alpha, beta, gamma) for k < n of u P_k = alpha_k P_(k+1) + beta_k P_k + gamma_k P_(k-1).
+
+    Wilson, Racah, Askey-Wilson and q-Racah in the oracle variable u (x^2,
+    z + theta^2, x, z), from (u - shift) P_k = s (A_k P_(k+1) - (A_k + C_k) P_k
+    + C_k P_(k-1)) of Koekoek, Lesky & Swarttouw (2010), 9.1.4, 9.2.4, 14.1.4
+    and 14.2.4; P_0 = 1 and P_k is the degree-k member up to scale.  gamma_0 = 0
+    and A_0's first factor is cancelled against its denominator, so no 0/0 is
+    formed; any other vanishing denominator, or alpha_k = 0, raises SingularDenominator.
+    """
+    validate_spec(spec)
+    a, b, c, d = spec.alphas
+    q, fam = spec.q, spec.family
+    # KLS's shift and s, w of the denominators p_j, the numerators of A_k (less its first factor) and C_k
+    if fam == Family.WILSON:
+        shift, s, w = -a * a, -1.0, a + b + c + d
+        num = lambda k, Q: ([k + a + b, k + a + c, k + a + d], [k, k + b + c - 1, k + b + d - 1, k + c + d - 1])
+    elif fam == Family.RACAH:
+        shift, s, w = racah_theta(spec) ** 2, 1.0, a + b + 2.0
+        num = lambda k, Q: ([k + a + 1, k + b + d + 1, k + c + 1], [k, k + a + b - c, k + a - d, k + b])
+    elif fam == Family.AW:
+        shift, s, w, r = 0.5 * (a + 1.0 / a), 0.5, a * b * c * d / q, (b * c, b * d, c * d)
+        num = lambda k, Q: ([1 - a * x * Q for x in (b, c, d)] + [1 / a], [a, 1 - Q] + [1 - x * Q / q for x in r])
+    elif fam == Family.QRACAH:
+        shift, s, w = 1.0 + c * d * q, 1.0, a * b * q
+        num = lambda k, Q: ([1 - x * q * Q for x in (a, b * d, c)], [q, 1 - Q, 1 - b * Q, c - a * b * Q, d - a * Q])
+    else:
+        raise InvalidParameters(f"no three-term recurrence for {fam!r}")
+    tol = PARAM_POLE_TOL if q is None else QPARAM_POLE_TOL
+    table = []
+    for k in range(n):
+        # A_k = lead num / (p_1 p_2) and C_k = num / (p_0 p_1), where lead = p_1 at k = 0
+        Q = None if q is None else q**k
+        lead = k + w - 1 if q is None else 1 - w * Q
+        p = [2 * k + w - 2 + j if q is None else 1 - w * Q * Q * q ** (j - 1) for j in range(3)]
+        num_a, num_c = num(k, Q)
+        if any(abs(x) < tol for x in (p[2:] if k == 0 else p)):
+            raise SingularDenominator(f"{fam.value} recurrence: a denominator vanishes at k = {k}")
+        A = math.prod(num_a) / p[2] if k == 0 else lead * math.prod(num_a) / (p[1] * p[2])
+        C = 0.0 if k == 0 else math.prod(num_c) / (p[0] * p[1])
+        if A == 0:
+            raise SingularDenominator(f"{fam.value} recurrence: alpha_{k} vanishes")
+        table.append((s * A, shift - s * (A + C), s * C))
+    return tuple(np.array(col, dtype=complex) for col in zip(*table))
 
 
 def validate_spec(spec: FamilySpec) -> None:

@@ -197,6 +197,14 @@ class TestEvolve:
         assert report["max_deviation"] <= 1e-6
 
 
+    def test_recurrence_pole_exit_3(self, capsys):
+        # a + b + c + d rounds to 1e-16: the degree-3 member is sound, but the
+        # recurrence divides by a + b + c + d on the way to it
+        code = cli.main(["evolve", "--family", "wilson", "-N", "3", "--alphas", "0.1,0.2,0.3,-0.6"])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
     def test_overflowing_trajectory_exit_4(self, capsys):
         # the RK4 state overflows to NaN at this horizon; the run must not pass
         code, out = run(

@@ -61,6 +61,28 @@ def test_good_zeros_accepted(label):
     assert zs.max_poly_residual <= 1e-12
 
 
+TABLE_FAMILIES = ("wilson", "racah", "aw", "qracah")
+
+
+@pytest.mark.parametrize(
+    "entry", [e for e in REFERENCE["specs"] if e["family"] in TABLE_FAMILIES], ids=lambda e: e["label"]
+)
+def test_recurrence_table_zeros(entry):
+    """The N x N tridiagonal of `families.recurrence` has the reference zeros as eigenvalues, in u."""
+    spec = spec_of(entry)
+    alpha, beta, gamma = iso.families.recurrence(spec, spec.N)
+    got = np.linalg.eigvals(np.diag(beta) + np.diag(alpha[:-1], 1) + np.diag(gamma[1:], -1))
+    want = np.array([complex(float(re), float(im)) for re, im in entry["zeros"]])
+    if spec.family == iso.Family.RACAH:
+        want = want + iso.families.racah_theta(spec) ** 2
+    matched = set()
+    for z in got:
+        k = int(np.argmin(np.abs(want - z)))
+        assert abs(want[k] - z) <= 3e-13 * (1 + abs(z)), (z, want[k])
+        matched.add(k)
+    assert len(matched) == len(want)
+
+
 def test_fixture_regenerates():
     mp = pytest.importorskip("mpmath")
     path = FIXTURES / "make_reference_zeros.py"
