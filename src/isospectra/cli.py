@@ -361,54 +361,93 @@ def cmd_sweep(args) -> int:
 # Entry point
 # ---------------------------------------------------------------------------
 
-def _add_spec_flags(p: argparse.ArgumentParser) -> None:
-    """The spec flags that `zeros`, `matrix`, `verify` and `evolve` share."""
-    p.add_argument("--family", help="ghyp|gbasic|wilson|racah|aw|qracah|jacobi")
-    p.add_argument("-N", "--N", type=int, default=None, help="polynomial degree")
-    p.add_argument("--alphas", default=None, help="comma-separated complex list")
-    p.add_argument("--betas", default=None, help="comma-separated complex list")
-    p.add_argument("--q", default=None, help="base q (q-families only)")
-    p.add_argument("--spec-file", default=None, help="JSON spec file; flags override")
+#: the spec flags that `zeros`, `matrix`, `verify` and `evolve` share; each
+#: flag is (option strings, add_argument keywords)
+_SPEC_FLAGS = (
+    (("--family",), {"help": "ghyp|gbasic|wilson|racah|aw|qracah|jacobi"}),
+    (("-N", "--N"), {"type": int, "default": None, "help": "polynomial degree"}),
+    (("--alphas",), {"default": None, "help": "comma-separated complex list"}),
+    (("--betas",), {"default": None, "help": "comma-separated complex list"}),
+    (("--q",), {"default": None, "help": "base q (q-families only)"}),
+    (("--spec-file",), {"default": None, "help": "JSON spec file; flags override"}),
+)
+_SEED = (("--seed",), {"type": int, "default": 0})
+_TOL_SPECTRAL = (("--tol-spectral",), {"type": float, "default": 1e-6, "dest": "tol_spectral"})
 
-
-def _add_matrix_flags(p: argparse.ArgumentParser) -> None:
-    _add_spec_flags(p)
-    p.add_argument("--tol-spectral", type=float, default=1e-6, dest="tol_spectral")
-
-
-def _add_verify_flags(p: argparse.ArgumentParser) -> None:
-    _add_spec_flags(p)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol-spectral", type=float, default=1e-6, dest="tol_spectral")
-    p.add_argument("--tol-identity", type=float, default=1e-8, dest="tol_identity")
-
-
-def _add_evolve_flags(p: argparse.ArgumentParser) -> None:
-    _add_spec_flags(p)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--t1", type=float, default=0.5)
-    p.add_argument("--steps", type=int, default=2000)
-    p.add_argument("--perturb", type=float, default=1e-3)
-    p.add_argument("--record-every", type=int, default=20, dest="record_every")
-    p.add_argument("--tol-deviation", type=float, default=1e-6, dest="tol_deviation")
-
-
-def _add_sweep_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--family", default="all", help="construction name or 'all'")
-    p.add_argument("--draws", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--nmax", type=int, default=8)
-    p.add_argument("--tol-spectral", type=float, default=1e-6, dest="tol_spectral")
-
-
-#: subcommand -> (handler, the function that adds its arguments)
+#: subcommand -> (handler, its flags in registration order); argparse and
+#: `_direct_namespace` both read them
 _SUBCOMMANDS = {
-    "zeros": (cmd_zeros, _add_spec_flags),
-    "matrix": (cmd_matrix, _add_matrix_flags),
-    "verify": (cmd_verify, _add_verify_flags),
-    "evolve": (cmd_evolve, _add_evolve_flags),
-    "sweep": (cmd_sweep, _add_sweep_flags),
+    "zeros": (cmd_zeros, _SPEC_FLAGS),
+    "matrix": (cmd_matrix, (*_SPEC_FLAGS, _TOL_SPECTRAL)),
+    "verify": (cmd_verify, (
+        *_SPEC_FLAGS,
+        _SEED,
+        _TOL_SPECTRAL,
+        (("--tol-identity",), {"type": float, "default": 1e-8, "dest": "tol_identity"}),
+    )),
+    "evolve": (cmd_evolve, (
+        *_SPEC_FLAGS,
+        _SEED,
+        (("--t1",), {"type": float, "default": 0.5}),
+        (("--steps",), {"type": int, "default": 2000}),
+        (("--perturb",), {"type": float, "default": 1e-3}),
+        (("--record-every",), {"type": int, "default": 20, "dest": "record_every"}),
+        (("--tol-deviation",), {"type": float, "default": 1e-6, "dest": "tol_deviation"}),
+    )),
+    "sweep": (cmd_sweep, (
+        (("--family",), {"default": "all", "help": "construction name or 'all'"}),
+        (("--draws",), {"type": int, "default": 20}),
+        _SEED,
+        (("--nmax",), {"type": int, "default": 8}),
+        _TOL_SPECTRAL,
+    )),
 }
+
+
+def _add_flags(p: argparse.ArgumentParser, flags) -> None:
+    for options, keywords in flags:
+        p.add_argument(*options, **keywords)
+
+
+#: add_argument keywords of the flags `_direct_namespace` serves: one value, stored
+_DIRECT_KEYWORDS = {"type", "default", "dest", "help"}
+
+
+def _direct_namespace(name: str, tokens) -> argparse.Namespace | None:
+    """The Namespace argparse makes of `isospectra <name> <tokens>`, built without a parser.
+
+    Served only when `tokens` are (flag, value) pairs, each flag exactly one
+    of the subcommand's option strings and each value a str that does not
+    start with "-" and converts with the flag's type; a repeated flag's last
+    value wins.  Anything else (-h, an abbreviation, --flag=value, -N8, a
+    value argparse might read as an option, a conversion error) returns
+    None, so argparse parses it and prints every screen and error.
+    """
+    if len(tokens) % 2:
+        return None
+    fn, flags = _SUBCOMMANDS[name]
+    args = argparse.Namespace(command=name, func=fn)
+    by_option = {}
+    for options, keywords in flags:
+        if not keywords.keys() <= _DIRECT_KEYWORDS:
+            return None
+        # argparse's dest: the explicit one, else the first long option's name
+        dest = keywords.get("dest") or next(o for o in options if o[:2] == "--")[2:].replace("-", "_")
+        setattr(args, dest, keywords.get("default"))
+        for option in options:
+            by_option[option] = dest, keywords.get("type", str)
+    for flag, value in zip(tokens[::2], tokens[1::2]):
+        if not (isinstance(flag, str) and flag in by_option and isinstance(value, str)):
+            return None
+        if value.startswith("-"):
+            return None
+        dest, convert = by_option[flag]
+        try:
+            value = convert(value)
+        except ValueError:
+            return None
+        setattr(args, dest, value)
+    return args
 
 
 def _help_formatter():
@@ -420,15 +459,15 @@ def _help_formatter():
 
 
 def build_parser(argv=None) -> argparse.ArgumentParser:
-    """The full parser for `argv` (default `sys.argv[1:]`): all five subcommands.
+    """The full argparse parser for `argv` (default `sys.argv[1:]`): all five subcommands.
 
     Only the subcommand argv names gets its arguments: adding them is most
     of the cost of building the parser, and one run parses one subcommand.
     The top level has no option but -h, so the first token that is not an
-    option is the subcommand.  `main` builds this parser only where the
-    subcommand's own parser (`parse_args`) does not settle the argv: when
-    argv does not start with a subcommand (the top-level -h, usage and
-    choice errors), and to report tokens that parser left over.
+    option is the subcommand.  `parse_args` builds this parser only where
+    neither the direct path nor the subcommand's own parser settles the
+    argv: when argv does not start with a subcommand (the top-level -h,
+    usage and choice errors), and to report tokens that parser left over.
     """
     if argv is None:
         argv = sys.argv[1:]
@@ -436,32 +475,40 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
     formatter = _help_formatter()
     ap = argparse.ArgumentParser(prog="isospectra", description=__doc__, formatter_class=formatter)
     sub = ap.add_subparsers(dest="command", required=True)
-    for name, (fn, add_flags) in _SUBCOMMANDS.items():
+    for name, (fn, flags) in _SUBCOMMANDS.items():
         p = sub.add_parser(name, formatter_class=formatter)
         p.set_defaults(func=fn)
         if name == named:
-            add_flags(p)
+            _add_flags(p, flags)
     return ap
 
 
 def parse_args(argv=None) -> argparse.Namespace:
-    """Parse `argv` (default `sys.argv[1:]`) with one parser where one suffices.
+    """Parse `argv` (default `sys.argv[1:]`), building argparse parsers only where needed.
 
-    When argv[0] names a subcommand, only that subcommand's parser is
-    built, standalone, as `isospectra <cmd>`: the subparser the full parser
-    would hand the rest of argv to, with the same arguments, formatter,
-    usage line, -h screen and errors.  A token it leaves over goes to the
-    full parser (`build_parser`), which prints the top-level "unrecognized
-    arguments" error, as before.  Any other argv goes to the full parser.
+    When argv[0] names a subcommand and every later token is an exact flag
+    followed by a plain value (`_direct_namespace`), the Namespace is built
+    from the flag table with no parser at all: the benchmark's and the
+    README's command lines take this path.  Any other argv that starts with
+    a subcommand goes to that subcommand's own argparse parser, built
+    standalone as `isospectra <cmd>`: the subparser the full parser would
+    hand the rest of argv to, with the same arguments, formatter, usage
+    line, -h screen and errors.  A token it leaves over goes to the full
+    parser (`build_parser`), which prints the top-level "unrecognized
+    arguments" error.  Any other argv goes to the full parser.  So every
+    help screen, usage line and error comes from argparse.
     """
     if argv is None:
         argv = sys.argv[1:]
     if argv and argv[0] in _SUBCOMMANDS:
         name = argv[0]
-        fn, add_flags = _SUBCOMMANDS[name]
+        args = _direct_namespace(name, argv[1:])
+        if args is not None:
+            return args
+        fn, flags = _SUBCOMMANDS[name]
         p = argparse.ArgumentParser(prog=f"isospectra {name}", formatter_class=_help_formatter())
         p.set_defaults(func=fn, command=name)
-        add_flags(p)
+        _add_flags(p, flags)
         args, extra = p.parse_known_args(argv[1:])
         if not extra:
             return args

@@ -746,10 +746,11 @@ def integrate(spec: fam.FamilySpec, z0, t1: float, steps: int, record_every: int
     so trajectories equal those of RK4 on numpy vectors over `nonlinear_rhs`
     bit for bit.  Every state the right-hand side is evaluated at, and the
     final state, is checked for collisions (Collision) once: a step's new
-    state is the next step's first stage.  An arithmetic error in a step (a
-    term's division by zero or overflow) raises SingularDenominator, and a
-    recorded state that is not finite (the step overflowed the dynamic range
-    of doubles) raises NonConvergence.
+    state is the next step's first stage.  An arithmetic error at any state,
+    the start included (a term's division by zero, or a magnitude past the
+    range of doubles), raises SingularDenominator, and a recorded state that
+    is not finite (the step overflowed the dynamic range of doubles) raises
+    NonConvergence.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -760,8 +761,8 @@ def integrate(spec: fam.FamilySpec, z0, t1: float, steps: int, record_every: int
     hh, h6 = 0.5 * h, h / 6.0
     times = [0.0]
     traj = [z]
-    _check_separation(z)
     try:
+        _check_separation(z)
         rows = _BINDERS[spec.family](spec)
 
         def rhs(state):

@@ -1,5 +1,6 @@
 """CLI surface: subcommands, JSON schema, exit codes, determinism."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -8,10 +9,11 @@ import shutil
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from isospectra import cli, dynamics, families
 from isospectra.errors import IsospectraError
@@ -465,8 +467,13 @@ class TestExitCodes:
              "--t1", "20", "--steps", "400", "--perturb", "0.3", "--seed", "0", "--record-every", "50"],
             # alpha = -1 puts a Jacobi zero at x = 1, where z = 2/(1 - x) has no value
             ["matrix", "--family", "jacobi", "-N", "2", "--alphas=-1,0.5"],
+            # a start state whose magnitude exceeds the largest double
+            ["evolve", "--family", "ghyp", "-N", "3", "--alphas", "1.7", "--betas", "2.3",
+             "--steps", "3", "--perturb", "1e308"],
+            ["evolve", "--family", "wilson", "-N", "3", "--alphas", "0.7,1.1,1.6,2.2",
+             "--steps", "3", "--perturb", "1e308"],
         ],
-        ids=["aw-pole", "jacobi-x-1"],
+        ids=["aw-pole", "jacobi-x-1", "ghyp-start-past-double", "wilson-start-past-double"],
     )
     def test_state_at_a_pole_exit_3(self, argv):
         import subprocess
@@ -637,6 +644,11 @@ INVALID_VALUES = {("--seed", "-1"), ("--t1", "nan"), ("--perturb", "nan")} | {
     (flag, value) for flag in TOL_FLAGS for value in ("nan", "-1")
 }
 FUZZ_FAMILIES = ["ghyp", "gbasic", "wilson", "racah", "aw", "askey-wilson", "qracah", "jacobi", "nope"]
+# the boundary of the direct path (`cli._direct_namespace`): values argparse
+# reads as a negative number or as an option, an empty value, a leading zero,
+# and edits of the drawn (flag, value) pairs that only argparse parses
+BOUNDARY_VALUES = ["-1", "-0.1", "-x", "", "08"]
+BOUNDARY_EDITS = ("equals", "abbreviate", "repeat", "trailing", "help")
 
 
 def _flag(name, values):
@@ -644,9 +656,10 @@ def _flag(name, values):
 
 
 @st.composite
-def cli_argv(draw):
+def cli_argv(draw, boundary=False):
+    """A subcommand argv; with `boundary`, also BOUNDARY_VALUES and BOUNDARY_EDITS."""
     command = draw(st.sampled_from(["zeros", "matrix", "verify", "evolve", "sweep"]))
-    tokens = st.sampled_from(VALUE_TOKENS)
+    tokens = st.sampled_from(VALUE_TOKENS + BOUNDARY_VALUES if boundary else VALUE_TOKENS)
     if command == "sweep":
         groups = [
             _flag("--family", st.sampled_from([*cli.CONSTRUCTIONS, "all", "nope"])),
@@ -677,7 +690,24 @@ def cli_argv(draw):
                 _flag("--seed", st.integers(-1, 3)),
                 _flag("--tol-deviation", tokens),
             ]
-    return [command] + [tok for group in groups for tok in draw(group)]
+    pairs = [draw(group) for group in groups]
+    for edit in draw(st.lists(st.sampled_from(BOUNDARY_EDITS), max_size=2)) if boundary else ():
+        whole = [k for k, pair in enumerate(pairs) if len(pair) == 2]
+        if not whole:
+            break
+        k = draw(st.sampled_from(whole))
+        flag, value = pairs[k]
+        if edit == "equals":
+            pairs[k] = [f"{flag}={value}"]
+        elif edit == "abbreviate":  # e.g. --fam; an ambiguous one (--tol) is an error
+            pairs[k] = [flag[: draw(st.integers(min(3, len(flag)), len(flag)))], value]
+        elif edit == "repeat":
+            pairs.append([flag, draw(tokens)])
+        elif edit == "trailing":
+            pairs.append([flag])
+        else:
+            pairs.append(["-h"])
+    return [command] + [tok for pair in pairs for tok in pair]
 
 
 class TestArgvFuzz:
@@ -696,3 +726,55 @@ class TestArgvFuzz:
         # a value that every handler rejects makes any argv invalid input
         if any(pair in INVALID_VALUES for pair in zip(argv, argv[1:])):
             assert code == 2, (argv, code)
+
+
+class TestDirectPath:
+    """A command line of exact flags and plain values is parsed without argparse,
+    into the Namespace argparse would make; any other goes to argparse."""
+
+    @staticmethod
+    def outcome(parse, argv):
+        """The parsed flags, each by its repr so that nan equals nan, or the exit."""
+        out, err = io.StringIO(), io.StringIO()
+        with mock.patch.dict(os.environ, {"COLUMNS": "80"}):
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    return repr(sorted(vars(parse(argv)).items())), None
+                except SystemExit as exc:
+                    return None, (exc.code, out.getvalue(), err.getvalue())
+
+    @settings(max_examples=300, deadline=None)
+    @given(argv=cli_argv(boundary=True))
+    def test_same_as_argparse(self, argv):
+        # run with --hypothesis-show-statistics for the share of each path
+        direct = cli._direct_namespace(argv[0], argv[1:]) is not None
+        event("direct path" if direct else "argparse")
+        want = self.outcome(lambda a: cli.build_parser(a).parse_args(a), argv)
+        assert self.outcome(cli.parse_args, argv) == want
+        # only a command line argparse accepts takes the direct path
+        assert not direct or want[1] is None
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--family", "qracah", "-N", "8", "--seed", "2293376285",
+             "--alphas", "2.952001596034987,0.9125405471386468,1.2349209408738,0.5184571474786519",
+             "--q", "1.9360217590713917"],
+            ["sweep", "--family", "all", "--draws", "1", "--seed", "2293376285", "--nmax", "8"],
+            ["evolve", "--family", "ghyp", "-N", "4", "--alphas", "1.7", "--betas", "2.3",
+             "--t1", "0.5", "--steps", "2000", "--perturb", "1e-3"],
+        ],
+        ids=["verify", "sweep", "evolve"],
+    )
+    def test_builds_no_parser(self, monkeypatch, argv):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(parser, *args, **kwargs):
+            built.append(parser)
+            init(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        args = cli.parse_args(argv)
+        assert built == []
+        assert args == cli.build_parser(argv).parse_args(argv)

@@ -334,6 +334,13 @@ class TestIntegrate:
             dynamics.integrate(spec, [0.0, z1], 1.0, 1)
         assert len(calls) == calls_before
 
+    def test_start_past_double_range(self):
+        # |1.5e308 (1 + i)| exceeds the largest double: the collision guard
+        # on the start state overflows, as a later state's would
+        spec = iso.make_spec("ghyp", 3, [1.7], [2.3])
+        with pytest.raises(SingularDenominator, match="absolute value too large"):
+            dynamics.integrate(spec, [1.5e308 + 1.5e308j, 0.5, 1.0], 0.5, 3)
+
     @pytest.mark.parametrize("record_every", [0, -1])
     def test_record_every_below_1(self, record_every):
         spec = iso.make_spec("ghyp", 2, [1.7], [2.3])
