@@ -375,7 +375,8 @@ _SEED = (("--seed",), {"type": int, "default": 0})
 _TOL_SPECTRAL = (("--tol-spectral",), {"type": float, "default": 1e-6, "dest": "tol_spectral"})
 
 #: subcommand -> (handler, its flags in registration order); argparse and
-#: `_direct_namespace` both read them
+#: `_direct_namespace` both read them, so every flag takes one value, stored
+#: (keywords only from type, default, dest and help) and has a long option
 _SUBCOMMANDS = {
     "zeros": (cmd_zeros, _SPEC_FLAGS),
     "matrix": (cmd_matrix, (*_SPEC_FLAGS, _TOL_SPECTRAL)),
@@ -404,15 +405,6 @@ _SUBCOMMANDS = {
 }
 
 
-def _add_flags(p: argparse.ArgumentParser, flags) -> None:
-    for options, keywords in flags:
-        p.add_argument(*options, **keywords)
-
-
-#: add_argument keywords of the flags `_direct_namespace` serves: one value, stored
-_DIRECT_KEYWORDS = {"type", "default", "dest", "help"}
-
-
 def _direct_namespace(name: str, tokens) -> argparse.Namespace | None:
     """The Namespace argparse makes of `isospectra <name> <tokens>`, built without a parser.
 
@@ -429,8 +421,6 @@ def _direct_namespace(name: str, tokens) -> argparse.Namespace | None:
     args = argparse.Namespace(command=name, func=fn)
     by_option = {}
     for options, keywords in flags:
-        if not keywords.keys() <= _DIRECT_KEYWORDS:
-            return None
         # argparse's dest: the explicit one, else the first long option's name
         dest = keywords.get("dest") or next(o for o in options if o[:2] == "--")[2:].replace("-", "_")
         setattr(args, dest, keywords.get("default"))
@@ -464,10 +454,8 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
     Only the subcommand argv names gets its arguments: adding them is most
     of the cost of building the parser, and one run parses one subcommand.
     The top level has no option but -h, so the first token that is not an
-    option is the subcommand.  `parse_args` builds this parser only where
-    neither the direct path nor the subcommand's own parser settles the
-    argv: when argv does not start with a subcommand (the top-level -h,
-    usage and choice errors), and to report tokens that parser left over.
+    option is the subcommand.  `parse_args` builds this parser for every
+    argv the direct path does not serve.
     """
     if argv is None:
         argv = sys.argv[1:]
@@ -479,40 +467,25 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
         p = sub.add_parser(name, formatter_class=formatter)
         p.set_defaults(func=fn)
         if name == named:
-            _add_flags(p, flags)
+            for options, keywords in flags:
+                p.add_argument(*options, **keywords)
     return ap
 
 
 def parse_args(argv=None) -> argparse.Namespace:
-    """Parse `argv` (default `sys.argv[1:]`), building argparse parsers only where needed.
+    """Parse `argv` (default `sys.argv[1:]`), building an argparse parser only where needed.
 
     When argv[0] names a subcommand and every later token is an exact flag
     followed by a plain value (`_direct_namespace`), the Namespace is built
     from the flag table with no parser at all: the benchmark's and the
-    README's command lines take this path.  Any other argv that starts with
-    a subcommand goes to that subcommand's own argparse parser, built
-    standalone as `isospectra <cmd>`: the subparser the full parser would
-    hand the rest of argv to, with the same arguments, formatter, usage
-    line, -h screen and errors.  A token it leaves over goes to the full
-    parser (`build_parser`), which prints the top-level "unrecognized
-    arguments" error.  Any other argv goes to the full parser.  So every
-    help screen, usage line and error comes from argparse.
+    README's command lines take this path.  Any other argv goes to the full
+    parser (`build_parser`), so every help screen, usage line and error
+    comes from argparse.
     """
     if argv is None:
         argv = sys.argv[1:]
-    if argv and argv[0] in _SUBCOMMANDS:
-        name = argv[0]
-        args = _direct_namespace(name, argv[1:])
-        if args is not None:
-            return args
-        fn, flags = _SUBCOMMANDS[name]
-        p = argparse.ArgumentParser(prog=f"isospectra {name}", formatter_class=_help_formatter())
-        p.set_defaults(func=fn, command=name)
-        _add_flags(p, flags)
-        args, extra = p.parse_known_args(argv[1:])
-        if not extra:
-            return args
-    return build_parser(argv).parse_args(argv)
+    args = _direct_namespace(argv[0], argv[1:]) if argv and argv[0] in _SUBCOMMANDS else None
+    return args if args is not None else build_parser(argv).parse_args(argv)
 
 
 def main(argv=None) -> int:

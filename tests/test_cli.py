@@ -743,6 +743,13 @@ class TestDirectPath:
                 except SystemExit as exc:
                     return None, (exc.code, out.getvalue(), err.getvalue())
 
+    def test_every_flag_is_one_stored_value(self):
+        # the direct path serves only these keywords and derives dest from a long option
+        for name, (_, flags) in cli._SUBCOMMANDS.items():
+            for options, keywords in flags:
+                assert keywords.keys() <= {"type", "default", "dest", "help"}, (name, options)
+                assert any(o.startswith("--") for o in options), (name, options)
+
     @settings(max_examples=300, deadline=None)
     @given(argv=cli_argv(boundary=True))
     def test_same_as_argparse(self, argv):
