@@ -13,12 +13,17 @@ wrote it out inline.  `ddc_mul_general`, `ddc_add_general` and
 they were before `isospectra.numeric` gave them a real case: every operand,
 real or not, takes the complex path.  `q_to_one_limit_check` compares the
 library's ghyp and gbasic term tables in the limit q -> 1.
+`mp_coefficients` sums `term_table` in `mpmath` at 120 digits: the
+reference coefficients of every family, which reads nothing of
+`isospectra.families`' own sums or recurrences.
 `residual_samples` is the defining-equation sample loop as it was before
 `isospectra.families.residual_samples` drew its pairs with one
 `rng.random` call: two scalar `rng.uniform` calls per sample.
 """
 
 import math
+import sys
+from unittest import mock
 
 import numpy as np
 
@@ -278,6 +283,33 @@ def ddc_expand(terms, degree: int):
             acc[i] = ddc_add(acc[i], ci)
             mags[i] += m[i]
     return acc, mags
+
+
+def mp_coefficients(spec: FamilySpec, dps: int = 120) -> list:
+    """Ascending coefficients of the family sum of `spec`, as `mpmath` numbers at `dps` digits.
+
+    `term_table` runs with its double-double helpers swapped for mpmath
+    arithmetic, from the exact double parameters, and every term is
+    multiplied out and summed at that precision.
+    """
+    import mpmath as mp
+
+    helpers = {
+        "ddc": lambda z: mp.mpc(complex(z)),
+        "ddc_add": lambda x, y: x + y,
+        "ddc_mul": lambda x, y: x * y,
+        "ddc_div": lambda x, y: x / y,
+        "ddc_neg": lambda x: -x,
+        "ddc_powi": lambda x, k: x**k,
+    }
+    with mp.workdps(dps), mock.patch.multiple(sys.modules[__name__], **helpers):
+        acc = [mp.mpc(0)] * (spec.N + 1)
+        for pref, factors in term_table(spec):
+            c = [pref]
+            for a, b in factors:
+                c = [a * c[0]] + [a * ci + b * cl for ci, cl in zip(c[1:], c)] + [b * c[-1]]
+            acc = [s + t for s, t in zip(acc, c + [0] * (len(acc) - len(c)))]
+        return acc
 
 
 def q_to_one_limit_check(spec: FamilySpec, q_near_1: float) -> float:

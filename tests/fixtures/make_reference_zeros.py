@@ -1,25 +1,27 @@
 """Write reference_zeros.json: zeros of fixed specs to 30 significant digits.
 
 Each spec's polynomial comes from the exact double parameters through the
-formulas of `families._term_table`, run in `mpmath` at 120 digits: the
-double-double helpers the table is written with are swapped for mpmath
-arithmetic while it runs, so the reference and the program share one
-statement of every family sum.  The roots come from `mpmath.polyroots`
-and are then Newton-polished at the same precision.
+per-term textbook sums of `tests/expansion_reference.term_table`, run in
+`mpmath` at 120 digits (`expansion_reference.mp_coefficients`), so the
+reference shares no statement of a family with the program: the library
+builds Wilson, Racah, Askey-Wilson and q-Racah from their three-term
+recurrences, and the other families from a nested term table.  The roots
+come from `mpmath.polyroots` and are then Newton-polished at the same
+precision.
 
 Run from the repository root:
 
-    PYTHONPATH=src python tests/fixtures/make_reference_zeros.py
+    PYTHONPATH=src:tests python tests/fixtures/make_reference_zeros.py
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from unittest import mock
 
 import mpmath as mp
 
+import expansion_reference
 from isospectra import families
 
 DPS = 120
@@ -62,6 +64,34 @@ SPECS = [
     ("qracah N=8", "qracah", 8,
      [1.3377925755485123, 2.6307226609322187, 1.8004910983315718, 2.6861618709500177], [],
      2.249653370564582),
+    # the second and third N = 8 draw of each family, from the 1056-draw sample
+    # (numpy rng [2026, crc32(construction), N, k] for k = 1, 2)
+    ("ghyp N=8 (2)", "ghyp", 8, [2.604158401709651], [2.8052487090310496], None),
+    ("ghyp N=8 (3)", "ghyp", 8, [1.5304158330670892], [3.185242200374179], None),
+    ("jacobi N=8 (2)", "jacobi", 8, [1.0101160576145842, 1.0080423331784536], [], None),
+    ("jacobi N=8 (3)", "jacobi", 8, [0.8660061087998199, 2.806015944317203], [], None),
+    ("gbasic N=8 (2)", "gbasic", 8, [2.0645190219988327], [2.535942070832969], 1.316816499756149),
+    ("gbasic N=8 (3)", "gbasic", 8, [2.311966453345893], [2.0441589122011257], 1.4477905110275022),
+    ("wilson N=8 (2)", "wilson", 8,
+     [0.654396052805168, 1.0739977980173652, 1.0468736515270707, 2.8900906385146934], [], None),
+    ("wilson N=8 (3)", "wilson", 8,
+     [2.9993611982135273, 0.596764700676778, 0.8007638980730282, 0.9278732418690476], [], None),
+    ("racah N=8 (2)", "racah", 8,
+     [1.4445434692129093, 2.684303168469862, 2.3107563089119223, 1.1612649443638339], [], None),
+    ("racah N=8 (3)", "racah", 8,
+     [0.9326551042360163, 2.762727619017154, 2.990354742800128, 2.483370802489958], [], None),
+    ("aw N=8 (2)", "aw", 8,
+     [2.1276434839052003, 1.3328496870675985, 1.353924767752754, 2.854350581547448], [],
+     2.3025680052110324),
+    ("aw N=8 (3)", "aw", 8,
+     [1.796340795083635, 2.3033243302978246, 2.0475181068898234, 2.25001501554649], [],
+     1.3996476394221795),
+    ("qracah N=8 (2)", "qracah", 8,
+     [2.0719996276118158, 0.8107452904787017, 2.3536112615942213, 2.0388576406187044], [],
+     1.8365704602850155),
+    ("qracah N=8 (3)", "qracah", 8,
+     [2.14612837137319, 1.9084368352184922, 1.158646071053537, 0.512410682564869], [],
+     2.167180757615091),
     # complex parameters, as [re, im] pairs: every double-double operation
     # with a nonzero imaginary word takes the general complex path
     ("ghyp N=7 complex", "ghyp", 7, [[1.7, 0.4]], [[2.3, -0.2]], None),
@@ -79,39 +109,9 @@ def parameter(value):
     return complex(*value) if isinstance(value, list) else value
 
 
-def _mp_products(factors):
-    out = [mp.mpc(1)]
-    for f in factors:
-        out.append(out[-1] * f)
-    return out
-
-
-def _mp_q_pochhammers(g, q, m):
-    return _mp_products([1 - g * q**i for i in range(m)])
-
-
-MP_HELPERS = {
-    "ddc": lambda z: mp.mpc(complex(z)),
-    "ddc_add": lambda x, y: x + y,
-    "ddc_mul": lambda x, y: x * y,
-    "ddc_div": lambda x, y: x / y,
-    "ddc_neg": lambda x: -x,
-    "ddc_powi": lambda x, k: x**k,
-    "ddc_products": _mp_products,
-    "ddc_pochhammers": lambda a, m: _mp_products([a + i for i in range(m)]),
-    "ddc_q_pochhammers": _mp_q_pochhammers,
-}
-
-
 def reference_coefficients(spec, dps=DPS):
     """Ascending coefficients of the family sum of `spec`, in mpmath at `dps` digits."""
-    with mp.workdps(dps), mock.patch.multiple(families, **MP_HELPERS):
-        weights, factors = families._term_table(spec)
-        # the nested form: c = w_N, then c <- w_d + (A_d + B_d z) c
-        c = [weights[-1]]
-        for w, (a, b) in zip(weights[-2::-1], factors[::-1]):
-            c = [w + a * c[0]] + [a * ci + b * cl for ci, cl in zip(c[1:], c)] + [b * c[-1]]
-        return c
+    return expansion_reference.mp_coefficients(spec, dps)
 
 
 def reference_zeros(spec, dps=DPS):

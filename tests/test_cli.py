@@ -460,6 +460,25 @@ class TestExitCodes:
         assert capsys.readouterr() == ("", "error: raised here\n")
 
     @pytest.mark.parametrize(
+        "spec",
+        [
+            ["--family", "aw", "-N", "4", "--alphas", "1.6,0.5,2.5,0.5", "--q", "1.5"],
+            ["--family", "wilson", "-N", "4", "--alphas", "0.7,1.1,-0.8,-1.0"],
+        ],
+        ids=["aw-abcd-1", "wilson-sum-0"],
+    )
+    def test_recurrence_pole_same_exit_3_everywhere(self, capsys, spec):
+        # abcd = 1 and a + b + c + d = 0: a lower-degree member loses degree, so
+        # no three-term recurrence passes through it; every command says so alike
+        errors = set()
+        for command in ("zeros", "matrix", "verify", "evolve"):
+            assert cli.main([command, *spec]) == cli.EXIT_DEGENERATE, command
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith("error: ") and err.count("\n") == 1, (command, err)
+            errors.add(err)
+        assert errors == {f"error: {spec[1]} recurrence: a denominator vanishes at k = 0\n"}
+
+    @pytest.mark.parametrize(
         "argv",
         [
             # the trajectory reaches a pole of the Askey-Wilson kernel
@@ -499,22 +518,22 @@ class TestExitCodes:
         ids=["ghyp-171", "wilson-171", "racah-171", "jacobi-100", "verify-ghyp-171"],
     )
     def test_factorial_past_double_exit_3(self, capsys, argv):
-        # a factorial of the term table that no longer fits a double is the
+        # a factorial of the term table (ghyp, Jacobi) or a coefficient of the
+        # recurrence (Wilson, Racah) that no longer fits a double is the
         # non-finite coefficient N = 170 already reports
         assert cli.main(argv) == cli.EXIT_DEGENERATE
         assert capsys.readouterr() == ("", "error: non-finite polynomial coefficient\n")
 
 
 class TestRefinementGuard:
-    def test_sum_cancelling_past_double_double_exit_4(self):
-        # the q-Racah sum at N = 12 cancels past double-double here, so its expanded
-        # coefficients are wrong; the refinement must say so, not return zeros
+    def test_error_bound_past_tolerance_exit_4(self):
+        # the Jacobi sum at N = 30 cancels by 17 digits, so the evaluation's
+        # error bound, carried to the zeros, exceeds ZERO_TOL: the refinement
+        # cannot vouch for them and must say so, not return them
         import subprocess
         import sys
 
-        argv = ["zeros", "--family", "qracah", "-N", "12",
-                "--alphas", "2.0384152689295716,1.035111498057991,2.36840541332353,2.5428293644206983",
-                "--q", "2.375452650859548"]
+        argv = ["zeros", "--family", "jacobi", "-N", "30", "--alphas", "0.5,1.0"]
         proc = subprocess.run(
             [sys.executable, "-m", "isospectra.cli", *argv], capture_output=True, text=True
         )
@@ -541,7 +560,13 @@ class TestParserScreens:
 
 
 class TestStandaloneParser:
-    """A subcommand's own parser settles argv as the full parser would."""
+    """`parse_args` settles argv as the full parser would.
+
+    These argv leave the direct path (an abbreviation, `--flag=value`, an
+    attached `-N8`, a bad flag or value) or take it (repeated flags, plain
+    pairs); either way the Namespace, or the exit code and screen, must be
+    the full parser's.
+    """
 
     WILSON = ["--family", "wilson", "-N", "4", "--alphas", "0.7,1.1,1.6,2.2"]
 

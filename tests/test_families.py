@@ -135,8 +135,28 @@ def _exact_expansion(table, degree):
     return c
 
 
+def _mp_exact(x):
+    """An mpmath real as the exact Fraction it holds."""
+    sign, man, exp, _ = x._mpf_
+    return (-1) ** sign * Fraction(man) * Fraction(2) ** exp
+
+
+def _reference_coefficients(spec):
+    """Exact (re, im) Fraction pairs of the coefficients of `spec`'s polynomial.
+
+    ghyp, gbasic and Jacobi: the library's own term table multiplied out
+    exactly.  Wilson, Racah, Askey-Wilson and q-Racah, which the library
+    builds from their three-term recurrence: the per-term textbook sums at
+    120 digits (`expansion_reference.mp_coefficients`), which read nothing
+    of `families`.
+    """
+    if spec.family in families.FOUR_PARAM_FAMILIES:
+        return [(_mp_exact(c.real), _mp_exact(c.imag)) for c in expansion_reference.mp_coefficients(spec)]
+    return _exact_expansion(families._term_table(spec), spec.N)
+
+
 class TestExpansionExact:
-    """build_polynomial against an exact expansion of the same term table."""
+    """build_polynomial against an exact (or 120-digit) reference expansion."""
 
     @pytest.mark.parametrize("family,alphas,betas,q", EXACT_PARAMS, ids=[p[0] for p in EXACT_PARAMS])
     def test_coefficients_correctly_rounded(self, family, alphas, betas, q):
@@ -145,7 +165,7 @@ class TestExpansionExact:
         for n in range(1, 9):
             spec = spec_of(family, n, alphas, betas, q)
             got = iso.build_polynomial(spec)
-            want = _exact_expansion(families._term_table(spec), n)
+            want = _reference_coefficients(spec)
             assert len(got) == n + 1
             for g, (wr, wi) in zip(got, want):
                 assert abs(Fraction(g.real) - wr) <= tol * abs(wr) + floor, (n, g, float(wr))
@@ -224,13 +244,13 @@ def _exact_value(coeffs, z):
 
 
 class TestEvaluationBound:
-    """structured_eval's value against the exact sum of the term table, within its bound."""
+    """structured_eval's value against the exact (or 120-digit) polynomial, within its bound."""
 
     @pytest.mark.parametrize("family,alphas,betas,q", EXACT_PARAMS, ids=[p[0] for p in EXACT_PARAMS])
     def test_value_within_bound(self, family, alphas, betas, q):
         for n in range(1, 13):
             spec = spec_of(family, n, alphas, betas, q)
-            coeffs = _exact_expansion(families._term_table(spec), n)
+            coeffs = _reference_coefficients(spec)
             roots = np.roots([complex(float(r), float(i)) for r, i in reversed(coeffs)])
             # dyadic points next to the zeros, where the sum cancels most, and off them
             points = [complex(round(z.real * 2**30), round(z.imag * 2**30)) / 2**30 for z in roots]
@@ -252,7 +272,16 @@ def _safe_box_spec(construction, n, draw):
 
 
 class TestNestedExpansion:
-    """The nested term table and its expansion against the per-term reference."""
+    """The unrounded expansion against the per-term reference.
+
+    ghyp, gbasic and Jacobi multiply out their nested term table; it is held
+    to the per-term double-double table of `expansion_reference`.  Wilson,
+    Racah, Askey-Wilson and q-Racah run their three-term recurrence; the
+    per-term double-double sums are themselves wrong at N >= 10 for aw and
+    q-Racah, so these are held to the 120-digit per-term sums, within the
+    same multiple of the recurrence's own magnitudes, which must bound each
+    coefficient.
+    """
 
     @pytest.mark.parametrize("construction", list(cli.CONSTRUCTIONS))
     @given(n=st.integers(min_value=1, max_value=12), data=st.data())
@@ -263,6 +292,18 @@ class TestNestedExpansion:
             families.validate_spec(spec)
         except InvalidParameters:
             assume(False)
+        if spec.family in families.FOUR_PARAM_FAMILIES:
+            got, _, mags = families._expansion(spec)
+            want = _reference_coefficients(spec)
+            assert len(got) == len(want) == n + 1
+            for k, (g, (wr, wi), m) in enumerate(zip(got, want, mags)):
+                gr, gi = _exact(g)
+                tol = Fraction(4 * n * 2.0**-104 * m)
+                assert (gr - wr) ** 2 + (gi - wi) ** 2 <= tol**2, (k, float(gr - wr), float(gi - wi), m)
+                # the magnitudes are summed in doubles, so they bound |c_k| up to their own rounding
+                assert wr * wr + wi * wi <= (Fraction(m) * (1 + 4 * n * Fraction(np.finfo(float).eps))) ** 2, (
+                    k, float(wr), float(wi), m)
+            return
         got, got_mags = ddc_expand(*families._term_table(spec))
         want, mags = expansion_reference.ddc_expand(expansion_reference.term_table(spec), n)
         assert len(got) == len(want) == n + 1
